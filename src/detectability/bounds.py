@@ -50,14 +50,7 @@ class DependenceSpec:
         norm = []
         for b in blocks:
             c, rho = b
-            try:
-                c = operator.index(c)
-            except TypeError:
-                raise ValueError(
-                    f"block size must be a positive integer, got {c!r}"
-                ) from None
-            if c < 1:
-                raise ValueError(f"block size must be a positive integer, got {c!r}")
+            c = _check_int("block size", c)
             rho = float(rho)
             if not 0.0 <= rho <= 1.0:
                 raise ValueError(f"block correlation must lie in [0, 1], got {rho!r}")
@@ -100,13 +93,17 @@ def _check_unit(name: str, x: float, *, low: float = 0.0, high: float = 1.0) -> 
     return x
 
 
-def _check_positive_int(name: str, n: int) -> int:
+def _check_int(name: str, n: int, low: int = 1) -> int:
+    """``n`` as an int; non-integers (floats, strings, bools) and ``n < low`` raise."""
+    what = "a positive integer" if low == 1 else f"an integer >= {low}"
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        raise ValueError(f"{name} must be {what}, got {n!r}") from None
+    if n < low:
+        raise ValueError(f"{name} must be {what}, got {n!r}")
     return n
 
 
@@ -165,7 +162,7 @@ def tv_tensor_lower(n: int, delta: float) -> float:
     distributions whose means of the decisive statistic differ by ``delta``.
     Clamped at 0 where the exponential term exceeds 1 (small ``n``).
     """
-    n = _check_positive_int("n", n)
+    n = _check_int("n", n)
     delta = _check_delta(delta)
     return max(0.0, 1.0 - 2.0 * math.exp(-n * delta * delta / 2.0))
 
@@ -177,7 +174,7 @@ def tv_tensor_chernoff(n: int, chernoff: float) -> float:
     than a guaranteed bound at small ``n``.  ``chernoff`` may be ``inf``
     (disjoint supports), giving 1 for every ``n``.
     """
-    n = _check_positive_int("n", n)
+    n = _check_int("n", n)
     chernoff = float(chernoff)
     if chernoff < 0.0 or math.isnan(chernoff):
         raise ValueError(f"chernoff must be nonnegative, got {chernoff!r}")
@@ -256,7 +253,7 @@ def auroc_vs_n_curve(delta: float, n_values: Sequence[int]) -> list[BoundCurvePo
     delta = _check_delta(delta)
     if len(n_values) == 0:
         raise ValueError("n_values must be nonempty")
-    ns = [_check_positive_int("n", n) for n in n_values]
+    ns = [_check_int("n", n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly ascending")
     points = []

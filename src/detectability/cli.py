@@ -84,7 +84,7 @@ def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
     ):
         raise UsageError(f"{where}: field 'blocks' must be a list of [c, rho] pairs")
     try:
-        return DependenceSpec([(int(c), float(rho)) for c, rho in blocks])
+        return DependenceSpec(blocks)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{where}: field 'blocks': {exc}") from None
 
@@ -247,13 +247,13 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
     dep = None
     if data.get("dependence") is not None:
         dep = _parse_dependence(data["dependence"], f"{path}: field 'dependence'")
-    seed = seed_override if seed_override is not None else int(data.get("seed", 0))
+    seed = seed_override if seed_override is not None else data.get("seed", 0)
     try:
         return ExperimentConfig(
             m=Categorical(data["m"]),
             h=Categorical(data["h"]),
-            n_values=tuple(int(n) for n in data["n_values"]),
-            trials_per_class=int(data["trials_per_class"]),
+            n_values=data["n_values"],
+            trials_per_class=data["trials_per_class"],
             dependence=dep,
             seed=seed,
         )

@@ -68,12 +68,18 @@ class RocCurve:
 
 
 def log_likelihood_ratio(
-    m: Categorical, h: Categorical, samples: Sequence[int]
-) -> float:
+    m: Categorical, h: Categorical, samples: Sequence[int] | np.ndarray
+) -> float | np.ndarray:
     """Sum of per-sample log-likelihood ratios ``log m(s) - log h(s)``.
 
     Positive values favor ``m`` (machine), negative favor ``h`` (human).
     The sum is additive over concatenated sample lists.
+
+    ``samples`` is either a 1-d list of sample indices, scored as one float,
+    or a 2-d ``(sets, support_size)`` matrix of per-index sample counts,
+    scored as one float per row.  Both are scored from counts: the score is
+    ``sum_j counts[j] * (log m(j) - log h(j))``, reduced along each row in
+    index order, so equal count vectors always get bit-equal scores.
 
     Zero-mass conventions: a sample with mass under exactly one distribution
     contributes ``+inf`` (only ``m``) or ``-inf`` (only ``h``); a sample with
@@ -84,47 +90,64 @@ def log_likelihood_ratio(
     Raises
     ------
     ValueError
-        On an empty sample list, an out-of-range index, or when every sample
-        was skipped.
+        On an empty sample list, an out-of-range index, a negative or
+        non-integer count, or when every sample of a set was skipped.
     """
     _check_same_support(m, h)
-    idx = np.asarray(samples)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("samples must be a nonempty 1-d sequence of indices")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("samples must be integer indices")
-    if idx.min() < 0 or idx.max() >= m.support_size:
-        raise ValueError("sample index out of range")
+    k = m.support_size
+    arr = np.asarray(samples)
+    if arr.size == 0 or arr.ndim not in (1, 2):
+        raise ValueError(
+            "samples must be a nonempty 1-d sequence of indices or a 2-d "
+            "matrix of counts"
+        )
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("samples must be integer indices or counts")
+    if arr.ndim == 1:
+        if arr.min() < 0 or arr.max() >= k:
+            raise ValueError("sample index out of range")
+        counts = np.bincount(arr.astype(np.int64), minlength=k)[None, :]
+    else:
+        if arr.shape[1] != k:
+            raise ValueError(f"count matrix must have {k} columns, got {arr.shape[1]}")
+        if arr.min() < 0:
+            raise ValueError("counts must be nonnegative")
+        counts = arr
 
     with np.errstate(invalid="ignore"):
         table = m.log_probs() - h.log_probs()  # -inf - -inf -> nan where both zero
-    vals = table[idx]
-    nan_mask = np.isnan(vals)
-    if nan_mask.any():
-        warnings.warn(
-            f"skipped {int(nan_mask.sum())} sample(s) with zero mass under "
-            "both distributions",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        vals = vals[~nan_mask]
-        if vals.size == 0:
-            raise ValueError("every sample had zero mass under both distributions")
-    has_pos = bool(np.isposinf(vals).any())
-    has_neg = bool(np.isneginf(vals).any())
-    if has_pos and has_neg:
-        warnings.warn(
-            "evidence certain for both sides (joint mass zero under both "
-            "models); treating as a tie",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    if has_pos:
-        return float("inf")
-    if has_neg:
-        return float("-inf")
-    return float(vals.sum())
+    total = counts.sum(axis=1)
+    if (total == 0).any():
+        raise ValueError("every sample set must be nonempty")
+    both_zero = np.isnan(table)
+    if both_zero.any():
+        skipped = counts[:, both_zero].sum(axis=1)
+        if skipped.any():
+            warnings.warn(
+                f"skipped {int(skipped.sum())} sample(s) with zero mass under "
+                "both distributions",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            if (skipped == total).any():
+                raise ValueError("every sample had zero mass under both distributions")
+    finite = np.isfinite(table)
+    scores = (counts * np.where(finite, table, 0.0)).sum(axis=1)
+    if not finite.all():
+        has_pos = counts[:, np.isposinf(table)].any(axis=1)
+        has_neg = counts[:, np.isneginf(table)].any(axis=1)
+        scores[has_pos] = np.inf
+        scores[has_neg] = -np.inf
+        tie = has_pos & has_neg
+        if tie.any():
+            warnings.warn(
+                "evidence certain for both sides (joint mass zero under both "
+                "models); treating as a tie",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            scores[tie] = 0.0
+    return float(scores[0]) if arr.ndim == 1 else scores
 
 
 def classify(llr: float, threshold: float = 0.0, *, n_used: int = 1) -> Verdict:

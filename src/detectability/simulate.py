@@ -5,21 +5,24 @@ each set with the log-likelihood ratio, and reports the empirical AUROC next
 to the exact ceiling (when the product distribution is small enough to
 enumerate) and the Chernoff trend line.
 
-Reproducibility: every trial gets its own generator, keyed by
-``(seed, n, class_index, trial)`` with class index 0 for machine and 1 for
-human.  Results are therefore bit-identical across runs and independent of
-execution order; wall-clock columns are the only nondeterministic output.
+Reproducibility: the trials of each ``(n, class)`` are drawn in fixed-size
+chunks, and chunk ``j`` gets its own generator, keyed by
+``(seed, n, class_index, j)`` with class index 0 for machine and 1 for human.
+A chunk holds at most ``_CHUNK_CELLS`` (2**16) cells, counting ``max(n, k)``
+cells per trial for support size ``k``, so it covers ``2**16 // max(n, k)``
+trials (at least one).  Each chunk is sampled as a matrix of per-trial count
+vectors and scored in one call.  Results are therefore bit-identical across
+runs; wall-clock columns are the only nondeterministic output.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .bounds import DependenceSpec, auroc_upper, tv_tensor_chernoff
+from .bounds import DependenceSpec, _check_int, auroc_upper, tv_tensor_chernoff
 from .detector import log_likelihood_ratio, roc_from_scores
 from .distributions import (
     ENUMERATION_BUDGET,
@@ -42,6 +45,10 @@ __all__ = [
 
 _MACHINE, _HUMAN = 0, 1
 
+# One chunk of trials holds at most this many cells, counting max(n, k) cells
+# per trial (k the support size); it bounds the sampler's working memory.
+_CHUNK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,7 +66,7 @@ class ExperimentConfig:
         Optional block-dependence pattern; it is rescaled to each ``n``
         (see :func:`rescale_blocks`).  ``None`` means iid sampling.
     seed : int
-        Root seed for the per-trial generator keys.
+        Root seed for the per-chunk generator keys.
     """
 
     m: Categorical
@@ -74,24 +81,20 @@ class ExperimentConfig:
             raise ValueError("m and h must be Categorical distributions")
         if self.m.support_size != self.h.support_size:
             raise ValueError("m and h must share a support size")
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(_check_int("n_values", n) for n in self.n_values)
         if len(ns) == 0:
             raise ValueError("n_values must be nonempty")
-        if any(n < 1 for n in ns):
-            raise ValueError("n_values must be positive")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly ascending")
         object.__setattr__(self, "n_values", ns)
-        if int(self.trials_per_class) < 1:
-            raise ValueError("trials_per_class must be at least 1")
-        object.__setattr__(self, "trials_per_class", int(self.trials_per_class))
+        object.__setattr__(
+            self, "trials_per_class", _check_int("trials_per_class", self.trials_per_class)
+        )
         if self.dependence is not None and not isinstance(
             self.dependence, DependenceSpec
         ):
             raise ValueError("dependence must be a DependenceSpec or None")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, low=0))
 
 
 @dataclass(frozen=True)
@@ -118,25 +121,30 @@ class ExperimentResult:
     rows: tuple[ExperimentRow, ...]
 
 
-def trial_rng(seed: int, n: int, class_index: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, keyed so trials never share a stream."""
+def trial_rng(seed: int, n: int, class_index: int, chunk: int) -> np.random.Generator:
+    """Generator for one chunk of trials, keyed so chunks never share a stream."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=(seed, n, class_index, trial))
+        np.random.SeedSequence(entropy=(seed, n, class_index, chunk))
     )
 
 
-def sample_iid(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` independent indices by inverse CDF.
+def _chunk_trials(n: int, k: int) -> int:
+    """Trials per chunk: as many as fit :data:`_CHUNK_CELLS` at ``max(n, k)`` each."""
+    return max(1, _CHUNK_CELLS // max(n, k))
 
-    Consumes exactly ``n`` uniforms from ``rng``, so the draw is a pure
-    function of the generator state.
+
+def sample_iid(
+    dist: Categorical, n: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Count vectors of ``trials`` independent sets of ``n`` iid draws.
+
+    Returns a ``(trials, support_size)`` integer matrix whose rows sum to
+    ``n``: one multinomial draw per row, a pure function of the generator
+    state.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    u = rng.random(n)
-    idx = np.searchsorted(dist.cdf(), u, side="right")
-    # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
-    return np.minimum(idx, dist.support_size - 1)
+    return rng.multinomial(n, dist.probs, size=trials)
 
 
 def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
@@ -160,9 +168,9 @@ def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
 
 
 def sample_noniid(
-    dist: Categorical, dep: DependenceSpec, rng: np.random.Generator
+    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``dep.n`` indices with within-block copying.
+    """Count vectors of ``trials`` sets of ``dep.n`` draws with within-block copying.
 
     Blocks are mutually independent.  Inside a block the first sample is a
     fresh draw; each later sample copies a uniformly chosen earlier sample
@@ -170,44 +178,36 @@ def sample_noniid(
     the conditional mean of sample ``i`` given the block's past is
     ``rho * (past mean) + (1 - rho) * (unconditional mean)``.
 
-    Stream convention: three fixed-size rounds of uniforms are consumed
-    (fresh draws for every position, then copy coins, then copy-target
-    picks, each in block order), so the result is a pure function of the
+    The copy process runs on a ``(trials, dep.n)`` sample matrix, one block
+    position at a time across every block and trial; each row is then
+    counted into a ``(trials, support_size)`` matrix as in
+    :func:`sample_iid`.
+
+    Stream convention: one ``(3, trials, dep.n)`` array of uniforms is
+    drawn (fresh draws, copy coins, copy-target picks; coins and picks of
+    block heads go unused), so the result is a pure function of the
     generator state regardless of how the copies resolve.
     """
     c = np.array([b[0] for b in dep.blocks], dtype=np.int64)
     rho = np.array([b[1] for b in dep.blocks], dtype=np.float64)
     n = int(c.sum())
-    n_blocks = c.size
-    n_later = n - n_blocks  # positions after each block head
+    k = dist.support_size
+    start = np.repeat(np.cumsum(c) - c, c)  # block head of each position
+    offset = np.arange(n) - start
 
-    fresh = sample_iid(dist, n, rng)
-    if n_later == 0:
-        return fresh
-    u_coin = rng.random(n_later)
-    u_pick = rng.random(n_later)
+    u = rng.random((3, trials, n))
+    vals = np.searchsorted(dist.cdf(), u[0], side="right")
+    # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
+    np.minimum(vals, k - 1, out=vals)
+    copies = u[1] < np.repeat(rho, c)
+    for i in range(1, int(c.max())):
+        pos = np.flatnonzero(offset == i)
+        targets = start[pos] + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
+        picked = np.take_along_axis(vals, targets, axis=1)
+        vals[:, pos] = np.where(copies[:, pos], picked, vals[:, pos])
 
-    c_max = int(c.max())
-    pos = np.arange(c_max)
-    starts = np.concatenate([[0], np.cumsum(c)[:-1]])
-    valid = pos[None, :] < c[:, None]
-    vals = fresh[np.minimum(starts[:, None] + pos[None, :], n - 1)]
-
-    later_pos = np.arange(c_max - 1)
-    later_starts = np.concatenate([[0], np.cumsum(c - 1)[:-1]])
-    later_valid = later_pos[None, :] < (c - 1)[:, None]
-    flat = np.minimum(later_starts[:, None] + later_pos[None, :], n_later - 1)
-    coin = np.where(later_valid, u_coin[flat], 1.0)  # invalid slots never copy
-    pick_u = u_pick[flat]
-
-    for i in range(1, c_max):
-        copy_rows = np.flatnonzero(coin[:, i - 1] < rho)
-        if copy_rows.size == 0:
-            continue
-        targets = np.minimum((pick_u[copy_rows, i - 1] * i).astype(np.int64), i - 1)
-        vals[copy_rows, i] = vals[copy_rows, targets]
-
-    return vals[valid]
+    rows = np.arange(trials)[:, None] * k
+    return np.bincount((rows + vals).ravel(), minlength=trials * k).reshape(trials, k)
 
 
 def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:
@@ -223,7 +223,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the Monte Carlo experiment described by ``config``.
 
     For each ``n``: draw ``trials_per_class`` sample sets per class (iid, or
-    block-dependent when a dependence pattern is set), score each set with
+    block-dependent when a dependence pattern is set) as count vectors, one
+    seeded chunk at a time (see the module docstring), score each chunk with
     :func:`log_likelihood_ratio` against the true pair -- dependent runs are
     still scored with the product-form likelihood -- and compute the
     empirical AUROC of the two score samples.  Scores are sorted before the
@@ -233,9 +234,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the enumeration budget) and the Chernoff trend value.
     """
     ic = chernoff_information(config.m, config.h)
+    trials = config.trials_per_class
     rows = []
     for n in config.n_values:
         t0 = time.perf_counter()
+        step = _chunk_trials(n, config.m.support_size)
         dep_n = (
             rescale_blocks(config.dependence, n)
             if config.dependence is not None
@@ -243,14 +246,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         per_class: list[np.ndarray] = []
         for class_index, dist in ((_MACHINE, config.m), (_HUMAN, config.h)):
-            scores = np.empty(config.trials_per_class)
-            for trial in range(config.trials_per_class):
-                rng = trial_rng(config.seed, n, class_index, trial)
+            scores = np.empty(trials)
+            for chunk, lo in enumerate(range(0, trials, step)):
+                size = min(step, trials - lo)
+                rng = trial_rng(config.seed, n, class_index, chunk)
                 if dep_n is None:
-                    samples = sample_iid(dist, n, rng)
+                    counts = sample_iid(dist, n, size, rng)
                 else:
-                    samples = sample_noniid(dist, dep_n, rng)
-                scores[trial] = log_likelihood_ratio(config.m, config.h, samples)
+                    counts = sample_noniid(dist, dep_n, size, rng)
+                scores[lo : lo + size] = log_likelihood_ratio(config.m, config.h, counts)
             scores.sort()
             per_class.append(scores)
         curve = roc_from_scores(per_class[_MACHINE], per_class[_HUMAN])

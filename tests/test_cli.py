@@ -245,6 +245,29 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_values", [1.7]),
+            ("trials_per_class", 20.9),
+            ("seed", "x"),
+        ],
+    )
+    def test_non_integer_field_exit_two(self, capsys, tmp_path, field, value):
+        code, out, err = run(
+            capsys, "simulate", self.write_config(tmp_path, **{field: value})
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    def test_fractional_block_size_exit_two(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, dependence={"blocks": [[2.9, 0.5]]})
+        code, out, err = run(capsys, "simulate", cfg)
+        assert code == 2
+        assert out == ""
+        assert "blocks" in err and "2.9" in err
+
     def test_dependence_block_in_config(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dependence={"blocks": [[2, 0.5]]})
         code, out, _ = run(capsys, "simulate", cfg)

@@ -76,7 +76,76 @@ class TestLogLikelihoodRatio:
         with pytest.raises(ValueError):
             log_likelihood_ratio(BERN_6, BERN_5, [0.5])
         with pytest.raises(ValueError):
-            log_likelihood_ratio(BERN_6, BERN_5, [[0, 1]])
+            log_likelihood_ratio(BERN_6, BERN_5, [[[0, 1]]])
+        with pytest.raises(ValueError):
+            log_likelihood_ratio(BERN_6, BERN_5, [[0, 1, 2]])
+        with pytest.raises(ValueError):
+            log_likelihood_ratio(BERN_6, BERN_5, [[1, -1]])
+        with pytest.raises(ValueError):
+            log_likelihood_ratio(BERN_6, BERN_5, [[0, 2], [0, 0]])
+        with pytest.raises(ValueError):
+            log_likelihood_ratio(BERN_6, BERN_5, [[0.5, 0.5]])
+
+
+def expand(counts):
+    """The sample list, in index order, that a count vector counts."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+class TestCountScoring:
+    @pytest.mark.parametrize("n", [16, 300])
+    def test_each_count_type_has_one_score(self, n):
+        # the score is a function of the count vector (the type), so every
+        # ordering of a set's samples must score bit-equal
+        rng = np.random.default_rng(n)
+        types = np.stack([n - np.arange(n + 1), np.arange(n + 1)], axis=1)
+        by_type = log_likelihood_ratio(BERN_6, BERN_5, types)
+        for row, want in zip(types, by_type):
+            xs = expand(row)
+            scores = {log_likelihood_ratio(BERN_6, BERN_5, rng.permutation(xs)) for _ in range(5)}
+            assert scores == {want}
+        repeated = log_likelihood_ratio(BERN_6, BERN_5, np.repeat(types, 3, axis=0))
+        np.testing.assert_array_equal(repeated, np.repeat(by_type, 3))
+        assert np.unique(by_type).size == n + 1
+
+    def test_matrix_rows_equal_index_lists(self):
+        rng = np.random.default_rng(11)
+        m, h = rand_pair(rng, 12)
+        counts = rng.integers(0, 6, size=(200, 12))
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        got = log_likelihood_ratio(m, h, counts)
+        assert got.shape == (200,)
+        want = [log_likelihood_ratio(m, h, rng.permutation(expand(row))) for row in counts]
+        np.testing.assert_array_equal(got, want)
+
+    def test_zero_mass_conventions_match_index_lists(self):
+        # index 0: both positive; 1: only m; 2: only h; 3: neither
+        m = Categorical([0.5, 0.5, 0.0, 0.0])
+        h = Categorical([0.5, 0.0, 0.5, 0.0])
+        counts = np.array([[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 3, 0], [0, 1, 1, 0]])
+        with pytest.warns(RuntimeWarning, match="both sides"):
+            got = log_likelihood_ratio(m, h, counts)
+        np.testing.assert_array_equal(got, [0.0, math.inf, -math.inf, 0.0])
+        with pytest.warns(RuntimeWarning, match="both sides"):
+            assert log_likelihood_ratio(m, h, expand(counts[3])) == 0.0
+        for row, want in zip(counts[:3], got[:3]):
+            assert log_likelihood_ratio(m, h, expand(row)) == want
+
+        skipped = np.array([[1, 0, 0, 2], [0, 1, 0, 1]])
+        with pytest.warns(RuntimeWarning, match="skipped 3 sample"):
+            got = log_likelihood_ratio(m, h, skipped)
+        np.testing.assert_array_equal(got, [0.0, math.inf])
+        for row, want in zip(skipped, got):
+            with pytest.warns(RuntimeWarning, match="zero mass"):
+                assert log_likelihood_ratio(m, h, expand(row)) == want
+
+        all_skipped = np.array([[1, 0, 0, 0], [0, 0, 0, 2]])
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValueError, match="every sample"):
+                log_likelihood_ratio(m, h, all_skipped)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValueError, match="every sample"):
+                log_likelihood_ratio(m, h, expand(all_skipped[1]))
 
 
 class TestClassify:

@@ -87,6 +87,13 @@ class TestTvDistance:
         with pytest.raises(DimensionError):
             tv_distance(BERN_6, Categorical([0.2, 0.3, 0.5]))
 
+    def test_disjoint_supports_never_exceed_one(self):
+        # the unclamped L1 sum rounds to 1.0000000000000002 here
+        p = Categorical([1 / 184] * 184 + [0] * 7)
+        q = Categorical([0] * 184 + [1 / 7] * 7)
+        assert tv_distance(p, q) == 1.0
+        assert tv_distance(q, p) == 1.0
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
