@@ -49,7 +49,6 @@ from .distributions import (
     Categorical,
     DimensionError,
     MinErrorResult,
-    ProductSpec,
     chernoff_information,
     min_error_bruteforce,
     product_tv_exact,
@@ -99,7 +98,6 @@ __all__ = [
     "OrderRow",
     "PairwiseRow",
     "PrefixRow",
-    "ProductSpec",
     "RocCurve",
     "TrainConfig",
     "Verdict",

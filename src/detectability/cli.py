@@ -49,8 +49,12 @@ class UsageError(ValueError):
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
+    parts = text.split(",")
+    for i, part in enumerate(parts, start=1):
+        if not part.strip():
+            raise UsageError(f"{what}: element {i} of {len(parts)} is empty")
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in parts]
     except ValueError:
         raise UsageError(f"{what} must be a comma-separated list of integers") from None
 
@@ -212,8 +216,6 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     n_values = _parse_int_list(args.n_list, "--n-list")
-    if not n_values:
-        raise UsageError("--n-list must contain at least one value")
     config = {"command": "curve", "delta": args.delta, "n_values": n_values}
     rows: list[dict] = []
     points = auroc_vs_n_curve(args.delta, n_values)

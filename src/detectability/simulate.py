@@ -2,8 +2,8 @@
 
 Draws repeated sample sets from a machine and a human distribution, scores
 each set with the log-likelihood ratio, and reports the empirical AUROC next
-to the exact ceiling (when the product distribution is small enough to
-enumerate) and the Chernoff trend line.
+to the exact ceiling (when ``support_size ** n`` is within the enumeration
+budget) and the Chernoff trend line.
 
 Reproducibility: the trials of each ``(n, class)`` are drawn in fixed-size
 chunks, and chunk ``j`` gets its own generator, keyed by
@@ -25,7 +25,6 @@ import numpy as np
 from .bounds import DependenceSpec, _check_int, auroc_upper, tv_tensor_chernoff
 from .detector import log_likelihood_ratio, roc_from_scores
 from .distributions import (
-    ENUMERATION_BUDGET,
     BudgetError,
     Categorical,
     chernoff_information,
@@ -101,10 +100,10 @@ class ExperimentConfig:
 class ExperimentRow:
     """Results at one sample-set size.
 
-    ``auroc_upper_exact`` is a hard ceiling (None when the outcome space is
-    too large to enumerate).  ``auroc_upper_chernoff`` is the leading-order
-    rate estimate; it converges to the ceiling as n grows but small-n
-    empirical values may legitimately sit above it.
+    ``auroc_upper_exact`` is a hard ceiling (None when ``support_size ** n``
+    exceeds the enumeration budget).  ``auroc_upper_chernoff`` is the
+    leading-order rate estimate; it converges to the ceiling as n grows but
+    small-n empirical values may legitimately sit above it.
     """
 
     n: int
@@ -211,11 +210,9 @@ def sample_noniid(
 
 
 def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:
-    if m.support_size**n > ENUMERATION_BUDGET:
-        return None
     try:
         return auroc_upper(product_tv_exact(m, h, n))
-    except BudgetError:  # pragma: no cover - guarded above
+    except BudgetError:
         return None
 
 

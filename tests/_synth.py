@@ -9,6 +9,14 @@ import numpy as np
 from detectability import Categorical, Document, Label
 
 
+def product_masses(dist: Categorical, n: int) -> np.ndarray:
+    """Masses of all k**n outcome tuples, as iterated outer products."""
+    out = dist.probs
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, dist.probs).ravel()
+    return out
+
+
 def rand_pair(rng: np.random.Generator, k: int, zero_frac: float = 0.0):
     """Two random categoricals on k indices; optionally zero some masses."""
 

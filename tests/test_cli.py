@@ -363,6 +363,27 @@ class TestCorpusCommand:
         assert code == 2
 
 
+class TestIntListFlags:
+    @pytest.mark.parametrize("value", ["1,,4", "1,4,", " ,3"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["curve", "--delta", "0.1"], "--n-list"),
+            (["corpus", "tv-by-order"], "--orders"),
+            (["corpus", "train-ablate"], "--lengths"),
+            (["corpus", "pairwise"], "--k-values"),
+        ],
+    )
+    def test_empty_element_exit_two(self, capsys, corpus_files, argv, flag, value):
+        if argv[0] == "corpus":
+            hp, mp = corpus_files
+            argv = argv + ["--human", hp, "--machine", mp]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2
+        assert flag in err and "empty" in err
+        assert out == ""
+
+
 class TestOutputHandling:
     def test_out_writes_atomically(self, capsys, tmp_path, bern_pair):
         target = tmp_path / "result.csv"

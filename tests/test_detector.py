@@ -9,7 +9,6 @@ from detectability import (
     Categorical,
     DimensionError,
     Label,
-    ProductSpec,
     auroc_upper,
     classify,
     log_likelihood_ratio,
@@ -17,7 +16,7 @@ from detectability import (
     roc_from_scores,
 )
 
-from _synth import rand_pair
+from _synth import product_masses, rand_pair
 
 BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
@@ -238,8 +237,7 @@ class TestRocFromScores:
         for _ in range(20):
             m, h = rand_pair(rng, int(rng.integers(2, 5)))
             n = int(rng.integers(1, 4))
-            pm = ProductSpec(m, n).masses()
-            ph = ProductSpec(h, n).masses()
+            pm, ph = product_masses(m, n), product_masses(h, n)
             with np.errstate(divide="ignore", invalid="ignore"):
                 llr = np.where(
                     (pm > 0) | (ph > 0), np.log(pm) - np.log(ph), 0.0

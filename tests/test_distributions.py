@@ -1,22 +1,24 @@
 """Exact distribution machinery: TV, Chernoff, products, brute force."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detectability import (
     BudgetError,
     Categorical,
     DimensionError,
-    ProductSpec,
     chernoff_information,
     min_error_bruteforce,
     product_tv_exact,
     tv_distance,
 )
 
-from _synth import rand_pair
+from _synth import product_masses, rand_pair
 
 BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
@@ -25,6 +27,25 @@ BERN_5 = Categorical.bernoulli(0.5)
 # coefficient sum 0.4^a 0.5^(1-a) + 0.6^a 0.5^(1-a), frozen before the
 # golden-section implementation existed.
 CHERNOFF_BERN_6_VS_5 = 0.0050767704853432695
+
+
+def product_tv_oracle(p: Categorical, q: Categorical, n: int) -> float:
+    """Half the L1 distance between the two enumerated k**n product vectors."""
+    return float(0.5 * np.abs(product_masses(p, n) - product_masses(q, n)).sum())
+
+
+@st.composite
+def small_pairs(draw):
+    """Categorical pairs on k <= 4 indices, zero masses allowed on either side."""
+    k = draw(st.integers(1, 4))
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k
+    ).filter(any)
+    pair = []
+    for _ in range(2):
+        w = np.array(draw(weights))
+        pair.append(Categorical(w / w.sum()))
+    return pair[0], pair[1], draw(st.integers(1, 6))
 
 
 def chernoff_grid_oracle(p: Categorical, q: Categorical, step: float = 1e-6) -> float:
@@ -159,6 +180,10 @@ class TestProductTvExact:
         p, q = rand_pair(np.random.default_rng(3), 10)
         with pytest.raises(BudgetError):
             product_tv_exact(p, q, 8)  # 10**8 outcomes
+        with pytest.raises(BudgetError):
+            product_tv_exact(BERN_6, BERN_5, 20_000)  # too many digits to print
+        one = Categorical([1.0])
+        assert product_tv_exact(one, one, 30) == 0.0  # 1**30 is within budget
 
     def test_chernoff_rate_trend(self):
         # log(1 - tv_n)/n climbs toward -chernoff along doublings and never
@@ -177,25 +202,31 @@ class TestProductTvExact:
                 assert rate[n] <= -ic + 1e-12
             assert abs(rate[8] + ic) <= abs(rate[2] + ic) + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_pairs())
+    def test_type_sum_matches_outer_product(self, case):
+        p, q, n = case
+        tv = product_tv_exact(p, q, n)
+        assert tv == pytest.approx(product_tv_oracle(p, q, n), abs=1e-12)
+        assert tv == product_tv_exact(q, p, n)
+        assert 0.0 <= tv <= 1.0
 
-class TestProductSpec:
-    def test_size_and_mass_order(self):
-        spec = ProductSpec(BERN_6, 2)
-        assert spec.size == 4
-        expect = np.multiply.outer(BERN_6.probs, BERN_6.probs).ravel()
-        np.testing.assert_allclose(spec.masses(), expect, rtol=0, atol=0)
+    def test_budget_edge_memory(self):
+        # 2**23 tuples at the budget edge, but only 24 types
+        tracemalloc.start()
+        try:
+            product_tv_exact(BERN_6, BERN_5, 23)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-    def test_masses_sum_to_one(self):
-        spec = ProductSpec(Categorical([0.2, 0.3, 0.5]), 6)
-        assert spec.masses().sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            ProductSpec(Categorical.uniform(10), 8).masses()
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            ProductSpec(BERN_6, 0)
+    def test_large_support(self):
+        # a loop over support indices would take minutes here
+        p, q = rand_pair(np.random.default_rng(7), 10**6)
+        assert product_tv_exact(p, q, 1) == tv_distance(p, q)
+        p, q = rand_pair(np.random.default_rng(8), 1000)
+        assert product_tv_exact(p, q, 2) == pytest.approx(product_tv_oracle(p, q, 2), abs=1e-12)
 
 
 class TestMinErrorBruteforce:

@@ -242,13 +242,14 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_rows_and_exact_bound_gating(self):
-        cfg = ExperimentConfig(BERN_6, BERN_5, [1, 4, 30], 200, seed=1)
+        cfg = ExperimentConfig(BERN_6, BERN_5, [1, 4, 30, 20_000], 200, seed=1)
         res = run_experiment(cfg)
-        assert [r.n for r in res.rows] == [1, 4, 30]
+        assert [r.n for r in res.rows] == [1, 4, 30, 20_000]
         for row in res.rows:
             assert 0.0 <= row.empirical_auroc <= 1.0
             assert row.wall_time_seconds >= 0.0
-            # support 2: 2^30 > 10^7 so the exact column drops out
+            # support 2: 2^30 > 10^7 so the exact column drops out; 2^20000
+            # has more digits than Python will print
             if row.n <= 23:
                 assert row.auroc_upper_exact is not None
                 assert row.empirical_auroc <= row.auroc_upper_exact + 0.05
