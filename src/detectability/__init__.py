@@ -39,8 +39,6 @@ from .corpus import (
 from .detector import (
     Label,
     RocCurve,
-    Verdict,
-    classify,
     log_likelihood_ratio,
     roc_from_scores,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "PrefixRow",
     "RocCurve",
     "TrainConfig",
-    "Verdict",
     "Vocabulary",
     "auroc_upper",
     "auroc_vs_n_curve",
@@ -108,7 +105,6 @@ __all__ = [
     "best_auroc_by_order",
     "build_vocab",
     "chernoff_information",
-    "classify",
     "featurize",
     "load_jsonl",
     "log_likelihood_ratio",

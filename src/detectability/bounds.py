@@ -72,9 +72,7 @@ class DependenceSpec:
     @classmethod
     def uniform(cls, c: int, rho: float, n_blocks: int) -> "DependenceSpec":
         """``n_blocks`` identical blocks of size ``c`` and correlation ``rho``."""
-        if n_blocks < 1:
-            raise ValueError("n_blocks must be a positive integer")
-        return cls([(c, rho)] * n_blocks)
+        return cls([(c, rho)] * _check_int("n_blocks", n_blocks))
 
 
 @dataclass(frozen=True)
@@ -93,18 +91,32 @@ def _check_unit(name: str, x: float, *, low: float = 0.0, high: float = 1.0) -> 
     return x
 
 
-def _check_int(name: str, n: int, low: int = 1) -> int:
-    """``n`` as an int; non-integers (floats, strings, bools) and ``n < low`` raise."""
+def _check_int(name: str, n: int, low: int = 1, high: int | None = None) -> int:
+    """``n`` as an int in ``low..high``; non-integers (floats, strings, bools) raise."""
     what = "a positive integer" if low == 1 else f"an integer >= {low}"
+    if high is not None:
+        what = f"an integer in {low}..{high}"
     try:
         if isinstance(n, bool):
             raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be {what}, got {n!r}") from None
-    if n < low:
+    if n < low or (high is not None and n > high):
         raise ValueError(f"{name} must be {what}, got {n!r}")
     return n
+
+
+def _check_ints(
+    name: str, values: Iterable[int], low: int = 1, high: int | None = None
+) -> list[int]:
+    """``values`` as a nonempty, strictly ascending list of :func:`_check_int` ints."""
+    out = [_check_int(name, v, low, high) for v in values]
+    if not out:
+        raise ValueError(f"{name} must be nonempty")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name} must be strictly ascending")
+    return out
 
 
 def _check_delta(delta: float) -> float:
@@ -251,13 +263,8 @@ def auroc_vs_n_curve(delta: float, n_values: Sequence[int]) -> list[BoundCurvePo
     is ``delta`` itself.  Both columns are nondecreasing in ``n``.
     """
     delta = _check_delta(delta)
-    if len(n_values) == 0:
-        raise ValueError("n_values must be nonempty")
-    ns = [_check_int("n", n) for n in n_values]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_values must be strictly ascending")
     points = []
-    for n in ns:
+    for n in _check_ints("n_values", n_values):
         tv = max(delta, tv_tensor_lower(n, delta))
         points.append(BoundCurvePoint(n=n, tv_lower=tv, auroc_upper=auroc_upper(tv)))
     return points

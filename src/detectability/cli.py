@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from typing import Any, Sequence
 from . import __version__
 from .bounds import (
     DependenceSpec,
+    _check_ints,
     auroc_upper,
     auroc_vs_n_curve,
     roc_upper_curve,
@@ -48,15 +50,20 @@ class UsageError(ValueError):
     """Bad invocation or malformed input file (exit code 2)."""
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated positive integers in increasing order; faults name ``flag``."""
     parts = text.split(",")
     for i, part in enumerate(parts, start=1):
         if not part.strip():
-            raise UsageError(f"{what}: element {i} of {len(parts)} is empty")
+            raise UsageError(f"{flag}: element {i} of {len(parts)} is empty")
     try:
-        return [int(part) for part in parts]
+        values = [int(part) for part in parts]
     except ValueError:
-        raise UsageError(f"{what} must be a comma-separated list of integers") from None
+        raise UsageError(f"{flag} must be a comma-separated list of integers") from None
+    try:
+        return _check_ints(flag, values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_json_file(path: str) -> Any:
@@ -93,25 +100,17 @@ def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
         raise UsageError(f"{where}: field 'blocks': {exc}") from None
 
 
+def _jsonable(v: Any) -> Any:
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
 def _cell(v: Any) -> str:
+    v = _jsonable(v)
     if v is None:
         return ""
-    if isinstance(v, float):
-        if v == float("inf"):
-            return "inf"
-        if v == float("-inf"):
-            return "-inf"
-        return repr(v)
-    return str(v)
-
-
-def _jsonable(v: Any) -> Any:
-    if isinstance(v, float):
-        if v == float("inf"):
-            return "inf"
-        if v == float("-inf"):
-            return "-inf"
-    return v
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _render(
@@ -160,14 +159,8 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-def _resolved_seed(args: argparse.Namespace, fallback: int = 0) -> int:
-    return args.seed if args.seed is not None else fallback
-
-
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=0
-    )
+    return TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
@@ -259,8 +252,6 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
             dependence=dep,
             seed=seed,
         )
-    except UsageError:
-        raise
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -313,7 +304,6 @@ def _load_corpus(path: str, strict: bool):
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
-    seed = _resolved_seed(args)
     base = {
         "command": f"corpus {args.mode}",
         "human": args.human,
@@ -341,7 +331,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
         "learning_rate": train_cfg.learning_rate,
         "epochs": train_cfg.epochs,
         "l2": train_cfg.l2,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.mode == "train-ablate":
         lengths = _parse_int_list(args.lengths, "--lengths")
@@ -353,7 +343,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
                 machine,
                 lengths,
                 train_frac=args.train_frac,
-                seed=seed,
+                seed=args.seed,
                 space=args.space,
                 min_df=args.min_df,
                 config=train_cfg,
@@ -370,7 +360,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
                 machine,
                 k_values,
                 train_frac=args.train_frac,
-                seed=seed,
+                seed=args.seed,
                 space=args.space,
                 min_df=args.min_df,
                 config=train_cfg,
@@ -381,24 +371,9 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=True,
-        help="reject malformed corpus lines (default)",
-    )
-    strictness.add_argument(
-        "--lenient",
-        dest="strict",
-        action="store_false",
-        help="skip malformed corpus lines with a count",
     )
 
 
@@ -446,6 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo detection experiment")
     p_sim.add_argument("config", help="JSON experiment config file")
+    p_sim.add_argument(
+        "--seed", type=int, default=None, help="override the config's seed"
+    )
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -458,6 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--orders", default="1,2,3,4")
     p_corpus.add_argument("--lengths", default="5,10,20,50,100")
     p_corpus.add_argument("--k-values", default="1,2")
+    p_corpus.add_argument(
+        "--seed", type=int, default=0, help="train/test split and pooling seed"
+    )
+    strictness = p_corpus.add_mutually_exclusive_group()
+    strictness.add_argument(
+        "--strict",
+        dest="strict",
+        action="store_true",
+        default=True,
+        help="reject malformed corpus lines (default)",
+    )
+    strictness.add_argument(
+        "--lenient",
+        dest="strict",
+        action="store_false",
+        help="skip malformed corpus lines with a count",
+    )
     _add_train_flags(p_corpus)
     _add_common(p_corpus)
     p_corpus.set_defaults(func=_cmd_corpus)
@@ -475,10 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config["format"] = args.format
         text = _render(columns, rows, config, args.format)
         _write_output(text, args.out)
-    except (UsageError, CorpusParseError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, CorpusParseError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import auroc_upper
+from .bounds import _check_int, _check_ints, auroc_upper
 from .detector import Label
 from .distributions import Categorical, tv_distance
 
@@ -103,16 +103,9 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def _check_order(order: int) -> int:
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {order}")
-    return order
-
-
 def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:
     """Count sliding n-grams per document (windows never cross documents)."""
-    order = _check_order(order)
+    order = _check_int("order", order, high=MAX_ORDER)
     counts: Counter[tuple[str, ...]] = Counter()
     for doc in docs:
         toks = tokenize(doc.text)
@@ -150,13 +143,7 @@ def tv_between_corpora(
     ValueError
         If either corpus has no n-grams at this order.
     """
-    ta = ngram_table(human_docs, order)
-    tb = ngram_table(machine_docs, order)
-    for name, t in (("human", ta), ("machine", tb)):
-        if t.total == 0:
-            raise ValueError(f"{name} corpus has no n-grams at order {t.order}")
-    pa, pb, _ = _aligned_categoricals(ta, tb)
-    return tv_distance(pa, pb)
+    return best_auroc_by_order(human_docs, machine_docs, [order])[0].tv
 
 
 @dataclass(frozen=True)
@@ -185,17 +172,13 @@ def best_auroc_by_order(
     the ceiling) is nondecreasing in practice; the overlap column flags when
     that rise is a sparsity artifact.
     """
-    orders = [_check_order(o) for o in orders]
-    if not orders:
-        raise ValueError("orders must be nonempty")
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise ValueError("orders must be strictly ascending")
     rows = []
-    for order in orders:
+    for order in _check_ints("orders", orders, high=MAX_ORDER):
         ta = ngram_table(human_docs, order)
         tb = ngram_table(machine_docs, order)
-        if ta.total == 0 or tb.total == 0:
-            raise ValueError(f"a corpus has no n-grams at order {order}")
+        for name, t in (("human", ta), ("machine", tb)):
+            if t.total == 0:
+                raise ValueError(f"{name} corpus has no n-grams at order {order}")
         pa, pb, overlap = _aligned_categoricals(ta, tb)
         tv = tv_distance(pa, pb)
         rows.append(

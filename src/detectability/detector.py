@@ -9,7 +9,6 @@ threshold to trace an ROC.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +21,6 @@ from .distributions import Categorical, _check_same_support
 __all__ = [
     "Label",
     "RocCurve",
-    "Verdict",
-    "classify",
     "log_likelihood_ratio",
     "roc_from_scores",
 ]
@@ -38,19 +35,6 @@ class Label(enum.Enum):
 
     MACHINE = "machine"
     HUMAN = "human"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a single detection decision."""
-
-    label: Label
-    llr: float
-    n_used: int
-
-    def __post_init__(self):
-        if self.n_used < 1:
-            raise ValueError("n_used must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -148,20 +132,6 @@ def log_likelihood_ratio(
             )
             scores[tie] = 0.0
     return float(scores[0]) if arr.ndim == 1 else scores
-
-
-def classify(llr: float, threshold: float = 0.0, *, n_used: int = 1) -> Verdict:
-    """Threshold an LLR score: machine when ``llr >= threshold``.
-
-    Ties go to machine -- the acceptance region keeps the boundary, matching
-    the region used by the exact minimum-error analysis.
-    """
-    llr = float(llr)
-    threshold = float(threshold)
-    if math.isnan(llr) or math.isnan(threshold):
-        raise ValueError("llr and threshold must not be NaN")
-    label = Label.MACHINE if llr >= threshold else Label.HUMAN
-    return Verdict(label=label, llr=llr, n_used=n_used)
 
 
 def roc_from_scores(

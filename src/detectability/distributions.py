@@ -10,12 +10,13 @@ sampling, no smoothing; numerical error is limited to float64 rounding.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .bounds import _check_int
 
 __all__ = [
     "BudgetError",
@@ -104,8 +105,7 @@ class Categorical:
     @classmethod
     def uniform(cls, k: int) -> "Categorical":
         """Uniform distribution over ``k`` indices."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
+        k = _check_int("k", k)
         return cls(np.full(k, 1.0 / k))
 
     def log_probs(self) -> np.ndarray:
@@ -154,16 +154,6 @@ class MinErrorResult:
     min_error: float
     lr_region: tuple[int, ...]
     lr_region_error: float
-
-
-def _check_positive_n(n: int) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be a positive integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return n
 
 
 def _check_same_support(p: Categorical, q: Categorical) -> None:
@@ -275,7 +265,7 @@ def product_tv_exact(p: Categorical, q: Categorical, n: int) -> float:
         If ``support_size ** n`` exceeds the enumeration budget.
     """
     _check_same_support(p, q)
-    n = _check_positive_n(n)
+    n = _check_int("n", n)
     k = p.support_size
     _check_budget(k, n)
     if n == 1 or k == 1:  # one sample, or one outcome: no index arrays needed

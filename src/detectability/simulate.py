@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DependenceSpec, _check_int, auroc_upper, tv_tensor_chernoff
+from .bounds import (
+    DependenceSpec,
+    _check_int,
+    _check_ints,
+    auroc_upper,
+    tv_tensor_chernoff,
+)
 from .detector import log_likelihood_ratio, roc_from_scores
 from .distributions import (
     BudgetError,
@@ -58,7 +64,7 @@ class ExperimentConfig:
     m, h : Categorical
         Machine and human sample distributions (shared index space).
     n_values : tuple of int
-        Sample-set sizes to evaluate, strictly ascending.
+        Sample-set sizes to evaluate, in increasing order.
     trials_per_class : int
         Number of sample sets drawn per class at each ``n``.
     dependence : DependenceSpec or None
@@ -80,12 +86,7 @@ class ExperimentConfig:
             raise ValueError("m and h must be Categorical distributions")
         if self.m.support_size != self.h.support_size:
             raise ValueError("m and h must share a support size")
-        ns = tuple(_check_int("n_values", n) for n in self.n_values)
-        if len(ns) == 0:
-            raise ValueError("n_values must be nonempty")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be strictly ascending")
-        object.__setattr__(self, "n_values", ns)
+        object.__setattr__(self, "n_values", tuple(_check_ints("n_values", self.n_values)))
         object.__setattr__(
             self, "trials_per_class", _check_int("trials_per_class", self.trials_per_class)
         )
@@ -141,9 +142,7 @@ def sample_iid(
     ``n``: one multinomial draw per row, a pure function of the generator
     state.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return rng.multinomial(n, dist.probs, size=trials)
+    return rng.multinomial(_check_int("n", n), dist.probs, size=trials)
 
 
 def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
@@ -152,8 +151,7 @@ def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
     Cycles through ``dep.blocks`` until ``n`` samples are covered; the final
     block is truncated to fit, keeping its correlation.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _check_int("n", n)
     out: list[tuple[int, float]] = []
     total = 0
     while total < n:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .bounds import _check_int, _check_ints
 from .corpus import Document, tokenize
 from .detector import Label, roc_from_scores
 
@@ -72,8 +73,7 @@ class Vocabulary:
 def _build_vocab_tokens(
     token_lists: Sequence[Sequence[str]], min_df: int = 2
 ) -> Vocabulary:
-    if min_df < 1:
-        raise ValueError("min_df must be at least 1")
+    min_df = _check_int("min_df", min_df)
     df: Counter[str] = Counter()
     for toks in token_lists:
         df.update(set(toks))
@@ -136,20 +136,18 @@ def featurize(
 class TrainConfig:
     """Hyperparameters for :func:`train_logreg`.
 
-    ``seed`` is kept for interface stability; full-batch descent from zero
-    weights has nothing to shuffle, so it currently changes nothing.
+    Full-batch descent from zero weights has nothing to shuffle, so training
+    takes no seed: the same data and hyperparameters give the same model.
     """
 
     learning_rate: float = 0.1
     epochs: int = 500
     l2: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if int(self.epochs) < 1:
-            raise ValueError("epochs must be at least 1")
+        _check_int("epochs", self.epochs)
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
 
@@ -230,10 +228,10 @@ def train_logreg(
 
     w = np.zeros(d)
     b = 0.0
-    losses = np.empty(int(cfg.epochs) + 1)
+    losses = np.empty(cfg.epochs + 1)
     z = np.asarray(x @ w).ravel() + b
     losses[0] = _logreg_loss(z, y, w, cfg.l2)
-    for epoch in range(1, int(cfg.epochs) + 1):
+    for epoch in range(1, cfg.epochs + 1):
         resid = expit(z) - y
         grad_w = np.asarray(x.T @ resid).ravel() / n + cfg.l2 * w
         grad_b = float(resid.mean())
@@ -313,11 +311,7 @@ def auroc_vs_prefix_length(
     tokens, the vocabulary is rebuilt from the truncated training split,
     a logistic model is trained, and the test AUROC recorded.
     """
-    lens = [int(x) for x in lengths]
-    if not lens or any(x < 1 for x in lens):
-        raise ValueError("lengths must be a nonempty list of positive ints")
-    if any(b <= a for a, b in zip(lens, lens[1:])):
-        raise ValueError("lengths must be strictly ascending")
+    lens = _check_ints("lengths", lengths)
     toks_h = [tokenize(d.text) for d in human_docs]
     toks_m = [tokenize(d.text) for d in machine_docs]
     tr_h, te_h, tr_m, te_m = _stratified_split(
@@ -358,8 +352,7 @@ def pairwise_augment(
     one), every tuple is label-pure, and ``k = 1`` returns the original
     documents as singletons.  Deterministic for a fixed seed.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _check_int("k", k)
     by_label: dict[Label, list[int]] = {}
     for i, doc in enumerate(docs):
         by_label.setdefault(doc.label, []).append(i)
@@ -395,11 +388,7 @@ def pairwise_auroc(
     split), a tuple's feature vector is the sum of its members' vectors, and
     the vocabulary comes from the training documents alone.
     """
-    ks = [int(k) for k in k_values]
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("k_values must be a nonempty list of positive ints")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_values must be strictly ascending")
+    ks = _check_ints("k_values", k_values)
     tr_h, te_h, tr_m, te_m = _stratified_split(
         len(human_docs), len(machine_docs), train_frac, seed
     )

@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 
 from detectability import (
+    Categorical,
     DependenceSpec,
+    Document,
+    Label,
+    TrainConfig,
     auroc_upper,
     auroc_vs_n_curve,
+    auroc_vs_prefix_length,
+    ngram_table,
+    pairwise_augment,
+    product_tv_exact,
     roc_upper_curve,
     sample_complexity_iid,
     sample_complexity_noniid,
     tv_tensor_chernoff,
     tv_tensor_lower,
 )
+from detectability.bounds import _check_int, _check_ints
+from detectability.textlab import _build_vocab_tokens
 
 # Oracles computed by hand / with mpmath before the implementations existed.
 # iid: ceil(ln(2 / (1 - eps)) / delta^2)
@@ -252,3 +262,58 @@ class TestAurocVsNCurve:
             auroc_vs_n_curve(0.1, [4, 2])
         with pytest.raises(ValueError):
             auroc_vs_n_curve(0.1, [0, 1])
+
+
+DOCS = [
+    Document(id=f"{lab.value}{i}", text="a b c d", label=lab)
+    for lab in (Label.HUMAN, Label.MACHINE)
+    for i in range(3)
+]
+
+
+class TestIntegerValidators:
+    def test_check_int_range_and_types(self):
+        assert _check_int("order", np.int64(6), high=6) == 6
+        assert type(_check_int("n", np.int32(3))) is int
+        assert _check_int("seed", 0, low=0) == 0
+        with pytest.raises(ValueError, match=r"order must be an integer in 1\.\.6, got 7"):
+            _check_int("order", 7, high=6)
+        with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+            _check_int("n", 0)
+        for bad in (True, 2.0, "2", None):
+            with pytest.raises(ValueError, match="^n must be"):
+                _check_int("n", bad)
+
+    def test_check_ints_list_rules(self):
+        assert _check_ints("lengths", (np.int64(2), 5)) == [2, 5]
+        assert _check_ints("orders", iter([1, 3]), high=6) == [1, 3]
+        for bad, what in (
+            ([], "nonempty"),
+            ([2, 2], "strictly ascending"),
+            ([4, 2], "strictly ascending"),
+            ([0, 1], "positive integer"),
+            ([1, 2.5], "positive integer"),
+        ):
+            with pytest.raises(ValueError, match=f"^lengths must be .*{what}"):
+                _check_ints("lengths", bad)
+
+    # None of these may truncate a float or take a bool as an integer.
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("epochs", lambda: TrainConfig(epochs=2.5)),
+            ("order", lambda: ngram_table(DOCS, 2.5)),
+            ("lengths", lambda: auroc_vs_prefix_length(DOCS[:3], DOCS[3:], [2.7])),
+            ("k", lambda: pairwise_augment(DOCS, k=1.5)),
+            ("min_df", lambda: _build_vocab_tokens([["a"], ["a"]], min_df=1.5)),
+            (
+                "n",
+                lambda: product_tv_exact(
+                    Categorical.bernoulli(0.6), Categorical.bernoulli(0.5), True
+                ),
+            ),
+        ],
+    )
+    def test_non_integers_are_rejected_not_truncated(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()

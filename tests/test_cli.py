@@ -183,7 +183,7 @@ class TestCurveCommand:
 
     def test_error_on_descending_n_list(self, capsys):
         code, _, err = run(capsys, "curve", "--delta", "0.1", "--n-list", "4,2")
-        assert code in (1, 2)
+        assert code == 2
         assert err
 
     def test_error_on_unparseable_n_list(self, capsys):
@@ -363,25 +363,80 @@ class TestCorpusCommand:
         assert code == 2
 
 
+INT_LIST_FLAGS = [
+    (["curve", "--delta", "0.1"], "--n-list"),
+    (["corpus", "tv-by-order"], "--orders"),
+    (["corpus", "train-ablate"], "--lengths"),
+    (["corpus", "pairwise"], "--k-values"),
+]
+
+
 class TestIntListFlags:
-    @pytest.mark.parametrize("value", ["1,,4", "1,4,", " ,3"])
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["curve", "--delta", "0.1"], "--n-list"),
-            (["corpus", "tv-by-order"], "--orders"),
-            (["corpus", "train-ablate"], "--lengths"),
-            (["corpus", "pairwise"], "--k-values"),
-        ],
-    )
-    def test_empty_element_exit_two(self, capsys, corpus_files, argv, flag, value):
+    def run_flag(self, capsys, corpus_files, argv, flag, value):
         if argv[0] == "corpus":
             hp, mp = corpus_files
             argv = argv + ["--human", hp, "--machine", mp]
-        code, out, err = run(capsys, *argv, flag, value)
+        return run(capsys, *argv, flag, value)
+
+    @pytest.mark.parametrize("value", ["1,,4", "1,4,", " ,3"])
+    @pytest.mark.parametrize("argv, flag", INT_LIST_FLAGS)
+    def test_empty_element_exit_two(self, capsys, corpus_files, argv, flag, value):
+        code, out, err = self.run_flag(capsys, corpus_files, argv, flag, value)
         assert code == 2
         assert flag in err and "empty" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("0,1", "must be a positive integer"), ("4,2", "must be strictly ascending")],
+    )
+    @pytest.mark.parametrize("argv, flag", INT_LIST_FLAGS)
+    def test_bad_values_name_the_flag(self, capsys, corpus_files, argv, flag, value, reason):
+        code, out, err = self.run_flag(capsys, corpus_files, argv, flag, value)
+        assert code == 2
+        assert f"{flag} {reason}" in err
+        assert out == ""
+
+    def test_order_above_max_is_domain_error(self, capsys, corpus_files):
+        code, out, err = self.run_flag(
+            capsys, corpus_files, ["corpus", "tv-by-order"], "--orders", "1,7"
+        )
+        assert code == 1
+        assert "orders must be an integer in 1..6, got 7" in err
+        assert out == ""
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tv", "{m}", "{h}", "--seed", "1"],
+            ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--lenient"],
+            ["curve", "--delta", "0.1", "--n-list", "1,2", "--seed", "1"],
+            ["simulate", "{m}", "--strict"],
+        ],
+    )
+    def test_flags_nothing_reads_are_rejected(self, capsys, bern_pair, argv):
+        m, h = bern_pair
+        code, out, err = run(capsys, *[a.format(m=m, h=h) for a in argv])
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert out == ""
+
+    def test_corpus_keeps_seed_and_strictness(self, capsys, corpus_files):
+        hp, mp = corpus_files
+        argv = [
+            "corpus", "train-ablate", "--human", hp, "--machine", mp,
+            "--lengths", "5", "--epochs", "20",
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert '"seed":0' in header and '"strict":true' in header
+        code, out, _ = run(capsys, *argv, "--seed", "3", "--lenient")
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert '"seed":3' in header and '"strict":false' in header
 
 
 class TestOutputHandling:

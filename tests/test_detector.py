@@ -1,4 +1,4 @@
-"""Likelihood-ratio scoring, labeling, and empirical ROC assembly."""
+"""Likelihood-ratio scoring and empirical ROC assembly."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from detectability import (
     Categorical,
     DimensionError,
-    Label,
     auroc_upper,
-    classify,
     log_likelihood_ratio,
     product_tv_exact,
     roc_from_scores,
@@ -145,31 +143,6 @@ class TestCountScoring:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError, match="every sample"):
                 log_likelihood_ratio(m, h, expand(all_skipped[1]))
-
-
-class TestClassify:
-    def test_positive_is_machine(self):
-        v = classify(0.3)
-        assert v.label is Label.MACHINE
-        assert v.llr == 0.3
-        assert v.n_used == 1
-
-    def test_negative_is_human(self):
-        assert classify(-0.3).label is Label.HUMAN
-
-    def test_tie_goes_to_machine(self):
-        assert classify(0.0).label is Label.MACHINE
-        assert classify(1.5, threshold=1.5).label is Label.MACHINE
-
-    def test_threshold_shifts_decision(self):
-        assert classify(0.3, threshold=0.5).label is Label.HUMAN
-        assert classify(-0.2, threshold=-0.5, n_used=4).label is Label.MACHINE
-
-    def test_rejects_nan_and_bad_n(self):
-        with pytest.raises(ValueError):
-            classify(math.nan)
-        with pytest.raises(ValueError):
-            classify(0.1, n_used=0)
 
 
 def mann_whitney_auroc(machine, human):

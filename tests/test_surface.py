@@ -1,0 +1,53 @@
+"""Public surface: every module's ``__all__`` and the benchmark's traced names.
+
+The benchmark tracer finds the functions it times through each module's
+``__all__``; a per-layer metric whose function was renamed, deleted or
+dropped from ``__all__`` is silently never computed.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+import detectability
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ["bounds", "corpus", "detector", "distributions", "simulate", "textlab"]
+# Traced methods, found through their class's ``__all__`` entry.
+METHODS = {("textlab", "decision_function"): "LinearModel"}
+
+
+def traced_functions():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parts = [m["name"].split(".") for m in spec["per_layer"]]
+    return sorted({(p[0], p[1]) for p in parts if len(p) == 3})
+
+
+def test_benchmark_declares_traced_functions():
+    assert len(traced_functions()) >= 10
+
+
+@pytest.mark.parametrize("module, function", traced_functions())
+def test_traced_function_is_public(module, function):
+    mod = importlib.import_module(f"detectability.{module}")
+    if (module, function) == ("cli", "main"):  # the CLI has no ``__all__``
+        assert callable(mod.main)
+    elif (module, function) in METHODS:
+        cls = METHODS[module, function]
+        assert cls in mod.__all__
+        assert callable(getattr(getattr(mod, cls), function))
+    else:
+        assert function in mod.__all__
+        assert callable(getattr(mod, function))
+
+
+@pytest.mark.parametrize("module", MODULES + [None])
+def test_every_exported_name_exists(module):
+    mod = detectability if module is None else importlib.import_module(
+        f"detectability.{module}"
+    )
+    assert len(mod.__all__) == len(set(mod.__all__))
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
