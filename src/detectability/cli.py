@@ -31,6 +31,7 @@ from typing import Any, Sequence
 from . import __version__
 from .bounds import (
     DependenceSpec,
+    _check_int,
     _check_ints,
     auroc_upper,
     auroc_vs_n_curve,
@@ -161,6 +162,42 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
+
+
+# The flags each corpus mode reads, with their defaults.  They default to
+# None on the parser, so a flag given to a mode that does not read it shows.
+_TRAIN_FLAGS = {
+    "train_frac": 0.7,
+    "space": "tfidf",
+    "min_df": 2,
+    "lr": 0.1,
+    "epochs": 500,
+    "l2": 1e-4,
+    "seed": 0,
+}
+_CORPUS_MODES = {
+    "tv-by-order": {"orders": "1,2,3,4"},
+    "train-ablate": {"lengths": "5,10,20,50,100", **_TRAIN_FLAGS},
+    "pairwise": {"k_values": "1,2", **_TRAIN_FLAGS},
+}
+_CORPUS_FLAGS = ("orders", "lengths", "k_values", *_TRAIN_FLAGS)
+
+
+def _resolve_corpus_flags(args: argparse.Namespace) -> None:
+    """Fill in the mode's defaults; a flag the mode does not read is a usage error."""
+    reads = _CORPUS_MODES[args.mode]
+    for dest in _CORPUS_FLAGS:
+        value = getattr(args, dest)
+        if dest in reads:
+            setattr(args, dest, reads[dest] if value is None else value)
+        elif value is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"corpus {args.mode} does not take {flag}")
+    if "seed" in reads:
+        try:
+            _check_int("--seed", args.seed, low=0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
@@ -302,6 +339,7 @@ def _load_corpus(path: str, strict: bool):
 
 
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+    _resolve_corpus_flags(args)
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
     base = {
@@ -378,12 +416,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train-frac", type=float, default=0.7)
-    parser.add_argument("--space", choices=("counts", "tfidf"), default="tfidf")
-    parser.add_argument("--min-df", type=int, default=2)
-    parser.add_argument("--lr", type=float, default=0.1, help="learning rate")
-    parser.add_argument("--epochs", type=int, default=500)
-    parser.add_argument("--l2", type=float, default=1e-4)
+    parser.add_argument("--train-frac", type=float)
+    parser.add_argument("--space", choices=("counts", "tfidf"))
+    parser.add_argument("--min-df", type=int)
+    parser.add_argument("--lr", type=float, help="learning rate")
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--l2", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,17 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_corpus = sub.add_parser("corpus", help="JSONL corpus experiments")
-    p_corpus.add_argument(
-        "mode", choices=("tv-by-order", "train-ablate", "pairwise")
-    )
+    p_corpus.add_argument("mode", choices=tuple(_CORPUS_MODES))
     p_corpus.add_argument("--human", required=True, help="JSONL corpus file")
     p_corpus.add_argument("--machine", required=True, help="JSONL corpus file")
-    p_corpus.add_argument("--orders", default="1,2,3,4")
-    p_corpus.add_argument("--lengths", default="5,10,20,50,100")
-    p_corpus.add_argument("--k-values", default="1,2")
-    p_corpus.add_argument(
-        "--seed", type=int, default=0, help="train/test split and pooling seed"
-    )
+    # mode-specific flags; defaults in _CORPUS_MODES
+    p_corpus.add_argument("--orders")
+    p_corpus.add_argument("--lengths")
+    p_corpus.add_argument("--k-values")
+    p_corpus.add_argument("--seed", type=int, help="train/test split and pooling seed")
     strictness = p_corpus.add_mutually_exclusive_group()
     strictness.add_argument(
         "--strict",

@@ -1,18 +1,17 @@
 """Corpus ingestion and n-gram distribution estimates.
 
 Documents arrive as JSON Lines (one object per line with ``id``, ``text``,
-and ``label``), get tokenized by a deliberately plain scheme, and are
-summarized as n-gram count tables.  Aligning two tables over the union of
-their n-grams gives a plug-in estimate of the total variation distance
-between the underlying text distributions, and with it an AUROC ceiling for
-any detector working at that n-gram order.
+and ``label``), get tokenized once by a deliberately plain scheme into
+integer token ids, and are summarized as n-gram counts.  Counting two
+corpora over the union of their n-grams gives a plug-in estimate of the
+total variation distance between the underlying text distributions, and
+with it an AUROC ceiling for any detector working at that n-gram order.
 """
 
 from __future__ import annotations
 
 import json
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -97,36 +96,64 @@ def tokenize(text: str) -> list[str]:
     """
     out = []
     for raw in text.lower().split():
-        tok = _strip_punct(raw)
+        # alphanumeric characters are never punctuation (category P)
+        tok = raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
         if tok:
             out.append(tok)
     return out
 
 
+def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Tokenize every document once into integer ids.
+
+    Returns ``(tokens, ids, lens)``: the sorted distinct tokens, the id of
+    every token of every document in document order (an id is the token's
+    index in ``tokens``, so id order is string order), and each document's
+    token count.
+    """
+    token_lists = [tokenize(doc.text) for doc in docs]
+    flat = [tok for toks in token_lists for tok in toks]
+    tokens = sorted(set(flat))
+    index = {tok: i for i, tok in enumerate(tokens)}
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lens = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    return tokens, ids, lens
+
+
+def _ngram_ranks(ids: np.ndarray, lens: np.ndarray, vocab_size: int, max_order: int):
+    """Rank the sliding n-grams of every order ``1..max_order``.
+
+    Yields ``(order, starts, rank, size)`` per order: the positions where a
+    window fits inside its document, each window's rank among the ``size``
+    distinct n-grams of that order, and ``size``.  Ranks follow the sorted
+    order of the token tuples: an n-gram's key is its prefix's rank times
+    ``vocab_size`` plus its last id, which sorts like the tuple and stays
+    below ``len(ids) * vocab_size``.
+    """
+    remaining = np.repeat(np.cumsum(lens), lens) - np.arange(ids.size)
+    rank = np.zeros(ids.size, dtype=np.int64)
+    for order in range(1, max_order + 1):
+        starts = np.flatnonzero(remaining >= order)
+        keys = rank[starts] * vocab_size + ids[starts + order - 1]
+        distinct, rank_o = np.unique(keys, return_inverse=True)
+        # the next order's windows start at a subset of these positions
+        rank[starts] = rank_o
+        yield order, starts, rank_o, distinct.size
+
+
 def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:
     """Count sliding n-grams per document (windows never cross documents)."""
     order = _check_int("order", order, high=MAX_ORDER)
-    counts: Counter[tuple[str, ...]] = Counter()
-    for doc in docs:
-        toks = tokenize(doc.text)
-        for i in range(len(toks) - order + 1):
-            counts[tuple(toks[i : i + order])] += 1
-    return NGramTable(order=order, counts=dict(counts), total=sum(counts.values()))
-
-
-def _aligned_categoricals(
-    a: NGramTable, b: NGramTable
-) -> tuple[Categorical, Categorical, float]:
-    """Union-align two tables into categorical distributions.
-
-    Also returns the support-overlap fraction: the share of union n-grams
-    seen in both corpora (Jaccard overlap), a plug-in reliability signal.
-    """
-    union = sorted(a.counts.keys() | b.counts.keys())
-    pa = np.array([a.counts.get(g, 0) for g in union], dtype=np.float64) / a.total
-    pb = np.array([b.counts.get(g, 0) for g in union], dtype=np.float64) / b.total
-    inter = len(a.counts.keys() & b.counts.keys())
-    return Categorical(pa), Categorical(pb), inter / len(union)
+    tokens, ids, lens = _encode(docs)
+    *_, (_, starts, rank, size) = _ngram_ranks(ids, lens, len(tokens), order)
+    counts = np.bincount(rank, minlength=size)
+    _, first = np.unique(rank, return_index=True)
+    # keys in order of first occurrence
+    table = {
+        tuple(tokens[t] for t in ids[starts[j] : starts[j] + order]): int(counts[rank[j]])
+        for j in np.sort(first)
+    }
+    return NGramTable(order=order, counts=table, total=int(starts.size))
 
 
 def tv_between_corpora(
@@ -172,21 +199,28 @@ def best_auroc_by_order(
     the ceiling) is nondecreasing in practice; the overlap column flags when
     that rise is a sparsity artifact.
     """
+    orders = _check_ints("orders", orders, high=MAX_ORDER)
+    tokens, ids, lens = _encode([*human_docs, *machine_docs])
+    human_end = int(lens[: len(human_docs)].sum())
     rows = []
-    for order in _check_ints("orders", orders, high=MAX_ORDER):
-        ta = ngram_table(human_docs, order)
-        tb = ngram_table(machine_docs, order)
-        for name, t in (("human", ta), ("machine", tb)):
-            if t.total == 0:
+    for order, starts, rank, size in _ngram_ranks(ids, lens, len(tokens), orders[-1]):
+        if order not in orders:
+            continue
+        # both sides counted over the union, in sorted n-gram order
+        human = starts < human_end
+        ca = np.bincount(rank[human], minlength=size)
+        cb = np.bincount(rank[~human], minlength=size)
+        for name, c in (("human", ca), ("machine", cb)):
+            if not c.any():
                 raise ValueError(f"{name} corpus has no n-grams at order {order}")
-        pa, pb, overlap = _aligned_categoricals(ta, tb)
-        tv = tv_distance(pa, pb)
+        tv = tv_distance(Categorical(ca / ca.sum()), Categorical(cb / cb.sum()))
         rows.append(
             OrderRow(
                 order=order,
                 tv=tv,
                 auroc_upper=auroc_upper(tv),
-                support_overlap=overlap,
+                # Jaccard overlap of the two observed n-gram sets
+                support_overlap=int(np.count_nonzero((ca > 0) & (cb > 0))) / size,
             )
         )
     return rows

@@ -9,7 +9,6 @@ documents pooled into one decision.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,7 +17,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .bounds import _check_int, _check_ints
-from .corpus import Document, tokenize
+from .corpus import Document, _encode
 from .detector import Label, roc_from_scores
 
 __all__ = [
@@ -70,46 +69,52 @@ class Vocabulary:
         return self._index.get(token)
 
 
-def _build_vocab_tokens(
-    token_lists: Sequence[Sequence[str]], min_df: int = 2
+def _doc_rows(lens: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Per token, the feature row of its document: its index in ``docs``, else -1."""
+    rows = np.full(lens.size, -1, dtype=np.int64)
+    rows[docs] = np.arange(docs.size)
+    return np.repeat(rows, lens)
+
+
+def _vocab_from_ids(
+    tokens: Sequence[str], rows: np.ndarray, ids: np.ndarray, n_rows: int, min_df: int
 ) -> Vocabulary:
+    """Vocabulary of the token ids seen in at least ``min_df`` of ``n_rows`` rows.
+
+    ``ids`` index the sorted ``tokens``; ``rows`` gives each id's document
+    row, and a token whose row is -1 is left out.
+    """
     min_df = _check_int("min_df", min_df)
-    df: Counter[str] = Counter()
-    for toks in token_lists:
-        df.update(set(toks))
-    kept = sorted(tok for tok, c in df.items() if c >= min_df)
-    freq = np.array([df[tok] for tok in kept], dtype=np.int64)
-    return Vocabulary(tokens=tuple(kept), doc_freq=freq, n_docs=len(token_lists))
+    v = len(tokens)
+    kept = rows >= 0
+    df = np.bincount(np.unique(rows[kept] * v + ids[kept]) % v, minlength=v)
+    vocab_ids = np.flatnonzero(df >= min_df)
+    return Vocabulary(
+        tokens=tuple(tokens[i] for i in vocab_ids), doc_freq=df[vocab_ids], n_docs=n_rows
+    )
 
 
-def build_vocab(docs: Sequence[Document], min_df: int = 2) -> Vocabulary:
-    """Vocabulary of tokens appearing in at least ``min_df`` documents."""
-    return _build_vocab_tokens([tokenize(d.text) for d in docs], min_df=min_df)
-
-
-def _featurize_tokens(
-    token_lists: Sequence[Sequence[str]], vocab: Vocabulary, space: str
+def _featurize_ids(
+    tokens: Sequence[str],
+    rows: np.ndarray,
+    ids: np.ndarray,
+    n_rows: int,
+    vocab: Vocabulary,
+    space: str,
 ) -> sp.csr_matrix:
+    """Feature matrix of ``n_rows`` documents, from token rows and ids as above."""
     if space not in FEATURE_SPACES:
         raise ValueError(f"space must be one of {FEATURE_SPACES}, got {space!r}")
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for toks in token_lists:
-        tf = Counter()
-        for tok in toks:
-            col = vocab.column(tok)
-            if col is not None:
-                tf[col] += 1
-        for col in sorted(tf):
-            indices.append(col)
-            data.append(float(tf[col]))
-        indptr.append(len(indices))
+    column = np.fromiter(
+        (vocab._index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
+    )[ids]
+    kept = (rows >= 0) & (column >= 0)
+    # duplicate (row, column) entries sum into term counts
     x = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
-        shape=(len(token_lists), len(vocab)),
+        (np.ones(np.count_nonzero(kept)), (rows[kept], column[kept])),
+        shape=(n_rows, len(vocab)),
     )
     if space == "tfidf":
         idf = np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq)) + 1.0
@@ -118,6 +123,13 @@ def _featurize_tokens(
         inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         x = sp.diags(inv) @ x
     return x.tocsr()
+
+
+def build_vocab(docs: Sequence[Document], min_df: int = 2) -> Vocabulary:
+    """Vocabulary of tokens appearing in at least ``min_df`` documents."""
+    tokens, ids, lens = _encode(docs)
+    rows = _doc_rows(lens, np.arange(lens.size))
+    return _vocab_from_ids(tokens, rows, ids, lens.size, min_df)
 
 
 def featurize(
@@ -129,7 +141,9 @@ def featurize(
     ``log((1 + N) / (1 + df)) + 1`` and per-document L2 normalization.
     Tokens outside the vocabulary are ignored.
     """
-    return _featurize_tokens([tokenize(d.text) for d in docs], vocab, space)
+    tokens, ids, lens = _encode(docs)
+    rows = _doc_rows(lens, np.arange(lens.size))
+    return _featurize_ids(tokens, rows, ids, lens.size, vocab, space)
 
 
 @dataclass(frozen=True)
@@ -231,9 +245,10 @@ def train_logreg(
     losses = np.empty(cfg.epochs + 1)
     z = np.asarray(x @ w).ravel() + b
     losses[0] = _logreg_loss(z, y, w, cfg.l2)
+    xt = x.T
     for epoch in range(1, cfg.epochs + 1):
         resid = expit(z) - y
-        grad_w = np.asarray(x.T @ resid).ravel() / n + cfg.l2 * w
+        grad_w = np.asarray(xt @ resid).ravel() / n + cfg.l2 * w
         grad_b = float(resid.mean())
         w = w - cfg.learning_rate * grad_w
         b = b - cfg.learning_rate * grad_b
@@ -242,7 +257,7 @@ def train_logreg(
         if losses[epoch] > losses[epoch - 1] + _LOSS_SLACK:
             raise RuntimeError(
                 f"training loss increased at epoch {epoch} "
-                f"({losses[epoch - 1]!r} -> {losses[epoch]!r}); "
+                f"({float(losses[epoch - 1])!r} -> {float(losses[epoch])!r}); "
                 "reduce learning_rate"
             )
     keys: tuple = vocab.tokens if vocab is not None else tuple(range(d))
@@ -273,18 +288,20 @@ class PairwiseRow:
 
 def _stratified_split(
     n_human: int, n_machine: int, train_frac: float, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test indices into the human documents followed by the machine ones."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must lie in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _SPLIT_SALT)))
-    splits = []
-    for count in (n_human, n_machine):
+    train, test = [], []
+    for offset, count in ((0, n_human), (n_human, n_machine)):
         if count < 2:
             raise ValueError("each class needs at least 2 documents to split")
         perm = rng.permutation(count)
         n_train = min(count - 1, max(1, round(train_frac * count)))
-        splits.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
-    return splits[0][0], splits[0][1], splits[1][0], splits[1][1]
+        train.append(offset + np.sort(perm[:n_train]))
+        test.append(offset + np.sort(perm[n_train:]))
+    return np.concatenate(train), np.concatenate(test)
 
 
 def _class_scores(
@@ -311,25 +328,21 @@ def auroc_vs_prefix_length(
     tokens, the vocabulary is rebuilt from the truncated training split,
     a logistic model is trained, and the test AUROC recorded.
     """
-    lens = _check_ints("lengths", lengths)
-    toks_h = [tokenize(d.text) for d in human_docs]
-    toks_m = [tokenize(d.text) for d in machine_docs]
-    tr_h, te_h, tr_m, te_m = _stratified_split(
-        len(toks_h), len(toks_m), train_frac, seed
-    )
+    lengths = _check_ints("lengths", lengths)
+    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
+    tokens, ids, lens = _encode([*human_docs, *machine_docs])
+    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
+    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    y_train = (train >= len(human_docs)).astype(np.float64)
+    y_test = (test >= len(human_docs)).astype(np.float64)
     rows = []
-    for length in lens:
-        train_toks = [toks_h[i][:length] for i in tr_h] + [
-            toks_m[i][:length] for i in tr_m
-        ]
-        test_toks = [toks_h[i][:length] for i in te_h] + [
-            toks_m[i][:length] for i in te_m
-        ]
-        y_train = np.concatenate([np.zeros(tr_h.size), np.ones(tr_m.size)])
-        y_test = np.concatenate([np.zeros(te_h.size), np.ones(te_m.size)])
-        vocab = _build_vocab_tokens(train_toks, min_df=min_df)
-        x_train = _featurize_tokens(train_toks, vocab, space)
-        x_test = _featurize_tokens(test_toks, vocab, space)
+    for length in lengths:
+        # a document's first ``length`` tokens
+        train_l = np.where(offset < length, train_rows, -1)
+        test_l = np.where(offset < length, test_rows, -1)
+        vocab = _vocab_from_ids(tokens, train_l, ids, y_train.size, min_df)
+        x_train = _featurize_ids(tokens, train_l, ids, y_train.size, vocab, space)
+        x_test = _featurize_ids(tokens, test_l, ids, y_test.size, vocab, space)
         model, _ = train_logreg(
             x_train, y_train, config, vocab=vocab, feature_space=space
         )
@@ -389,14 +402,15 @@ def pairwise_auroc(
     the vocabulary comes from the training documents alone.
     """
     ks = _check_ints("k_values", k_values)
-    tr_h, te_h, tr_m, te_m = _stratified_split(
-        len(human_docs), len(machine_docs), train_frac, seed
-    )
-    train_docs = [human_docs[i] for i in tr_h] + [machine_docs[i] for i in tr_m]
-    test_docs = [human_docs[i] for i in te_h] + [machine_docs[i] for i in te_m]
-    vocab = build_vocab(train_docs, min_df=min_df)
-    x_train = featurize(train_docs, vocab, space)
-    x_test = featurize(test_docs, vocab, space)
+    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
+    docs = [*human_docs, *machine_docs]
+    train_docs = [docs[i] for i in train]
+    test_docs = [docs[i] for i in test]
+    tokens, ids, lens = _encode(docs)
+    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
+    vocab = _vocab_from_ids(tokens, train_rows, ids, train.size, min_df)
+    x_train = _featurize_ids(tokens, train_rows, ids, train.size, vocab, space)
+    x_test = _featurize_ids(tokens, test_rows, ids, test.size, vocab, space)
     aug_seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
         2 * len(ks)
     )

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 
-from detectability import Categorical, Document, Label
+from detectability import (
+    Categorical,
+    Document,
+    Label,
+    OrderRow,
+    auroc_upper,
+    tv_distance,
+)
+from detectability.corpus import _strip_punct
 
 
 def product_masses(dist: Categorical, n: int) -> np.ndarray:
@@ -78,3 +87,58 @@ def write_jsonl(path, docs: list[Document]) -> None:
             fh.write(
                 json.dumps({"id": d.id, "text": d.text, "label": d.label.value}) + "\n"
             )
+
+
+def strip_tokenize(text: str) -> list[str]:
+    """Tokenizer reference: strip edge punctuation from every raw token."""
+    return [tok for tok in map(_strip_punct, text.lower().split()) if tok]
+
+
+def ngram_counts(docs, order: int) -> dict:
+    """Reference n-gram counts: a Counter over token tuples, document by document."""
+    counts: Counter = Counter()
+    for doc in docs:
+        toks = strip_tokenize(doc.text)
+        for i in range(len(toks) - order + 1):
+            counts[tuple(toks[i : i + order])] += 1
+    return dict(counts)
+
+
+def order_rows(human_docs, machine_docs, orders) -> list[OrderRow]:
+    """Reference ``best_auroc_by_order``: both count dicts aligned on their sorted union."""
+    rows = []
+    for order in orders:
+        a = ngram_counts(human_docs, order)
+        b = ngram_counts(machine_docs, order)
+        for name, counts in (("human", a), ("machine", b)):
+            if not counts:
+                raise ValueError(f"{name} corpus has no n-grams at order {order}")
+        union = sorted(a.keys() | b.keys())
+        pa = np.array([a.get(g, 0) for g in union], dtype=np.float64) / sum(a.values())
+        pb = np.array([b.get(g, 0) for g in union], dtype=np.float64) / sum(b.values())
+        tv = tv_distance(Categorical(pa), Categorical(pb))
+        overlap = len(a.keys() & b.keys()) / len(union)
+        rows.append(OrderRow(order, tv, auroc_upper(tv), overlap))
+    return rows
+
+
+def vocab_reference(docs, min_df: int) -> tuple[tuple[str, ...], list[int]]:
+    """Sorted tokens in at least ``min_df`` documents, with their document frequencies."""
+    df: Counter = Counter()
+    for doc in docs:
+        df.update(set(strip_tokenize(doc.text)))
+    kept = tuple(sorted(tok for tok, c in df.items() if c >= min_df))
+    return kept, [df[tok] for tok in kept]
+
+
+def count_csr_reference(docs, tokens) -> tuple[list[int], list[int], list[float]]:
+    """``(indptr, indices, data)`` of the term-count matrix, columns sorted per row."""
+    column = {tok: i for i, tok in enumerate(tokens)}
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        tf = Counter(column[t] for t in strip_tokenize(doc.text) if t in column)
+        for col in sorted(tf):
+            indices.append(col)
+            data.append(float(tf[col]))
+        indptr.append(len(indices))
+    return indptr, indices, data

@@ -14,6 +14,7 @@ from detectability import (
     auroc_upper,
     auroc_vs_n_curve,
     auroc_vs_prefix_length,
+    build_vocab,
     ngram_table,
     pairwise_augment,
     product_tv_exact,
@@ -24,7 +25,6 @@ from detectability import (
     tv_tensor_lower,
 )
 from detectability.bounds import _check_int, _check_ints
-from detectability.textlab import _build_vocab_tokens
 
 # Oracles computed by hand / with mpmath before the implementations existed.
 # iid: ceil(ln(2 / (1 - eps)) / delta^2)
@@ -305,7 +305,7 @@ class TestIntegerValidators:
             ("order", lambda: ngram_table(DOCS, 2.5)),
             ("lengths", lambda: auroc_vs_prefix_length(DOCS[:3], DOCS[3:], [2.7])),
             ("k", lambda: pairwise_augment(DOCS, k=1.5)),
-            ("min_df", lambda: _build_vocab_tokens([["a"], ["a"]], min_df=1.5)),
+            ("min_df", lambda: build_vocab(DOCS, min_df=1.5)),
             (
                 "n",
                 lambda: product_tv_exact(

@@ -423,6 +423,41 @@ class TestFlagSurface:
         assert "unrecognized arguments" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [("tv-by-order", flag, value) for flag, value in [
+            ("--seed", "0"), ("--lengths", "5"), ("--k-values", "1"),
+            ("--train-frac", "0.7"), ("--space", "tfidf"), ("--min-df", "2"),
+            ("--lr", "0.1"), ("--epochs", "500"), ("--l2", "0.0001"),
+        ]]
+        + [
+            ("train-ablate", "--orders", "1"),
+            ("train-ablate", "--k-values", "1"),
+            ("pairwise", "--orders", "1"),
+            ("pairwise", "--lengths", "5"),
+        ],
+    )
+    def test_corpus_mode_rejects_flags_it_does_not_read(
+        self, capsys, corpus_files, mode, flag, value
+    ):
+        hp, mp = corpus_files
+        code, out, err = run(
+            capsys, "corpus", mode, "--human", hp, "--machine", mp, flag, value
+        )
+        assert code == 2
+        assert f"corpus {mode} does not take {flag}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
+    def test_corpus_negative_seed_names_the_flag(self, capsys, corpus_files, mode):
+        hp, mp = corpus_files
+        code, out, err = run(
+            capsys, "corpus", mode, "--human", hp, "--machine", mp, "--seed", "-1"
+        )
+        assert code == 2
+        assert "--seed must be an integer >= 0, got -1" in err
+        assert out == ""
+
     def test_corpus_keeps_seed_and_strictness(self, capsys, corpus_files):
         hp, mp = corpus_files
         argv = [

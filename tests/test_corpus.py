@@ -1,9 +1,12 @@
 """Tokenization, n-gram statistics, corpus distances, JSONL loading."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detectability import (
     CorpusParseError,
@@ -17,7 +20,25 @@ from detectability import (
     tv_between_corpora,
 )
 
-from _synth import unigram_docs, write_jsonl
+from _synth import ngram_counts, order_rows, strip_tokenize, unigram_docs, write_jsonl
+
+# Edge and interior punctuation, Unicode case folding, digits and a NUL.
+WORDS = [
+    "the", "The", "cat,", "CAT.", "«quoted»", "don't", "—", "...", "naïve",
+    "Ünï", "3.5%", "(2024).", "a", "b", "ß", "İstanbul", "ǅ", "¿qué?", "ﬁ",
+    "x\x00", "🙂",
+]
+texts = (
+    st.lists(st.sampled_from(WORDS) | st.text(min_size=1, max_size=3), min_size=1, max_size=10)
+    .map(" ".join)
+    .filter(str.strip)
+)
+
+
+def corpora(label):
+    return st.lists(texts, min_size=1, max_size=5).map(
+        lambda ts: [doc(t, label=label, id=f"{label.value}{i}") for i, t in enumerate(ts)]
+    )
 
 
 def doc(text, label=Label.HUMAN, id="d0"):
@@ -48,6 +69,11 @@ class TestTokenize:
         # % is punctuation, so it strips from the edge like a period would
         assert tokenize("At 3.5% (2024).") == ["at", "3.5", "2024"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | texts)
+    def test_equals_always_strip_reference(self, text):
+        assert tokenize(text) == strip_tokenize(text)
+
 
 class TestNgramTable:
     def test_unigram_counts(self):
@@ -70,6 +96,15 @@ class TestNgramTable:
         t = ngram_table([doc("a")], 2)
         assert t.total == 0
         assert t.counts == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(Label.HUMAN), st.integers(1, 6))
+    def test_equals_reference_counts(self, docs, order):
+        # same keys, counts and key order (first occurrence) as a Counter
+        t = ngram_table(docs, order)
+        expected = ngram_counts(docs, order)
+        assert list(t.counts.items()) == list(expected.items())
+        assert t.total == sum(expected.values())
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
@@ -127,6 +162,21 @@ class TestBestAurocByOrder:
         assert rows[0].tv < 0.15 < rows[2].tv
         assert rows[0].support_overlap > 0.95
         assert rows[2].support_overlap < 0.2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpora(Label.HUMAN),
+        corpora(Label.MACHINE),
+        st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True).map(sorted),
+    )
+    def test_rows_equal_tuple_reference_exactly(self, h, m, orders):
+        try:
+            expected = order_rows(h, m, orders)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                best_auroc_by_order(h, m, orders)
+            return
+        assert best_auroc_by_order(h, m, orders) == expected
 
     def test_order_validation(self):
         h = [doc("a b")]

@@ -1,10 +1,13 @@
 """Feature extraction, logistic training, prefix and pairwise studies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detectability import (
     Document,
@@ -19,7 +22,7 @@ from detectability import (
 )
 from detectability.textlab import _logreg_loss
 
-from _synth import rand_pair, unigram_docs
+from _synth import count_csr_reference, rand_pair, unigram_docs, vocab_reference
 
 
 def doc(text, label=Label.HUMAN, id="d0"):
@@ -54,6 +57,34 @@ class TestVocabulary:
         v = build_vocab(tiny_corpus(), min_df=2)
         assert v.column("durian") is None
         assert v.column("apple") == 0
+
+
+WORDS = ["apple", "Apple,", "banana.", "«cherry»", "don't", "—", "ß", "naïve", "x", "y"]
+doc_lists = st.lists(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
+    min_size=1,
+    max_size=8,
+).map(lambda ts: [doc(t, id=f"d{i}") for i, t in enumerate(ts)])
+
+
+class TestAgainstTokenListReference:
+    @settings(max_examples=100, deadline=None)
+    @given(doc_lists, doc_lists, st.integers(1, 3))
+    def test_vocab_and_counts_match(self, train, test, min_df):
+        v = build_vocab(train, min_df=min_df)
+        tokens, df = vocab_reference(train, min_df)
+        assert v.tokens == tokens
+        assert v.doc_freq.tolist() == df
+        assert v.n_docs == len(train)
+        if not tokens:
+            return
+        for docs in (train, test):
+            x = featurize(docs, v, space="counts")
+            indptr, indices, data = count_csr_reference(docs, tokens)
+            assert x.shape == (len(docs), len(tokens))
+            assert x.indptr.tolist() == indptr
+            assert x.indices.tolist() == indices
+            assert x.data.tolist() == data
 
 
 class TestFeaturize:
@@ -137,8 +168,11 @@ class TestTrainLogreg:
         x = sp.csr_matrix(rng.normal(size=(20, 4)) * 10)
         y = (rng.random(20) < 0.5).astype(int)
         y[0], y[1] = 0, 1
-        with pytest.raises(RuntimeError, match="increase"):
+        with pytest.raises(RuntimeError, match="increase") as exc:
             train_logreg(x, y, TrainConfig(learning_rate=500.0, epochs=50))
+        # the losses print as plain floats, not numpy reprs
+        assert "np.float64" not in str(exc.value)
+        assert re.search(r"\(\d+\.\d+(e[-+]\d+)? -> \d+\.\d+(e[-+]\d+)?\)", str(exc.value))
 
     def test_label_validation(self):
         x = sp.csr_matrix(np.eye(3))
@@ -263,6 +297,23 @@ class TestPrefixStudy:
         aucs = [r.test_auroc for r in rows]
         assert all(0.0 <= a <= 1.0 for a in aucs)
         assert aucs[-1] > aucs[0]
+
+    def test_truncation_equals_cut_texts(self):
+        # truncating by in-document offset equals retokenizing cut texts
+        h, m = drifted_corpora(n_docs=30, doc_len=20)
+
+        def cut(docs, n):
+            return [
+                Document(id=d.id, text=" ".join(d.text.split()[:n]), label=d.label)
+                for d in docs
+            ]
+
+        rows = auroc_vs_prefix_length(h, m, [3, 8, 40], seed=5)
+        for row in rows:
+            ref = auroc_vs_prefix_length(
+                cut(h, row.length), cut(m, row.length), [row.length], seed=5
+            )
+            assert [row] == ref
 
     def test_deterministic(self):
         h, m = drifted_corpora()
