@@ -11,12 +11,21 @@ chunks, and chunk ``j`` gets its own generator, keyed by
 A chunk holds at most ``_CHUNK_CELLS`` (2**16) cells, counting ``max(n, k)``
 cells per trial for support size ``k``, so it covers ``2**16 // max(n, k)``
 trials (at least one).  Each chunk is sampled as a matrix of per-trial count
-vectors and scored in one call.  Results are therefore bit-identical across
-runs; wall-clock columns are the only nondeterministic output.
+vectors and scored in one call.  Iid chunks are one multinomial draw.  A
+block-dependent chunk draws one multinomial per distinct ``(c, rho)`` block
+kind, in first-appearance order, over that kind's exact count-type law.
+Where building and drawing from those laws would touch more cells than the
+copy process (long blocks, large supports), the chunk runs the copy process
+on one ``(3, trials, n)`` array of uniforms instead; see
+:func:`sample_noniid` for the rule, which depends only on the support size
+and the block pattern, so every chunk of a row uses the same sampler.
+Results are therefore bit-identical across runs; wall-clock columns are the
+only nondeterministic output.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -164,26 +173,87 @@ def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
     return DependenceSpec(out)
 
 
-def sample_noniid(
+def _block_kinds(dep: DependenceSpec) -> dict[tuple[int, float], int]:
+    """Distinct ``(c, rho)`` blocks of ``dep`` with their multiplicities, in
+    first-appearance order."""
+    kinds: dict[tuple[int, float], int] = {}
+    for block in dep.blocks:
+        kinds[block] = kinds.get(block, 0) + 1
+    return kinds
+
+
+def _law_selected(dep: DependenceSpec, k: int) -> bool:
+    """Whether :func:`sample_noniid` draws ``dep`` from the exact block laws.
+
+    True when the law sampler touches no more cells than the copy process
+    on a full chunk of ``T = _chunk_trials(dep.n, k)`` trials, which touches
+    ``T * dep.n``: building each distinct kind's law touches ``k`` cells per
+    count type of every step, ``k * C(c + k - 1, c - 1)`` in all, and the
+    draws one cell per trial and type of the ``C(c + k - 1, c)``.  Each
+    kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
+    fit in int64.
+    """
+    kinds = _block_kinds(dep)
+    trials = _chunk_trials(dep.n, k)
+    cells = sum(
+        k * math.comb(c + k - 1, c - 1) + trials * math.comb(c + k - 1, c) for c, _ in kinds
+    )
+    return cells <= trials * dep.n and all((c + 1) ** k <= 2**63 for c, _ in kinds)
+
+
+def _block_law(probs: np.ndarray, c: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of one block's count vector under the copy process.
+
+    The running count vector is a Markov chain: after ``t`` draws with
+    counts ``x``, the next draw is index ``j`` with probability
+    ``rho * x_j / t + (1 - rho) * p_j``.  Each of the ``c - 1`` steps
+    extends every type by every index, and equal types merge on their
+    mixed-radix keys ``sum_j x_j * (c + 1)**j``.  Returns the types as an
+    ``(A, k)`` int64 matrix (rows in ascending key order) and their masses;
+    types of zero mass are dropped.
+    """
+    radix = (c + 1) ** np.arange(len(probs), dtype=np.int64)
+    live = probs > 0
+    keys, mass = radix[live], probs[live]
+    for t in range(1, c):
+        atoms = keys[:, None] // radix % (c + 1)
+        step = (mass[:, None] * (rho * atoms / t + (1.0 - rho) * probs)).ravel()
+        live = step > 0
+        keys, inverse = np.unique(
+            (keys[:, None] + radix).ravel()[live], return_inverse=True
+        )
+        mass = np.bincount(inverse, weights=step[live])
+    return keys[:, None] // radix % (c + 1), mass
+
+
+def _sample_law(
     dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Count vectors of ``trials`` sets of ``dep.n`` draws with within-block copying.
+    """Block-dependent count vectors drawn from the exact block laws.
 
-    Blocks are mutually independent.  Inside a block the first sample is a
-    fresh draw; each later sample copies a uniformly chosen earlier sample
-    of the block with probability ``rho``, else draws fresh.  Consequently
-    the conditional mean of sample ``i`` given the block's past is
-    ``rho * (past mean) + (1 - rho) * (unconditional mean)``.
+    For each distinct block kind, in first-appearance order, one
+    ``multinomial(multiplicity, law, size=trials)`` draw counts how many of
+    its blocks take each count type; the types' counts add up.
+    """
+    counts = np.zeros((trials, dist.support_size), dtype=np.int64)
+    for (c, rho), m in _block_kinds(dep).items():
+        atoms, law = _block_law(dist.probs, c, rho)
+        counts += rng.multinomial(m, law, size=trials) @ atoms
+    return counts
+
+
+def _sample_copy(
+    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Block-dependent count vectors from the copy process itself.
 
     The copy process runs on a ``(trials, dep.n)`` sample matrix, one block
     position at a time across every block and trial; each row is then
-    counted into a ``(trials, support_size)`` matrix as in
-    :func:`sample_iid`.
-
-    Stream convention: one ``(3, trials, dep.n)`` array of uniforms is
-    drawn (fresh draws, copy coins, copy-target picks; coins and picks of
-    block heads go unused), so the result is a pure function of the
-    generator state regardless of how the copies resolve.
+    counted into a ``(trials, support_size)`` matrix.  One
+    ``(3, trials, dep.n)`` array of uniforms is drawn (fresh draws, copy
+    coins, copy-target picks; coins and picks of block heads go unused), so
+    the result is a pure function of the generator state regardless of how
+    the copies resolve.
     """
     c = np.array([b[0] for b in dep.blocks], dtype=np.int64)
     rho = np.array([b[1] for b in dep.blocks], dtype=np.float64)
@@ -205,6 +275,33 @@ def sample_noniid(
 
     rows = np.arange(trials)[:, None] * k
     return np.bincount((rows + vals).ravel(), minlength=trials * k).reshape(trials, k)
+
+
+def sample_noniid(
+    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Count vectors of ``trials`` sets of ``dep.n`` draws with within-block copying.
+
+    Blocks are mutually independent.  Inside a block the first sample is a
+    fresh draw; each later sample copies a uniformly chosen earlier sample
+    of the block with probability ``rho``, else draws fresh.  Consequently
+    the conditional mean of sample ``i`` given the block's past is
+    ``rho * (past mean) + (1 - rho) * (unconditional mean)``.  Returns a
+    ``(trials, support_size)`` integer matrix whose rows sum to ``dep.n``.
+
+    Stream convention.  The count types of one block kind ``(c, rho)`` have
+    an exact law (:func:`_block_law`), built without random numbers.  When
+    building the distinct kinds' laws and drawing a full chunk of trials
+    from them touches no more cells than the copy process would, and the
+    type keys fit in int64 (:func:`_law_selected`; in practice short blocks
+    over small supports), one ``multinomial(multiplicity, law,
+    size=trials)`` is drawn per kind, in first-appearance order.  Otherwise
+    the copy process runs position by position on one ``(3, trials,
+    dep.n)`` array of uniforms: fresh draws, copy coins and copy-target
+    picks.  Either way the result is a pure function of the generator state.
+    """
+    sampler = _sample_law if _law_selected(dep, dist.support_size) else _sample_copy
+    return sampler(dist, dep, trials, rng)
 
 
 def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:

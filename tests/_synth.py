@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from detectability import (
     tv_distance,
 )
 from detectability.corpus import _strip_punct
+from detectability.simulate import _block_law
 
 
 def product_masses(dist: Categorical, n: int) -> np.ndarray:
@@ -24,6 +26,77 @@ def product_masses(dist: Categorical, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.multiply.outer(out, dist.probs).ravel()
     return out
+
+
+def copy_process_law(probs, c: int, rho: float) -> dict[tuple[int, ...], float]:
+    """Exact count law of one block, summed over every path of the copy process.
+
+    Position 0 is a fresh draw; position ``i > 0`` is a fresh draw with
+    probability ``1 - rho`` or, with probability ``rho / i`` each, a copy
+    of one of the ``i`` earlier positions.  Types of zero mass are left out.
+    """
+    law: dict[tuple[int, ...], float] = {}
+
+    def walk(xs: list[int], mass: float) -> None:
+        i = len(xs)
+        if i == c:
+            key = tuple(xs.count(j) for j in range(len(probs)))
+            law[key] = law.get(key, 0.0) + mass
+            return
+        fresh = 1.0 if i == 0 else 1.0 - rho
+        for j, p in enumerate(probs):
+            walk(xs + [j], mass * fresh * p)
+        for s in range(i):
+            walk(xs + [xs[s]], mass * rho / i)
+
+    walk([], 1.0)
+    return {key: mass for key, mass in law.items() if mass > 0.0}
+
+
+def mann_whitney_exact(x: np.ndarray, y: np.ndarray, trials: int) -> tuple[float, float]:
+    """Exact AUROC ``P(X > Y) + P(X = Y) / 2`` and the Mann-Whitney standard error.
+
+    ``x`` and ``y`` are the machine and human pmfs over one grid of scores in
+    ascending order.  The standard error is that of the estimate from
+    ``trials`` sets per class, ``[(T - 1)(xi10 + xi01) + xi11] / T**2`` under
+    the square root.
+    """
+    below_y = np.concatenate([[0.0], np.cumsum(y)[:-1]])
+    above_x = 1.0 - np.cumsum(x)
+    psi_x = below_y + 0.5 * y  # E_Y psi(s, Y)
+    psi_y = above_x + 0.5 * x  # E_X psi(X, s)
+    theta = float(x @ psi_x)
+    xi10 = float(x @ psi_x**2) - theta**2
+    xi01 = float(y @ psi_y**2) - theta**2
+    xi11 = float(x @ below_y + 0.25 * (x @ y)) - theta**2
+    var = ((trials - 1) * (xi10 + xi01) + xi11) / trials**2
+    return theta, math.sqrt(max(var, 0.0))
+
+
+def block_count_pmf(dist: Categorical, dep) -> np.ndarray:
+    """Pmf of the index-1 count of a two-index ``dist`` under block pattern ``dep``.
+
+    Blocks are independent, so the pmf is the convolution of the block laws.
+    """
+    pmf = np.ones(1)
+    for c, rho in dep.blocks:
+        atoms, mass = _block_law(dist.probs, c, rho)
+        pmf = np.convolve(pmf, np.bincount(atoms[:, 1], weights=mass, minlength=c + 1))
+    return pmf
+
+
+def dependent_lr_auroc(
+    m: Categorical, h: Categorical, dep, trials: int
+) -> tuple[float, float]:
+    """Exact AUROC of the count-LLR detector on block-dependent two-index sets, and its SE.
+
+    The count LLR of a two-index set is linear in its index-1 count, so the
+    detector ranks sets by that count (reversed when the score falls with it).
+    """
+    x, y = block_count_pmf(m, dep), block_count_pmf(h, dep)
+    if m.probs[1] * h.probs[0] < h.probs[1] * m.probs[0]:
+        x, y = x[::-1], y[::-1]
+    return mann_whitney_exact(x, y, trials)
 
 
 def rand_pair(rng: np.random.Generator, k: int, zero_frac: float = 0.0):

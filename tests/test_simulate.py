@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import multinomial, spearmanr
 
 from detectability import (
     Categorical,
@@ -20,7 +20,16 @@ from detectability import (
     trial_rng,
     tv_distance,
 )
-from detectability.simulate import _CHUNK_CELLS, _chunk_trials
+from detectability.simulate import (
+    _CHUNK_CELLS,
+    _block_law,
+    _chunk_trials,
+    _law_selected,
+    _sample_copy,
+    _sample_law,
+)
+
+from _synth import copy_process_law, dependent_lr_auroc
 
 BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
@@ -79,60 +88,70 @@ class TestRescaleBlocks:
         assert rescale_blocks(dep, 3).blocks == ((3, 0.5),)
 
 
+# The law sampler and the copy process draw from one law; sample_noniid
+# picks between them by input size, so the structural tests run on both.
+SAMPLERS = (_sample_law, _sample_copy)
+
+
 class TestSampleNoniid:
     def test_rho_one_blocks_are_constant(self):
         # under full coupling each block repeats one symbol, so every index
         # is counted a whole number of blocks
         dep = DependenceSpec([(5, 1.0)] * 20)
-        counts = sample_noniid(TRI, dep, 300, np.random.default_rng(3))
-        assert counts.shape == (300, 3)
-        assert (counts.sum(axis=1) == 100).all()
-        assert (counts % 5 == 0).all()
-        assert (counts % 10 != 0).any()  # blocks do vary within a set
+        for sampler in SAMPLERS:
+            counts = sampler(TRI, dep, 300, np.random.default_rng(3))
+            assert counts.shape == (300, 3), sampler.__name__
+            assert (counts.sum(axis=1) == 100).all(), sampler.__name__
+            assert (counts % 5 == 0).all(), sampler.__name__
+            assert (counts % 10 != 0).any(), sampler.__name__  # blocks vary within a set
 
     def test_rho_zero_matches_marginal(self):
         dep = rescale_blocks(DependenceSpec([(5, 0.0)]), 500)
-        counts = sample_noniid(TRI, dep, 2000, np.random.default_rng(4))
-        draws = counts.sum()
-        for k, p in enumerate(TRI.probs):
-            freq = pooled_frequencies(counts)[k]
-            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / draws)
+        for sampler in SAMPLERS:
+            counts = sampler(TRI, dep, 2000, np.random.default_rng(4))
+            draws = counts.sum()
+            for k, p in enumerate(TRI.probs):
+                freq = pooled_frequencies(counts)[k]
+                assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / draws), sampler.__name__
 
     def test_marginal_preserved_under_dependence(self):
         # copying earlier draws leaves each position marginally distributed
         # as the base distribution; the tolerance counts blocks, not draws
         dep = rescale_blocks(DependenceSpec([(4, 0.7)]), 400)
-        counts = sample_noniid(TRI, dep, 1500, np.random.default_rng(5))
-        for k, p in enumerate(TRI.probs):
-            freq = pooled_frequencies(counts)[k]
-            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / (counts.sum() / 4))
+        for sampler in SAMPLERS:
+            counts = sampler(TRI, dep, 1500, np.random.default_rng(5))
+            for k, p in enumerate(TRI.probs):
+                freq = pooled_frequencies(counts)[k]
+                tol = 4 * math.sqrt(p * (1 - p) / (counts.sum() / 4))
+                assert abs(freq - p) < tol, sampler.__name__
 
     def test_pair_match_rate(self):
         # in a block of 2 with coupling rho, P(x1 == x2) =
         # rho + (1 - rho) sum_k p_k^2; a match is a count of 2
         rho = 0.5
         sets = 400_000
-        counts = sample_noniid(
-            TRI, DependenceSpec([(2, rho)]), sets, np.random.default_rng(6)
-        )
-        match = (counts == 2).any(axis=1).mean()
         expect = rho + (1 - rho) * float((TRI.probs**2).sum())
-        assert abs(match - expect) < 4 * math.sqrt(expect * (1 - expect) / sets)
+        for sampler in SAMPLERS:
+            counts = sampler(TRI, DependenceSpec([(2, rho)]), sets, np.random.default_rng(6))
+            match = (counts == 2).any(axis=1).mean()
+            tol = 4 * math.sqrt(expect * (1 - expect) / sets)
+            assert abs(match - expect) < tol, sampler.__name__
 
     def test_unequal_blocks_keep_their_copy_structure(self):
         # blocks of 2 and 3 under full coupling: each index is counted as a
         # sum of whole blocks, so only 0, 2, 3 or 5 can occur
         dep = DependenceSpec([(2, 1.0), (3, 1.0)])
-        counts = sample_noniid(TRI, dep, 20_000, np.random.default_rng(8))
-        assert (counts.sum(axis=1) == 5).all()
-        assert set(np.unique(counts).tolist()) == {0, 2, 3, 5}
+        for sampler in SAMPLERS:
+            counts = sampler(TRI, dep, 20_000, np.random.default_rng(8))
+            assert (counts.sum(axis=1) == 5).all(), sampler.__name__
+            assert set(np.unique(counts).tolist()) == {0, 2, 3, 5}, sampler.__name__
 
     def test_matches_per_set_loop_on_the_same_uniforms(self):
-        # reference: replay the documented stream (fresh, coin and pick
+        # reference: replay the copy process's stream (fresh, coin and pick
         # uniforms per position) one set and one position at a time
         dep = DependenceSpec([(4, 0.6), (1, 0.3), (3, 0.9), (2, 0.0)])
         sets = 50
-        got = sample_noniid(TRI, dep, sets, np.random.default_rng(9))
+        got = _sample_copy(TRI, dep, sets, np.random.default_rng(9))
         fresh_u, coin_u, pick_u = np.random.default_rng(9).random((3, sets, dep.n))
         cdf = np.cumsum(TRI.probs)
         for t in range(sets):
@@ -149,9 +168,97 @@ class TestSampleNoniid:
 
     def test_deterministic_under_seed(self):
         dep = DependenceSpec([(3, 0.4)] * 7)
-        a = sample_noniid(TRI, dep, 30, np.random.default_rng(7))
-        b = sample_noniid(TRI, dep, 30, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
+        for sampler in SAMPLERS:
+            a = sampler(TRI, dep, 30, np.random.default_rng(7))
+            b = sampler(TRI, dep, 30, np.random.default_rng(7))
+            np.testing.assert_array_equal(a, b)
+
+    def test_type_frequencies_match_the_exact_law(self):
+        # one block of 4 at rho 0.3 over a support with a zero-mass index
+        dist = Categorical([0.2, 0.0, 0.3, 0.5])
+        atoms, law = _block_law(dist.probs, 4, 0.3)
+        sets = 20_000
+        for sampler in SAMPLERS:
+            counts = sampler(dist, DependenceSpec([(4, 0.3)]), sets, np.random.default_rng(10))
+            types, freq = np.unique(counts, axis=0, return_counts=True)
+            seen = {tuple(row): f / sets for row, f in zip(types.tolist(), freq)}
+            assert seen.keys() <= {tuple(row) for row in atoms.tolist()}, sampler.__name__
+            for row, p in zip(atoms.tolist(), law):
+                tol = 4 * math.sqrt(p * (1 - p) / sets)
+                assert abs(seen.get(tuple(row), 0.0) - p) < tol, sampler.__name__
+
+    def test_selection_by_cells_touched(self):
+        # the law runs when building and drawing it touches no more cells
+        # than the copy process on a full chunk, and its type keys fit int64
+        sim_block = [rescale_blocks(DependenceSpec([(10, 0.5)]), n) for n in (50, 100, 300)]
+        assert all(_law_selected(dep, 2) for dep in sim_block)
+        tri_pair = DependenceSpec([(2, 0.5)])  # 6 types for 2 samples
+        assert not _law_selected(tri_pair, 3)
+        assert not _law_selected(rescale_blocks(DependenceSpec([(10, 0.5)]), 3000), 1000)
+        # 1001 types for 5000 samples, but the law takes 999 steps over up
+        # to 1000 types to build
+        assert not _law_selected(rescale_blocks(DependenceSpec([(1000, 0.5)]), 5000), 2)
+        # 861 types for 1000 samples, but 3**41 keys overflow int64
+        assert not _law_selected(rescale_blocks(DependenceSpec([(2, 0.5)]), 1000), 41)
+        # sample_noniid follows the selection on the same generator state
+        for dist, dep, sampler in (
+            (BERN_6, sim_block[0], _sample_law),
+            (TRI, tri_pair, _sample_copy),
+        ):
+            np.testing.assert_array_equal(
+                sample_noniid(dist, dep, 40, np.random.default_rng(11)),
+                sampler(dist, dep, 40, np.random.default_rng(11)),
+            )
+
+
+class TestBlockLaw:
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("probs", [[0.4, 0.6], [0.2, 0.3, 0.5], [0.5, 0.0, 0.5]])
+    def test_matches_every_copy_path(self, c, rho, probs):
+        atoms, law = _block_law(np.array(probs), c, rho)
+        assert atoms.dtype == np.int64 and (atoms.sum(axis=1) == c).all()
+        got = {tuple(row): p for row, p in zip(atoms.tolist(), law)}
+        want = copy_process_law(probs, c, rho)
+        assert got.keys() == want.keys()
+        for key, p in want.items():
+            assert abs(got[key] - p) <= 1e-12
+
+    def test_rho_zero_is_multinomial(self):
+        atoms, law = _block_law(TRI.probs, 6, 0.0)
+        assert len(law) == math.comb(8, 6)
+        np.testing.assert_allclose(law, multinomial.pmf(atoms, 6, TRI.probs), rtol=1e-12)
+
+    def test_rho_one_repeats_one_index(self):
+        probs = np.array([0.2, 0.0, 0.3, 0.5])
+        atoms, law = _block_law(probs, 7, 1.0)
+        np.testing.assert_array_equal(atoms, 7 * np.eye(4, dtype=np.int64)[[0, 2, 3]])
+        np.testing.assert_array_equal(law, probs[[0, 2, 3]])
+
+
+class TestDependentExact:
+    # Bern(0.6) vs Bern(0.5) with 10-sample blocks at rho 0.5: exact AUROC of
+    # the count-LLR detector that run_experiment uses, by convolving the
+    # block laws, beside criterion 07's chance-to-iid bracket
+    DEP = DependenceSpec([(10, 0.5)])
+    EXACT = {50: 0.72200, 100: 0.79735, 300: 0.92519}
+
+    def test_exact_values(self):
+        for n, want in self.EXACT.items():
+            auroc, _ = dependent_lr_auroc(BERN_6, BERN_5, rescale_blocks(self.DEP, n), 1)
+            assert abs(auroc - want) <= 5e-6
+
+    def test_run_lands_within_four_se(self):
+        trials = 20_000
+        cfg = ExperimentConfig(
+            BERN_6, BERN_5, list(self.EXACT), trials, dependence=self.DEP, seed=17
+        )
+        res = run_experiment(cfg)
+        for row in res.rows:
+            auroc, se = dependent_lr_auroc(
+                BERN_6, BERN_5, rescale_blocks(self.DEP, row.n), trials
+            )
+            assert abs(row.empirical_auroc - auroc) <= 4 * se
 
 
 class TestTrialRng:
