@@ -4,12 +4,15 @@ A deliberately small stack -- bag-of-words features, full-batch gradient
 descent on L2-regularized logistic loss -- because the point of these
 experiments is not classifier quality but how detection accuracy moves with
 the amount of text: longer prefixes per document, or several same-class
-documents pooled into one decision.
+documents pooled into one decision.  Pooling trains no new model: one model
+scores each held-out document, and a k-tuple's score is the sum of its
+members' decision values, the multi-sample log-likelihood-ratio rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -159,11 +162,13 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         _check_int("epochs", self.epochs)
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2!r}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,6 @@ class LinearModel:
 
     weights: Mapping
     bias: float
-    feature_space: str
     vocab: tuple
 
     def weight_vector(self) -> np.ndarray:
@@ -203,14 +207,13 @@ def train_logreg(
     config: TrainConfig | None = None,
     *,
     vocab: Vocabulary | None = None,
-    feature_space: str = "tfidf",
 ) -> tuple[LinearModel, np.ndarray]:
     """Full-batch gradient descent on L2-regularized logistic loss.
 
     Weights start at zero, so training is deterministic.  The loss is
     recorded before the first step and after every epoch; it must never
-    increase (beyond float noise), and a step that does increase it raises
-    ``RuntimeError`` naming the epoch -- lower the learning rate.
+    increase (beyond float noise) or become NaN, and a step that does either
+    raises ``RuntimeError`` naming the epoch -- lower the learning rate.
 
     Parameters
     ----------
@@ -254,7 +257,8 @@ def train_logreg(
         b = b - cfg.learning_rate * grad_b
         z = np.asarray(x @ w).ravel() + b
         losses[epoch] = _logreg_loss(z, y, w, cfg.l2)
-        if losses[epoch] > losses[epoch - 1] + _LOSS_SLACK:
+        # written so that a NaN loss fails the check too
+        if not losses[epoch] <= losses[epoch - 1] + _LOSS_SLACK:
             raise RuntimeError(
                 f"training loss increased at epoch {epoch} "
                 f"({float(losses[epoch - 1])!r} -> {float(losses[epoch])!r}); "
@@ -262,10 +266,7 @@ def train_logreg(
             )
     keys: tuple = vocab.tokens if vocab is not None else tuple(range(d))
     model = LinearModel(
-        weights={k: float(wi) for k, wi in zip(keys, w)},
-        bias=float(b),
-        feature_space=feature_space,
-        vocab=keys,
+        weights={k: float(wi) for k, wi in zip(keys, w)}, bias=float(b), vocab=keys
     )
     return model, losses
 
@@ -304,10 +305,30 @@ def _stratified_split(
     return np.concatenate(train), np.concatenate(test)
 
 
-def _class_scores(
-    scores: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return scores[y == 1.0], scores[y == 0.0]
+def _heldout_scores(
+    tokens: Sequence[str],
+    ids: np.ndarray,
+    train_rows: np.ndarray,
+    test_rows: np.ndarray,
+    y_train: np.ndarray,
+    n_test: int,
+    space: str,
+    min_df: int,
+    config: TrainConfig | None,
+) -> np.ndarray:
+    """Test-row decision values of a model trained on the train rows alone.
+
+    Token rows are as in :func:`_vocab_from_ids`.
+    """
+    vocab = _vocab_from_ids(tokens, train_rows, ids, y_train.size, min_df)
+    x_train = _featurize_ids(tokens, train_rows, ids, y_train.size, vocab, space)
+    x_test = _featurize_ids(tokens, test_rows, ids, n_test, vocab, space)
+    model, _ = train_logreg(x_train, y_train, config, vocab=vocab)
+    return model.decision_function(x_test)
+
+
+def _auroc(scores: np.ndarray, y: np.ndarray) -> float:
+    return roc_from_scores(scores[y == 1.0], scores[y == 0.0]).auroc
 
 
 def auroc_vs_prefix_length(
@@ -333,24 +354,16 @@ def auroc_vs_prefix_length(
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
     offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    y_train = (train >= len(human_docs)).astype(np.float64)
-    y_test = (test >= len(human_docs)).astype(np.float64)
+    y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     rows = []
     for length in lengths:
         # a document's first ``length`` tokens
         train_l = np.where(offset < length, train_rows, -1)
         test_l = np.where(offset < length, test_rows, -1)
-        vocab = _vocab_from_ids(tokens, train_l, ids, y_train.size, min_df)
-        x_train = _featurize_ids(tokens, train_l, ids, y_train.size, vocab, space)
-        x_test = _featurize_ids(tokens, test_l, ids, y_test.size, vocab, space)
-        model, _ = train_logreg(
-            x_train, y_train, config, vocab=vocab, feature_space=space
+        scores = _heldout_scores(
+            tokens, ids, train_l, test_l, y[train], test.size, space, min_df, config
         )
-        scores = model.decision_function(x_test)
-        m_scores, h_scores = _class_scores(scores, y_test)
-        rows.append(
-            PrefixRow(length=length, test_auroc=roc_from_scores(m_scores, h_scores).auroc)
-        )
+        rows.append(PrefixRow(length=length, test_auroc=_auroc(scores, y[test])))
     return rows
 
 
@@ -397,51 +410,37 @@ def pairwise_auroc(
 ) -> list[PairwiseRow]:
     """Detection accuracy when each decision pools k same-class documents.
 
-    Train and test splits are augmented separately (tuples never cross the
-    split), a tuple's feature vector is the sum of its members' vectors, and
-    the vocabulary comes from the training documents alone.
+    One model is trained on the split's training documents, exactly as for
+    the full-length :func:`auroc_vs_prefix_length` row, and scores every test
+    document once.  For each k the test documents are pooled into tuples
+    with :func:`pairwise_augment` by role (human or machine, whatever label
+    a document carries), so tuples never cross the split or the roles, and
+    a tuple's score is the sum of its members' decision values: the
+    multi-sample log-likelihood-ratio rule.  The k = 1 row is the unpooled
+    test AUROC.
     """
     ks = _check_ints("k_values", k_values)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     docs = [*human_docs, *machine_docs]
-    train_docs = [docs[i] for i in train]
-    test_docs = [docs[i] for i in test]
     tokens, ids, lens = _encode(docs)
+    y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    vocab = _vocab_from_ids(tokens, train_rows, ids, train.size, min_df)
-    x_train = _featurize_ids(tokens, train_rows, ids, train.size, vocab, space)
-    x_test = _featurize_ids(tokens, test_rows, ids, test.size, vocab, space)
+    scores = _heldout_scores(
+        tokens, ids, train_rows, test_rows, y[train], test.size, space, min_df, config
+    )
+    # the model was trained on roles, so the tuples pool by role too
+    roles = [Label.HUMAN] * len(human_docs) + [Label.MACHINE] * len(machine_docs)
+    test_docs = [replace(docs[i], label=roles[i]) for i in test]
+    score = dict(zip(map(id, test_docs), scores))
+    # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;
+    # the even seeds go unused, which keeps each k's tuples fixed
     aug_seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
         2 * len(ks)
     )
     rows = []
     for j, k in enumerate(ks):
-        row_scores = []
-        for side, (docs_side, x_side) in enumerate(
-            ((train_docs, x_train), (test_docs, x_test))
-        ):
-            tuples = pairwise_augment(docs_side, k, seed=int(aug_seeds[2 * j + side]))
-            row_index = {id(doc): r for r, doc in enumerate(docs_side)}
-            sel_rows = []
-            sel_cols = []
-            for t_idx, members in enumerate(tuples):
-                for doc in members:
-                    sel_rows.append(t_idx)
-                    sel_cols.append(row_index[id(doc)])
-            selector = sp.csr_matrix(
-                (np.ones(len(sel_rows)), (sel_rows, sel_cols)),
-                shape=(len(tuples), len(docs_side)),
-            )
-            x_tuples = selector @ x_side
-            y_tuples = np.array(
-                [1.0 if t[0].label is Label.MACHINE else 0.0 for t in tuples]
-            )
-            row_scores.append((x_tuples, y_tuples))
-        (x_tr, y_tr), (x_te, y_te) = row_scores
-        model, _ = train_logreg(x_tr, y_tr, config, vocab=vocab, feature_space=space)
-        scores = model.decision_function(x_te)
-        m_scores, h_scores = _class_scores(scores, y_te)
-        rows.append(
-            PairwiseRow(k=k, test_auroc=roc_from_scores(m_scores, h_scores).auroc)
-        )
+        tuples = pairwise_augment(test_docs, k, seed=int(aug_seeds[2 * j + 1]))
+        # tuple t is anchored on test document t, so it carries that label
+        pooled = np.array([sum(score[id(doc)] for doc in t) for t in tuples])
+        rows.append(PairwiseRow(k=k, test_auroc=_auroc(pooled, y[test])))
     return rows

@@ -448,6 +448,21 @@ class TestFlagSurface:
         assert f"corpus {mode} does not take {flag}" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--l2", "nan", "l2"), ("--l2", "inf", "l2"), ("--lr", "inf", "learning_rate")],
+    )
+    def test_non_finite_training_settings_name_the_field(
+        self, capsys, corpus_files, flag, value, field
+    ):
+        hp, mp = corpus_files
+        code, out, err = run(
+            capsys, "corpus", "pairwise", "--human", hp, "--machine", mp, flag, value
+        )
+        assert code == 1
+        assert f"{field} must be" in err and f"got {value}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
     def test_corpus_negative_seed_names_the_flag(self, capsys, corpus_files, mode):
         hp, mp = corpus_files

@@ -18,9 +18,12 @@ from detectability import (
     featurize,
     pairwise_augment,
     pairwise_auroc,
+    roc_from_scores,
+    tokenize,
     train_logreg,
 )
-from detectability.textlab import _logreg_loss
+from detectability import textlab
+from detectability.textlab import _AUGMENT_SALT, _logreg_loss, _stratified_split
 
 from _synth import count_csr_reference, rand_pair, unigram_docs, vocab_reference
 
@@ -190,7 +193,6 @@ class TestTrainLogreg:
         x = featurize(docs, v)
         model, _ = train_logreg(x, labels, vocab=v)
         assert set(model.weights) == {"apple", "banana", "cherry"}
-        assert model.feature_space == "tfidf"
         np.testing.assert_allclose(
             model.weight_vector(), [model.weights[t] for t in v.tokens]
         )
@@ -231,6 +233,20 @@ class TestTrainLogreg:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(l2=-1.0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            TrainConfig(**{field: value})
+
+    def test_nan_loss_raises(self):
+        # the first step overflows x . w; the loss turns NaN, which no
+        # "increased by more than the slack" comparison catches
+        x = np.array([[1e308], [1.0], [2.0], [-1e308]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=r"epoch 1 \(0\.69\d+ -> nan\)"):
+                train_logreg(x, np.array([1, 0, 1, 0]))
 
 
 class TestPairwiseAugment:
@@ -345,6 +361,62 @@ class TestPairwiseStudy:
         a = pairwise_auroc(h, m, k_values=(1, 2), seed=4)
         b = pairwise_auroc(h, m, k_values=(1, 2), seed=4)
         assert a == b
+
+    def test_trains_one_model_for_all_k(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_logreg(*args, **kwargs)
+
+        monkeypatch.setattr(textlab, "train_logreg", counting)
+        h, m = drifted_corpora(seed=37)
+        rows = pairwise_auroc(h, m, k_values=(1, 2, 4, 8), seed=2)
+        assert [r.k for r in rows] == [1, 2, 4, 8]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("space", ["tfidf", "counts"])
+    def test_k1_row_is_the_full_length_prefix_row(self, space):
+        h, m = drifted_corpora(seed=38, n_docs=40)
+        longest = max(len(tokenize(d.text)) for d in h + m)
+        cfg = TrainConfig(learning_rate=0.01, epochs=100)
+        (row,) = pairwise_auroc(h, m, k_values=(1,), seed=6, space=space, config=cfg)
+        for length in (longest, 10 * longest):
+            (ref,) = auroc_vs_prefix_length(
+                h, m, [length], seed=6, space=space, config=cfg
+            )
+            assert row.test_auroc == ref.test_auroc
+
+    def test_rows_pool_summed_member_scores(self):
+        # reference: the public pipeline on the same split, each test
+        # document scored once, a tuple scored by its members' sum
+        h, m = drifted_corpora(seed=39, n_docs=50)
+        ks, seed = (1, 2, 3, 5), 7
+        rows = pairwise_auroc(h, m, k_values=ks, seed=seed)
+        docs = h + m
+        train, test = _stratified_split(len(h), len(m), 0.7, seed)
+        train_docs = [docs[i] for i in train]
+        test_docs = [docs[i] for i in test]
+        vocab = build_vocab(train_docs, min_df=2)
+        y_train = [int(d.label is Label.MACHINE) for d in train_docs]
+        model, _ = train_logreg(featurize(train_docs, vocab), y_train, vocab=vocab)
+        test_scores = model.decision_function(featurize(test_docs, vocab))
+        score = {id(d): s for d, s in zip(test_docs, test_scores)}
+        seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
+            2 * len(ks)
+        )
+        for j, (k, row) in enumerate(zip(ks, rows)):
+            tuples = pairwise_augment(test_docs, k, seed=int(seeds[2 * j + 1]))
+            pooled = np.array([sum(score[id(d)] for d in t) for t in tuples])
+            is_m = np.array([t[0].label is Label.MACHINE for t in tuples])
+            assert row.k == k
+            assert row.test_auroc == roc_from_scores(pooled[is_m], pooled[~is_m]).auroc
+
+    def test_tuples_pool_by_role_not_by_document_label(self):
+        h, m = drifted_corpora(seed=40, n_docs=30)
+        relabeled = [Document(id=d.id, text=d.text, label=Label.MACHINE) for d in h]
+        rows = pairwise_auroc(h, m, k_values=(1, 2, 4), seed=8)
+        assert pairwise_auroc(relabeled, m, k_values=(1, 2, 4), seed=8) == rows
 
     def test_k_values_validation(self):
         h, m = drifted_corpora(n_docs=8)
