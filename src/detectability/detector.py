@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distributions import Categorical, _check_same_support
 
@@ -155,18 +154,22 @@ def roc_from_scores(
     if np.isnan(ms).any() or np.isnan(hs).any():
         raise ValueError("scores must not contain NaN")
 
-    combined = np.concatenate([ms, hs])
-    ranks = rankdata(combined, method="average")
-    r_m = float(ranks[: ms.size].sum())
+    # One sort groups equal scores; group i's average rank is the exact
+    # half-integer cumsum_i - (count_i - 1)/2, and its below-threshold counts
+    # are the cumulative per-group counts of the groups before it.
+    _, group, count = np.unique(
+        np.concatenate([ms, hs]), return_inverse=True, return_counts=True
+    )
+    m_count = np.bincount(group[: ms.size], minlength=count.size)
+    h_count = count - m_count
+    rank = np.cumsum(count) - (count - 1) / 2.0
+    r_m = float((m_count * rank).sum())  # half-integers below 2**52: exact
     u = r_m - ms.size * (ms.size + 1) / 2.0
     auroc = u / (ms.size * hs.size)
 
     # Threshold sweep, descending; prepend the empty decision rule (0, 0).
-    thresholds = np.unique(combined)[::-1]
-    ms_sorted = np.sort(ms)
-    hs_sorted = np.sort(hs)
-    tpr = 1.0 - np.searchsorted(ms_sorted, thresholds, side="left") / ms.size
-    fpr = 1.0 - np.searchsorted(hs_sorted, thresholds, side="left") / hs.size
+    tpr = 1.0 - (np.cumsum(m_count) - m_count)[::-1] / ms.size
+    fpr = 1.0 - (np.cumsum(h_count) - h_count)[::-1] / hs.size
     fprs = np.concatenate([[0.0], fpr])
     tprs = np.concatenate([[0.0], tpr])
 

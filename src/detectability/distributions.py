@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import _check_int
 
@@ -42,6 +41,7 @@ PROB_SUM_TOL = 1e-12
 BRUTEFORCE_MAX_SUPPORT = 20
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
+_ALPHA_TOL = 1e-8  # golden-section bracket width for chernoff_information
 
 
 class DimensionError(ValueError):
@@ -206,9 +206,23 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def chernoff_information(
-    p: Categorical, q: Categorical, *, alpha_tol: float = 1e-8
-) -> float:
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` for a nonempty finite float64 vector.
+
+    The maximum terms are separated out of the shifted sum (Blanchard, Higham
+    & Higham 2021, doi:10.1093/imanum/draa038), in the same operations as
+    ``scipy.special.logsumexp``, so the two agree bit for bit.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    if s != 0.0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
+def chernoff_information(p: Categorical, q: Categorical) -> float:
     """Chernoff information ``-log min_a sum_s p(s)^a q(s)^(1-a)``.
 
     The coefficient is evaluated in log space over the common support (terms
@@ -236,9 +250,9 @@ def chernoff_information(
     lq = q.log_probs()[common]
 
     def log_coeff(alpha: float) -> float:
-        return float(logsumexp(alpha * lp + (1.0 - alpha) * lq))
+        return _logsumexp(alpha * lp + (1.0 - alpha) * lq)
 
-    alpha_star = _golden_section_min(log_coeff, 0.0, 1.0, alpha_tol)
+    alpha_star = _golden_section_min(log_coeff, 0.0, 1.0, _ALPHA_TOL)
     value = -min(log_coeff(alpha_star), log_coeff(0.0), log_coeff(1.0))
     return max(0.0, value)
 

@@ -319,8 +319,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     seeded chunk at a time (see the module docstring), score each chunk with
     :func:`log_likelihood_ratio` against the true pair -- dependent runs are
     still scored with the product-form likelihood -- and compute the
-    empirical AUROC of the two score samples.  Scores are sorted before the
-    ROC pass so the row does not depend on trial completion order.
+    empirical AUROC of the two score samples.
 
     Each row also carries the exact AUROC ceiling (when ``support**n`` fits
     the enumeration budget) and the Chernoff trend value.
@@ -347,7 +346,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 else:
                     counts = sample_noniid(dist, dep_n, size, rng)
                 scores[lo : lo + size] = log_likelihood_ratio(config.m, config.h, counts)
-            scores.sort()
             per_class.append(scores)
         curve = roc_from_scores(per_class[_MACHINE], per_class[_HUMAN])
         rows.append(

@@ -65,6 +65,11 @@ class TestTvCommand:
         assert float(rows[0]["tv"]) == pytest.approx(0.1, abs=1e-12)
         assert float(rows[0]["auroc_upper"]) == pytest.approx(0.595, abs=1e-12)
 
+    def test_chernoff_cell_is_pinned(self, capsys, bern_pair):
+        # the exact float the scipy logsumexp implementation printed
+        _, out, _ = run(capsys, "tv", *bern_pair)
+        assert parse_csv(out)[1][0]["chernoff_information"] == "0.005076770485344606"
+
     def test_json_output_with_infinity(self, capsys, tmp_path):
         mp = dist_file(tmp_path, "m.json", [1, 0])
         hp = dist_file(tmp_path, "h.json", [0, 1])

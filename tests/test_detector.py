@@ -1,9 +1,13 @@
 """Likelihood-ratio scoring and empirical ROC assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from detectability import (
     Categorical,
@@ -13,6 +17,7 @@ from detectability import (
     product_tv_exact,
     roc_from_scores,
 )
+from detectability.detector import AUROC_CONSISTENCY_TOL
 
 from _synth import product_masses, rand_pair
 
@@ -33,6 +38,32 @@ class TestLogLikelihoodRatio:
         whole = log_likelihood_ratio(m, h, xs)
         parts = log_likelihood_ratio(m, h, xs[:7]) + log_likelihood_ratio(m, h, xs[7:])
         assert whole == pytest.approx(parts, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_additive_over_summed_count_vectors(self, seed, k):
+        # zero masses included, so +-inf and the warned tie are exercised
+        rng = np.random.default_rng(seed)
+        m, h = rand_pair(rng, k, zero_frac=0.3)
+        a = rng.integers(0, 4, size=k)
+        b = rng.integers(0, 4, size=k)
+        a[rng.integers(k)] += 1
+        b[rng.integers(k)] += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                whole = log_likelihood_ratio(m, h, (a + b)[None, :])[0]
+                parts = log_likelihood_ratio(m, h, np.stack([a, b])).sum()
+            except ValueError:  # a set whose every sample has zero mass under both
+                assume(False)
+        only_m = (a + b)[(m.probs > 0) & (h.probs == 0)].any()
+        only_h = (a + b)[(m.probs == 0) & (h.probs > 0)].any()
+        if only_m and only_h:
+            assert whole == 0.0  # certain for both sides: the tie convention
+        elif only_m or only_h:
+            assert whole == parts == (math.inf if only_m else -math.inf)
+        else:
+            assert whole == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
     def test_machine_only_zero_mass_is_plus_inf(self):
         m = Categorical([0.5, 0.5, 0.0])
@@ -153,6 +184,29 @@ def mann_whitney_auroc(machine, human):
     return float(wins) / (m.size * h.size)
 
 
+def searchsorted_roc(machine, human):
+    """The rankdata plus searchsorted ROC that ``roc_from_scores`` replaced."""
+    ms = np.asarray(machine, dtype=np.float64)
+    hs = np.asarray(human, dtype=np.float64)
+    combined = np.concatenate([ms, hs])
+    r_m = float(rankdata(combined, method="average")[: ms.size].sum())
+    auroc = (r_m - ms.size * (ms.size + 1) / 2.0) / (ms.size * hs.size)
+    thresholds = np.unique(combined)[::-1]
+    tpr = 1.0 - np.searchsorted(np.sort(ms), thresholds, side="left") / ms.size
+    fpr = 1.0 - np.searchsorted(np.sort(hs), thresholds, side="left") / hs.size
+    fprs = np.concatenate([[0.0], fpr])
+    tprs = np.concatenate([[0.0], tpr])
+    return tuple(zip(fprs.tolist(), tprs.tolist())), float(auroc)
+
+
+EDGE_SCORES = [-math.inf, math.inf, -0.0, 0.0, 1.5, -2.25, 3.0]
+scores_with_ties = st.lists(
+    st.sampled_from(EDGE_SCORES) | st.floats(-4, 4, allow_nan=False),
+    min_size=1,
+    max_size=40,
+)
+
+
 class TestRocFromScores:
     def test_hand_example(self):
         # machine {1, 2}, human {0, 1}: wins 3.5 of 4
@@ -193,6 +247,45 @@ class TestRocFromScores:
     def test_handles_infinite_scores(self):
         roc = roc_from_scores([math.inf, 1.0], [-math.inf, 1.0])
         assert roc.auroc == pytest.approx(mann_whitney_auroc([math.inf, 1.0], [-math.inf, 1.0]))
+
+    def test_equals_searchsorted_oracle(self):
+        rng = np.random.default_rng(14)
+        pool = np.array(EDGE_SCORES)
+        for trial in range(1200):
+            nm, nh = (int(x) for x in rng.integers(1, 60, size=2))
+            if trial % 3 == 0:
+                m, h = rng.choice(pool, nm), rng.choice(pool, nh)
+            elif trial % 3 == 1:
+                m = rng.integers(-3, 4, nm).astype(float)
+                h = rng.integers(-3, 4, nh).astype(float)
+                m[rng.random(nm) < 0.1] = math.inf
+                h[rng.random(nh) < 0.1] = -math.inf
+            else:
+                m, h = rng.normal(1, 1, nm), rng.normal(0, 1, nh)
+            roc = roc_from_scores(m, h)
+            assert (roc.points, roc.auroc) == searchsorted_roc(m, h)
+
+    def test_shuffled_scores_give_the_same_curve(self):
+        # many tied LLR scores, as simulate produces them
+        rng = np.random.default_rng(15)
+        m_counts = rng.multinomial(300, BERN_6.probs, size=20_000)
+        h_counts = rng.multinomial(300, BERN_5.probs, size=20_000)
+        m = log_likelihood_ratio(BERN_6, BERN_5, m_counts)
+        h = log_likelihood_ratio(BERN_6, BERN_5, h_counts)
+        ordered = roc_from_scores(np.sort(m), np.sort(h))
+        for _ in range(3):
+            shuffled = roc_from_scores(rng.permutation(m), rng.permutation(h))
+            assert shuffled.auroc == ordered.auroc
+            assert shuffled.points == ordered.points
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores_with_ties, scores_with_ties)
+    def test_rank_auroc_is_trapezoid_area_in_unit_interval(self, m, h):
+        roc = roc_from_scores(m, h)
+        fprs, tprs = zip(*roc.points)
+        area = float(np.trapezoid(tprs, fprs))
+        assert abs(area - roc.auroc) <= AUROC_CONSISTENCY_TOL
+        assert 0.0 <= roc.auroc <= 1.0
 
     def test_rejects_empty_or_nan(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from detectability import (
     BudgetError,
@@ -17,6 +18,8 @@ from detectability import (
     product_tv_exact,
     tv_distance,
 )
+
+from detectability.distributions import _logsumexp
 
 from _synth import product_masses, rand_pair
 
@@ -123,12 +126,25 @@ class TestTvDistance:
             assert tv == tv_distance(q, p)
             assert 0.0 <= tv <= 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_pairs())
+    def test_symmetry_and_range_property(self, case):
+        p, q, _ = case
+        tv = tv_distance(p, q)
+        assert tv == tv_distance(q, p)
+        assert 0.0 <= tv <= 1.0
+
 
 class TestChernoffInformation:
     def test_grid_oracle_regression(self):
         assert chernoff_information(BERN_6, BERN_5) == pytest.approx(
             CHERNOFF_BERN_6_VS_5, abs=1e-12
         )
+
+    def test_pinned_to_scipy_logsumexp_value(self):
+        # the exact float the search returned with scipy.special.logsumexp;
+        # the tv command's pinned cell covers the same pair read from files
+        assert chernoff_information(BERN_6, BERN_5) == 0.005076770485344606
 
     def test_oracle_reproduces_frozen_constant(self):
         assert chernoff_grid_oracle(BERN_6, BERN_5) == pytest.approx(
@@ -159,6 +175,32 @@ class TestChernoffInformation:
             assert a == pytest.approx(b, abs=1e-10)
             assert a == pytest.approx(chernoff_grid_oracle(p, q, 1e-4), abs=1e-7)
             assert a >= 0.0
+
+
+class TestLogsumexp:
+    """``_logsumexp`` does scipy's operations, so it must match bit for bit."""
+
+    def test_matches_scipy_on_random_vectors(self):
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            scale = float(rng.choice([1e-3, 1.0, 30.0, 800.0]))
+            a = rng.normal(scale=scale, size=int(rng.integers(1, 40)))
+            assert _logsumexp(a) == float(logsumexp(a))
+
+    def test_matches_scipy_on_tied_maxima(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            a = np.round(rng.normal(scale=3.0, size=int(rng.integers(2, 40))))
+            a[rng.integers(0, a.size, size=int(rng.integers(1, a.size + 1)))] = a.max()
+            assert _logsumexp(a) == float(logsumexp(a))
+        for a in ([0.0, 0.0], [-5.0] * 7, [700.0, 700.0, -700.0]):
+            a = np.array(a)
+            assert _logsumexp(a) == float(logsumexp(a))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.5, -745.0, 709.0, -1e300])
+    def test_length_one_is_the_entry(self, x):
+        a = np.array([x])
+        assert _logsumexp(a) == float(logsumexp(a)) == x
 
 
 class TestProductTvExact:

@@ -2,11 +2,15 @@
 
 The benchmark tracer finds the functions it times through each module's
 ``__all__``; a per-layer metric whose function was renamed, deleted or
-dropped from ``__all__`` is silently never computed.
+dropped from ``__all__`` is silently never computed.  The CLI's import graph
+is surface too: every invocation pays for what ``detectability.cli`` loads.
 """
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,13 @@ def test_every_exported_name_exists(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats alone took about 0.6 s of the CLI's start-up
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, detectability.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
