@@ -14,119 +14,22 @@ Everything exact lives on categorical distributions; everything empirical is
 seeded and reproducible.
 """
 
-from .bounds import (
-    BoundCurvePoint,
-    DependenceSpec,
-    auroc_upper,
-    auroc_vs_n_curve,
-    roc_upper_curve,
-    sample_complexity_iid,
-    sample_complexity_noniid,
-    tv_tensor_chernoff,
-    tv_tensor_lower,
-)
-from .corpus import (
-    CorpusParseError,
-    Document,
-    NGramTable,
-    OrderRow,
-    best_auroc_by_order,
-    load_jsonl,
-    ngram_table,
-    tokenize,
-    tv_between_corpora,
-)
-from .detector import (
-    Label,
-    RocCurve,
-    log_likelihood_ratio,
-    roc_from_scores,
-)
-from .distributions import (
-    BudgetError,
-    Categorical,
-    DimensionError,
-    MinErrorResult,
-    chernoff_information,
-    min_error_bruteforce,
-    product_tv_exact,
-    tv_distance,
-)
-from .simulate import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRow,
-    rescale_blocks,
-    run_experiment,
-    sample_iid,
-    sample_noniid,
-    trial_rng,
-)
-from .textlab import (
-    LinearModel,
-    PairwiseRow,
-    PrefixRow,
-    TrainConfig,
-    Vocabulary,
-    auroc_vs_prefix_length,
-    build_vocab,
-    featurize,
-    pairwise_auroc,
-    pairwise_augment,
-    train_logreg,
-)
+from . import bounds, corpus, detector, distributions, simulate, textlab
+from .bounds import *
+from .corpus import *
+from .detector import *
+from .distributions import *
+from .simulate import *
+from .textlab import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCurvePoint",
-    "BudgetError",
-    "Categorical",
-    "CorpusParseError",
-    "DependenceSpec",
-    "DimensionError",
-    "Document",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentRow",
-    "Label",
-    "LinearModel",
-    "MinErrorResult",
-    "NGramTable",
-    "OrderRow",
-    "PairwiseRow",
-    "PrefixRow",
-    "RocCurve",
-    "TrainConfig",
-    "Vocabulary",
-    "auroc_upper",
-    "auroc_vs_n_curve",
-    "auroc_vs_prefix_length",
-    "best_auroc_by_order",
-    "build_vocab",
-    "chernoff_information",
-    "featurize",
-    "load_jsonl",
-    "log_likelihood_ratio",
-    "min_error_bruteforce",
-    "ngram_table",
-    "pairwise_auroc",
-    "pairwise_augment",
-    "product_tv_exact",
-    "rescale_blocks",
-    "roc_from_scores",
-    "roc_upper_curve",
-    "run_experiment",
-    "sample_complexity_iid",
-    "sample_complexity_noniid",
-    "sample_iid",
-    "sample_noniid",
-    "tokenize",
-    "train_logreg",
-    "trial_rng",
-    "tv_between_corpora",
-    "tv_distance",
-    "tv_tensor_chernoff",
-    "tv_tensor_lower",
+    *bounds.__all__,
+    *corpus.__all__,
+    *detector.__all__,
+    *distributions.__all__,
+    *simulate.__all__,
+    *textlab.__all__,
     "__version__",
 ]

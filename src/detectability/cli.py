@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -77,10 +78,25 @@ def _load_json_file(path: str) -> Any:
         ) from None
 
 
+def _check_numbers(where: str, values: list) -> None:
+    """Each element must be a JSON number: an int or float, not a bool.
+
+    ``Categorical`` and ``DependenceSpec`` would read ``"0.5"`` as 0.5 and
+    ``true`` as 1.0, so the error names ``where`` and the element instead.
+    """
+    for i, v in enumerate(values, start=1):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise UsageError(
+                f"{where}: element {i} of {len(values)} must be a number, "
+                f"got {json.dumps(v)}"
+            )
+
+
 def _load_distribution(path: str) -> Categorical:
     data = _load_json_file(path)
     if not isinstance(data, list):
         raise UsageError(f"{path}: expected a JSON array of probabilities")
+    _check_numbers(path, data)
     try:
         return Categorical(data)
     except (TypeError, ValueError) as exc:
@@ -95,6 +111,7 @@ def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
         isinstance(b, list) and len(b) == 2 for b in blocks
     ):
         raise UsageError(f"{where}: field 'blocks' must be a list of [c, rho] pairs")
+    _check_numbers(f"{where}: field 'blocks' rho", [rho for _, rho in blocks])
     try:
         return DependenceSpec(blocks)
     except (TypeError, ValueError) as exc:
@@ -112,6 +129,15 @@ def _cell(v: Any) -> str:
     if v is None:
         return ""
     return repr(v) if isinstance(v, float) else str(v)
+
+
+def _table(rows: Sequence[Any]) -> tuple[list[str], list[dict]]:
+    """Columns (one per field, in order) and dict rows of flat row dataclasses.
+
+    Read by ``getattr``: ``asdict`` would deep-copy every value.
+    """
+    columns = [f.name for f in fields(rows[0])]
+    return columns, [{c: getattr(r, c) for c in columns} for r in rows]
 
 
 def _render(
@@ -160,10 +186,6 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
-
-
 # The flags each corpus mode reads, with their defaults.  They default to
 # None on the parser, so a flag given to a mode that does not read it shows.
 _TRAIN_FLAGS = {
@@ -181,6 +203,11 @@ _CORPUS_MODES = {
     "pairwise": {"k_values": "1,2", **_TRAIN_FLAGS},
 }
 _CORPUS_FLAGS = ("orders", "lengths", "k_values", *_TRAIN_FLAGS)
+# The trained modes: their study and the dest of the list flag it sweeps.
+_STUDIES = {
+    "train-ablate": (auroc_vs_prefix_length, "lengths"),
+    "pairwise": (pairwise_auroc, "k_values"),
+}
 
 
 def _resolve_corpus_flags(args: argparse.Namespace) -> None:
@@ -215,55 +242,30 @@ def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     config = {"command": "bounds", "delta": args.delta, "epsilon": args.epsilon}
-    rows = []
-    n_iid = sample_complexity_iid(args.delta, args.epsilon)
-    point = auroc_vs_n_curve(args.delta, [n_iid])[0]
-    rows.append(
-        {
-            "kind": "iid",
-            "alpha": 0.0,
-            "n": point.n,
-            "tv_lower": point.tv_lower,
-            "auroc_upper": point.auroc_upper,
-        }
-    )
+    sizes = [("iid", 0.0, sample_complexity_iid(args.delta, args.epsilon))]
     if args.dependence is not None:
         dep = _parse_dependence(_load_json_file(args.dependence), args.dependence)
         config["dependence"] = {"blocks": [[c, r] for c, r in dep.blocks]}
         n_dep = sample_complexity_noniid(args.delta, args.epsilon, dep)
-        point = auroc_vs_n_curve(args.delta, [n_dep])[0]
-        rows.append(
-            {
-                "kind": "noniid",
-                "alpha": dep.alpha,
-                "n": point.n,
-                "tv_lower": point.tv_lower,
-                "auroc_upper": point.auroc_upper,
-            }
-        )
+        sizes.append(("noniid", dep.alpha, n_dep))
+    rows = [
+        {"kind": kind, "alpha": alpha, **asdict(auroc_vs_n_curve(args.delta, [n])[0])}
+        for kind, alpha, n in sizes
+    ]
     return ["kind", "alpha", "n", "tv_lower", "auroc_upper"], rows, config
 
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     n_values = _parse_int_list(args.n_list, "--n-list")
     config = {"command": "curve", "delta": args.delta, "n_values": n_values}
-    rows: list[dict] = []
     points = auroc_vs_n_curve(args.delta, n_values)
-    for pt in points:
-        rows.append(
-            {
-                "kind": "bound",
-                "n": pt.n,
-                "tv_lower": pt.tv_lower,
-                "auroc_upper": pt.auroc_upper,
-            }
-        )
     grid = [i / 100 for i in range(101)]
-    for pt in points:
-        for fpr, tpr in roc_upper_curve(pt.tv_lower, grid):
-            rows.append({"kind": "roc", "n": pt.n, "fpr": fpr, "tpr": tpr})
-    columns = ["kind", "n", "tv_lower", "auroc_upper", "fpr", "tpr"]
-    return columns, rows, config
+    rows = [{"kind": "bound", **asdict(pt)} for pt in points] + [
+        {"kind": "roc", "n": pt.n, "fpr": fpr, "tpr": tpr}
+        for pt in points
+        for fpr, tpr in roc_upper_curve(pt.tv_lower, grid)
+    ]
+    return ["kind", "n", "tv_lower", "auroc_upper", "fpr", "tpr"], rows, config
 
 
 def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -276,6 +278,8 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
     for fieldname in ("m", "h", "n_values"):
         if not isinstance(data[fieldname], list):
             raise UsageError(f"{path}: field '{fieldname}' must be a list")
+    for fieldname in ("m", "h"):
+        _check_numbers(f"{path}: field '{fieldname}'", data[fieldname])
     dep = None
     if data.get("dependence") is not None:
         dep = _parse_dependence(data["dependence"], f"{path}: field 'dependence'")
@@ -295,24 +299,7 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     config = _simulate_config(args.config, args.seed)
-    result = run_experiment(config)
-    rows = [
-        {
-            "n": r.n,
-            "empirical_auroc": r.empirical_auroc,
-            "auroc_upper_exact": r.auroc_upper_exact,
-            "auroc_upper_chernoff": r.auroc_upper_chernoff,
-            "wall_time_seconds": r.wall_time_seconds,
-        }
-        for r in result.rows
-    ]
-    columns = [
-        "n",
-        "empirical_auroc",
-        "auroc_upper_exact",
-        "auroc_upper_chernoff",
-        "wall_time_seconds",
-    ]
+    columns, rows = _table(run_experiment(config).rows)
     echo = {
         "command": "simulate",
         "m": [float(x) for x in config.m.probs],
@@ -342,7 +329,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     _resolve_corpus_flags(args)
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
-    base = {
+    config = {
         "command": f"corpus {args.mode}",
         "human": args.human,
         "machine": args.machine,
@@ -350,62 +337,31 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     }
     if args.mode == "tv-by-order":
         orders = _parse_int_list(args.orders, "--orders")
-        config = base | {"orders": orders}
-        rows = [
-            {
-                "order": r.order,
-                "tv": r.tv,
-                "auroc_upper": r.auroc_upper,
-                "support_overlap": r.support_overlap,
-            }
-            for r in best_auroc_by_order(human, machine, orders)
-        ]
-        return ["order", "tv", "auroc_upper", "support_overlap"], rows, config
-    train_cfg = _train_config(args)
-    train_echo = {
+        config["orders"] = orders
+        return *_table(best_auroc_by_order(human, machine, orders)), config
+    study, dest = _STUDIES[args.mode]
+    # before the list flag: a bad --lr is reported ahead of a bad list
+    train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
+    values = _parse_int_list(getattr(args, dest), "--" + dest.replace("_", "-"))
+    config |= {
         "train_frac": args.train_frac,
         "space": args.space,
         "min_df": args.min_df,
-        "learning_rate": train_cfg.learning_rate,
-        "epochs": train_cfg.epochs,
-        "l2": train_cfg.l2,
+        **asdict(train_cfg),
         "seed": args.seed,
+        dest: values,
     }
-    if args.mode == "train-ablate":
-        lengths = _parse_int_list(args.lengths, "--lengths")
-        config = base | train_echo | {"lengths": lengths}
-        rows = [
-            {"length": r.length, "test_auroc": r.test_auroc}
-            for r in auroc_vs_prefix_length(
-                human,
-                machine,
-                lengths,
-                train_frac=args.train_frac,
-                seed=args.seed,
-                space=args.space,
-                min_df=args.min_df,
-                config=train_cfg,
-            )
-        ]
-        return ["length", "test_auroc"], rows, config
-    if args.mode == "pairwise":
-        k_values = _parse_int_list(args.k_values, "--k-values")
-        config = base | train_echo | {"k_values": k_values}
-        rows = [
-            {"k": r.k, "test_auroc": r.test_auroc}
-            for r in pairwise_auroc(
-                human,
-                machine,
-                k_values,
-                train_frac=args.train_frac,
-                seed=args.seed,
-                space=args.space,
-                min_df=args.min_df,
-                config=train_cfg,
-            )
-        ]
-        return ["k", "test_auroc"], rows, config
-    raise UsageError(f"unknown corpus mode {args.mode!r}")  # pragma: no cover
+    rows = study(
+        human,
+        machine,
+        values,
+        train_frac=args.train_frac,
+        seed=args.seed,
+        space=args.space,
+        min_df=args.min_df,
+        config=train_cfg,
+    )
+    return *_table(rows), config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -67,7 +67,7 @@ class Categorical:
     Instances are immutable; the stored array is marked read-only.
     """
 
-    __slots__ = ("probs", "_log_probs_cache", "_cdf_cache")
+    __slots__ = ("probs", "_log_probs_cache")
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
         arr = np.asarray(probs, dtype=np.float64)
@@ -86,7 +86,6 @@ class Categorical:
         arr.setflags(write=False)
         self.probs = arr
         self._log_probs_cache: np.ndarray | None = None
-        self._cdf_cache: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Categorical({self.probs.tolist()!r})"
@@ -116,14 +115,6 @@ class Categorical:
             lp.setflags(write=False)
             self._log_probs_cache = lp
         return self._log_probs_cache
-
-    def cdf(self) -> np.ndarray:
-        """Cumulative mass function, used for inverse-CDF sampling."""
-        if self._cdf_cache is None:
-            c = np.cumsum(self.probs)
-            c.setflags(write=False)
-            self._cdf_cache = c
-        return self._cdf_cache
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Categorical):

@@ -263,7 +263,7 @@ def _sample_copy(
     offset = np.arange(n) - start
 
     u = rng.random((3, trials, n))
-    vals = np.searchsorted(dist.cdf(), u[0], side="right")
+    vals = np.searchsorted(np.cumsum(dist.probs), u[0], side="right")
     # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
     np.minimum(vals, k - 1, out=vals)
     copies = u[1] < np.repeat(rho, c)

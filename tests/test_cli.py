@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from detectability import Label
 from detectability.cli import main
 
 from _synth import unigram_docs, write_jsonl
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -107,6 +112,22 @@ class TestTvCommand:
         assert code == 1
         assert err
 
+    def test_string_probabilities_exit_two(self, capsys, tmp_path):
+        mp = dist_file(tmp_path, "m.json", ["0.4", "0.6"])
+        hp = dist_file(tmp_path, "h.json", [0.5, 0.5])
+        code, out, err = run(capsys, "tv", mp, hp)
+        assert code == 2
+        assert out == ""
+        assert f'{mp}: element 1 of 2 must be a number, got "0.4"' in err
+
+    def test_boolean_probabilities_exit_two(self, capsys, tmp_path):
+        mp = dist_file(tmp_path, "m.json", [0.5, 0.5])
+        hp = dist_file(tmp_path, "h.json", [True, False])
+        code, out, err = run(capsys, "tv", mp, hp)
+        assert code == 2
+        assert out == ""
+        assert f"{hp}: element 1 of 2 must be a number, got true" in err
+
 
 class TestBoundsCommand:
     def test_iid_row(self, capsys):
@@ -166,6 +187,23 @@ class TestBoundsCommand:
             "--dependence", str(bad),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "rho, shown", [("0.5", '"0.5"'), (True, "true")], ids=["string", "bool"]
+    )
+    def test_non_number_rho_exit_two(self, capsys, tmp_path, rho, shown):
+        bad = tmp_path / "dep.json"
+        bad.write_text(json.dumps({"blocks": [[10, 0.5], [2, rho]]}))
+        code, out, err = run(
+            capsys,
+            "bounds", "--delta", "0.1", "--epsilon", "0.9",
+            "--dependence", str(bad),
+        )
+        assert code == 2
+        assert out == ""
+        assert (
+            f"{bad}: field 'blocks' rho: element 2 of 2 must be a number, got {shown}"
+        ) in err
 
 
 class TestCurveCommand:
@@ -272,6 +310,37 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert "blocks" in err and "2.9" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "m",
+                ["0.4", "0.6"],
+                "field 'm': element 1 of 2 must be a number, got \"0.4\"",
+            ),
+            ("h", [0.5, True], "field 'h': element 2 of 2 must be a number, got true"),
+            (
+                "dependence",
+                {"blocks": [[2, "0.5"]]},
+                "field 'dependence': field 'blocks' rho: "
+                "element 1 of 1 must be a number, got \"0.5\"",
+            ),
+            (
+                "dependence",
+                {"blocks": [[2, True]]},
+                "field 'dependence': field 'blocks' rho: "
+                "element 1 of 1 must be a number, got true",
+            ),
+        ],
+        ids=["m-string", "h-bool", "rho-string", "rho-bool"],
+    )
+    def test_non_number_element_exit_two(self, capsys, tmp_path, field, value, message):
+        cfg = self.write_config(tmp_path, **{field: value})
+        code, out, err = run(capsys, "simulate", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}: {message}" in err
 
     def test_dependence_block_in_config(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dependence={"blocks": [[2, 0.5]]})
@@ -468,6 +537,21 @@ class TestFlagSurface:
         assert f"{field} must be" in err and f"got {value}" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "mode, flag", [("train-ablate", "--lengths"), ("pairwise", "--k-values")]
+    )
+    def test_bad_learning_rate_is_reported_before_a_bad_list(
+        self, capsys, corpus_files, mode, flag
+    ):
+        hp, mp = corpus_files
+        code, out, err = run(
+            capsys, "corpus", mode, "--human", hp, "--machine", mp,
+            "--lr", "-5", flag, "3,1",
+        )
+        assert code == 1
+        assert "learning_rate must be" in err and "got -5.0" in err
+        assert out == ""
+
     @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
     def test_corpus_negative_seed_names_the_flag(self, capsys, corpus_files, mode):
         hp, mp = corpus_files
@@ -539,3 +623,90 @@ class TestOutputHandling:
     def test_unknown_subcommand_exit_two(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+
+# Each table's columns are its library row type's fields, so a renamed field
+# would rename a column; these literal lists pin every header.
+COLUMN_CONTRACT = [
+    (["tv", "{m}", "{h}"], ["tv", "chernoff_information", "auroc_upper"]),
+    (
+        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "{dep}"],
+        ["kind", "alpha", "n", "tv_lower", "auroc_upper"],
+    ),
+    (
+        ["curve", "--delta", "0.1", "--n-list", "1,2"],
+        ["kind", "n", "tv_lower", "auroc_upper", "fpr", "tpr"],
+    ),
+    (
+        ["simulate", "{sim}"],
+        [
+            "n",
+            "empirical_auroc",
+            "auroc_upper_exact",
+            "auroc_upper_chernoff",
+            "wall_time_seconds",
+        ],
+    ),
+    (
+        ["corpus", "tv-by-order", "--human", "{human}", "--machine", "{machine}"],
+        ["order", "tv", "auroc_upper", "support_overlap"],
+    ),
+    (
+        ["corpus", "train-ablate", "--human", "{human}", "--machine", "{machine}",
+         "--lengths", "5", "--epochs", "20"],
+        ["length", "test_auroc"],
+    ),
+    (
+        ["corpus", "pairwise", "--human", "{human}", "--machine", "{machine}",
+         "--epochs", "20"],
+        ["k", "test_auroc"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, columns", COLUMN_CONTRACT, ids=[" ".join(a[:2]) for a, _ in COLUMN_CONTRACT]
+)
+def test_column_contract(capsys, tmp_path, bern_pair, corpus_files, argv, columns):
+    dep = tmp_path / "dep.json"
+    dep.write_text(json.dumps({"blocks": [[10, 0.5]]}))
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps(
+        {"m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [1, 2], "trials_per_class": 20}
+    ))
+    paths = dict(
+        m=bern_pair[0], h=bern_pair[1], dep=str(dep), sim=str(sim),
+        human=corpus_files[0], machine=corpus_files[1],
+    )
+    argv = [a.format(**paths) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].split(",") == columns
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == sorted(columns) for row in rows)
+
+
+class TestEntryPoint:
+    """``python -m detectability`` runs ``cli.entry``: ``main``'s output and code."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "detectability", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    def test_prints_what_main_prints(self, capsys, bern_pair):
+        _, expected, _ = run(capsys, "tv", *bern_pair)
+        proc = self.run_module("tv", *bern_pair)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+        assert proc.stderr == ""
+
+    def test_bad_flag_exits_two(self, bern_pair):
+        proc = self.run_module("tv", *bern_pair, "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --seed 1" in proc.stderr
