@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -76,19 +77,24 @@ def _load_json_file(path: str) -> Any:
         raise UsageError(
             f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # say, bytes not UTF-8 or an int past the digit limit
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _check_numbers(where: str, values: list) -> None:
-    """Each element must be a JSON number: an int or float, not a bool.
+    """Each element must be a JSON number, not a bool, within the float range.
 
     ``Categorical`` and ``DependenceSpec`` would read ``"0.5"`` as 0.5 and
-    ``true`` as 1.0, so the error names ``where`` and the element instead.
+    ``true`` as 1.0, and overflow on an integer past the float range, so the
+    error names ``where`` and the element instead.
     """
     for i, v in enumerate(values, start=1):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        # int-float comparisons are exact, and false for NaN
+        if not (number and -sys.float_info.max <= v <= sys.float_info.max):
             raise UsageError(
-                f"{where}: element {i} of {len(values)} must be a number, "
-                f"got {json.dumps(v)}"
+                f"{where}: element {i} of {len(values)} must be a "
+                f"{'finite number' if number else 'number'}, got {json.dumps(v)}"
             )
 
 
@@ -111,6 +117,7 @@ def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
         isinstance(b, list) and len(b) == 2 for b in blocks
     ):
         raise UsageError(f"{where}: field 'blocks' must be a list of [c, rho] pairs")
+    _check_numbers(f"{where}: field 'blocks' block size", [c for c, _ in blocks])
     _check_numbers(f"{where}: field 'blocks' rho", [rho for _, rho in blocks])
     try:
         return DependenceSpec(blocks)
@@ -186,45 +193,14 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-# The flags each corpus mode reads, with their defaults.  They default to
-# None on the parser, so a flag given to a mode that does not read it shows.
-_TRAIN_FLAGS = {
-    "train_frac": 0.7,
-    "space": "tfidf",
-    "min_df": 2,
-    "lr": 0.1,
-    "epochs": 500,
-    "l2": 1e-4,
-    "seed": 0,
-}
+# Each corpus mode: its study, the list flag it sweeps, and that flag's
+# default.  A study is named, not held, so that the call goes through this
+# module's binding, which a tracer may have replaced.
 _CORPUS_MODES = {
-    "tv-by-order": {"orders": "1,2,3,4"},
-    "train-ablate": {"lengths": "5,10,20,50,100", **_TRAIN_FLAGS},
-    "pairwise": {"k_values": "1,2", **_TRAIN_FLAGS},
+    "tv-by-order": ("best_auroc_by_order", "--orders", "1,2,3,4"),
+    "train-ablate": ("auroc_vs_prefix_length", "--lengths", "5,10,20,50,100"),
+    "pairwise": ("pairwise_auroc", "--k-values", "1,2"),
 }
-_CORPUS_FLAGS = ("orders", "lengths", "k_values", *_TRAIN_FLAGS)
-# The trained modes: their study and the dest of the list flag it sweeps.
-_STUDIES = {
-    "train-ablate": (auroc_vs_prefix_length, "lengths"),
-    "pairwise": (pairwise_auroc, "k_values"),
-}
-
-
-def _resolve_corpus_flags(args: argparse.Namespace) -> None:
-    """Fill in the mode's defaults; a flag the mode does not read is a usage error."""
-    reads = _CORPUS_MODES[args.mode]
-    for dest in _CORPUS_FLAGS:
-        value = getattr(args, dest)
-        if dest in reads:
-            setattr(args, dest, reads[dest] if value is None else value)
-        elif value is not None:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"corpus {args.mode} does not take {flag}")
-    if "seed" in reads:
-        try:
-            _check_int("--seed", args.seed, low=0)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
@@ -326,7 +302,13 @@ def _load_corpus(path: str, strict: bool):
 
 
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
-    _resolve_corpus_flags(args)
+    study, flag, _ = _CORPUS_MODES[args.mode]
+    trained = args.mode != "tv-by-order"
+    if trained:
+        try:
+            _check_int("--seed", args.seed, low=0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
     config = {
@@ -335,32 +317,16 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
         "machine": args.machine,
         "strict": args.strict,
     }
-    if args.mode == "tv-by-order":
-        orders = _parse_int_list(args.orders, "--orders")
-        config["orders"] = orders
-        return *_table(best_auroc_by_order(human, machine, orders)), config
-    study, dest = _STUDIES[args.mode]
-    # before the list flag: a bad --lr is reported ahead of a bad list
-    train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
-    values = _parse_int_list(getattr(args, dest), "--" + dest.replace("_", "-"))
-    config |= {
-        "train_frac": args.train_frac,
-        "space": args.space,
-        "min_df": args.min_df,
-        **asdict(train_cfg),
-        "seed": args.seed,
-        dest: values,
-    }
-    rows = study(
-        human,
-        machine,
-        values,
-        train_frac=args.train_frac,
-        seed=args.seed,
-        space=args.space,
-        min_df=args.min_df,
-        config=train_cfg,
-    )
+    options = {}
+    if trained:
+        # before the list flag: a bad --lr is reported ahead of a bad list
+        train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
+        options = {o: getattr(args, o) for o in ("train_frac", "seed", "space", "min_df")}
+        config |= options | asdict(train_cfg)
+        options["config"] = train_cfg
+    dest = flag[2:].replace("-", "_")
+    config[dest] = _parse_int_list(getattr(args, dest), flag)
+    rows = globals()[study](human, machine, config[dest], **options)
     return *_table(rows), config
 
 
@@ -371,15 +337,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train-frac", type=float)
-    parser.add_argument("--space", choices=("counts", "tfidf"))
-    parser.add_argument("--min-df", type=int)
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--l2", type=float)
-
-
+# Built once per process: parsing never changes it, and building it takes 1 ms.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -422,31 +381,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_corpus = sub.add_parser("corpus", help="JSONL corpus experiments")
-    p_corpus.add_argument("mode", choices=tuple(_CORPUS_MODES))
-    p_corpus.add_argument("--human", required=True, help="JSONL corpus file")
-    p_corpus.add_argument("--machine", required=True, help="JSONL corpus file")
-    # mode-specific flags; defaults in _CORPUS_MODES
-    p_corpus.add_argument("--orders")
-    p_corpus.add_argument("--lengths")
-    p_corpus.add_argument("--k-values")
-    p_corpus.add_argument("--seed", type=int, help="train/test split and pooling seed")
-    strictness = p_corpus.add_mutually_exclusive_group()
-    strictness.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=True,
-        help="reject malformed corpus lines (default)",
-    )
-    strictness.add_argument(
-        "--lenient",
-        dest="strict",
-        action="store_false",
-        help="skip malformed corpus lines with a count",
-    )
-    _add_train_flags(p_corpus)
-    _add_common(p_corpus)
     p_corpus.set_defaults(func=_cmd_corpus)
+    modes = p_corpus.add_subparsers(dest="mode", required=True)
+    for mode, (_, flag, default) in _CORPUS_MODES.items():
+        p_mode = modes.add_parser(mode)
+        p_mode.add_argument("--human", required=True, help="JSONL corpus file")
+        p_mode.add_argument("--machine", required=True, help="JSONL corpus file")
+        p_mode.add_argument(flag, default=default, help="comma-separated integers")
+        if mode != "tv-by-order":
+            p_mode.add_argument(
+                "--seed", type=int, default=0, help="train/test split and pooling seed"
+            )
+            p_mode.add_argument("--train-frac", type=float, default=0.7)
+            p_mode.add_argument("--space", choices=("counts", "tfidf"), default="tfidf")
+            p_mode.add_argument("--min-df", type=int, default=2)
+            p_mode.add_argument("--lr", type=float, default=0.1, help="learning rate")
+            p_mode.add_argument("--epochs", type=int, default=500)
+            p_mode.add_argument("--l2", type=float, default=1e-4)
+        strictness = p_mode.add_mutually_exclusive_group()
+        strictness.add_argument(
+            "--strict",
+            action="store_true",
+            default=True,
+            help="reject malformed corpus lines (default)",
+        )
+        strictness.add_argument(
+            "--lenient",
+            dest="strict",
+            action="store_false",
+            help="skip malformed corpus lines with a count",
+        )
+        _add_common(p_mode)
     return parser
 
 

@@ -59,6 +59,9 @@ __all__ = [
 
 _MACHINE, _HUMAN = 0, 1
 
+# The sample counts numpy's samplers take are C longs.
+_MAX_N = np.iinfo(np.int64).max
+
 # One chunk of trials holds at most this many cells, counting max(n, k) cells
 # per trial (k the support size); it bounds the sampler's working memory.
 _CHUNK_CELLS = 1 << 16
@@ -95,7 +98,9 @@ class ExperimentConfig:
             raise ValueError("m and h must be Categorical distributions")
         if self.m.support_size != self.h.support_size:
             raise ValueError("m and h must share a support size")
-        object.__setattr__(self, "n_values", tuple(_check_ints("n_values", self.n_values)))
+        object.__setattr__(
+            self, "n_values", tuple(_check_ints("n_values", self.n_values, high=_MAX_N))
+        )
         object.__setattr__(
             self, "trials_per_class", _check_int("trials_per_class", self.trials_per_class)
         )

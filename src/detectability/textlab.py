@@ -12,8 +12,8 @@ members' decision values, the multi-sample log-likelihood-ratio rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -171,29 +171,23 @@ class TrainConfig:
             raise ValueError(f"l2 must be nonnegative and finite, got {self.l2!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
-    """A trained linear scorer over a fixed vocabulary.
+    """A trained linear scorer: one weight per feature column.
 
-    ``weights`` is keyed by vocabulary entry (column index when no token
-    vocabulary was supplied).  Scores are ``x . w + bias``; positive means
-    machine.
+    Scores are ``x . weights + bias``; positive means machine.
     """
 
-    weights: Mapping
+    weights: np.ndarray
     bias: float
-    vocab: tuple
-
-    def weight_vector(self) -> np.ndarray:
-        return np.array([self.weights[v] for v in self.vocab], dtype=np.float64)
 
     def decision_function(self, features) -> np.ndarray:
-        """Raw scores for a feature matrix aligned to this model's vocab."""
-        if features.shape[1] != len(self.vocab):
+        """Raw scores for a feature matrix with one column per weight."""
+        if features.shape[1] != self.weights.size:
             raise ValueError(
-                f"feature width {features.shape[1]} != vocab size {len(self.vocab)}"
+                f"feature width {features.shape[1]} != weight count {self.weights.size}"
             )
-        return np.asarray(features @ self.weight_vector()).ravel() + self.bias
+        return np.asarray(features @ self.weights).ravel() + self.bias
 
 
 def _logreg_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
@@ -205,8 +199,6 @@ def train_logreg(
     features,
     labels: Sequence[int],
     config: TrainConfig | None = None,
-    *,
-    vocab: Vocabulary | None = None,
 ) -> tuple[LinearModel, np.ndarray]:
     """Full-batch gradient descent on L2-regularized logistic loss.
 
@@ -220,9 +212,6 @@ def train_logreg(
     features : sparse or dense matrix, shape (n_samples, n_features)
     labels : sequence of 0/1
         1 marks the positive (machine) class; both classes must be present.
-    vocab : Vocabulary, optional
-        When given, model weights are keyed by token; otherwise by column
-        index.
 
     Returns
     -------
@@ -240,8 +229,6 @@ def train_logreg(
         raise ValueError("labels must be 0 or 1")
     if y.min() == y.max():
         raise ValueError("both classes must be present")
-    if vocab is not None and len(vocab) != d:
-        raise ValueError(f"vocab size {len(vocab)} != feature width {d}")
 
     w = np.zeros(d)
     b = 0.0
@@ -264,11 +251,7 @@ def train_logreg(
                 f"({float(losses[epoch - 1])!r} -> {float(losses[epoch])!r}); "
                 "reduce learning_rate"
             )
-    keys: tuple = vocab.tokens if vocab is not None else tuple(range(d))
-    model = LinearModel(
-        weights={k: float(wi) for k, wi in zip(keys, w)}, bias=float(b), vocab=keys
-    )
-    return model, losses
+    return LinearModel(weights=w, bias=float(b)), losses
 
 
 @dataclass(frozen=True)
@@ -323,7 +306,7 @@ def _heldout_scores(
     vocab = _vocab_from_ids(tokens, train_rows, ids, y_train.size, min_df)
     x_train = _featurize_ids(tokens, train_rows, ids, y_train.size, vocab, space)
     x_test = _featurize_ids(tokens, test_rows, ids, n_test, vocab, space)
-    model, _ = train_logreg(x_train, y_train, config, vocab=vocab)
+    model, _ = train_logreg(x_train, y_train, config)
     return model.decision_function(x_test)
 
 
@@ -367,6 +350,33 @@ def auroc_vs_prefix_length(
     return rows
 
 
+def _pool_indices(labels: Sequence[Label], k: int, seed: int) -> np.ndarray:
+    """The ``(len(labels), k)`` index matrix behind :func:`pairwise_augment`.
+
+    Row ``i`` holds ``i``, then ``k - 1`` distinct other indices with its label.
+    """
+    k = _check_int("k", k)
+    by_label: dict[Label, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    members, rank = {}, np.empty(len(labels), dtype=np.int64)
+    for label, idx in by_label.items():
+        if len(idx) < k:
+            raise ValueError(
+                f"class {label.value!r} has {len(idx)} documents, fewer than k={k}"
+            )
+        members[label] = np.array(idx)
+        rank[idx] = np.arange(len(idx))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)))
+    out = np.empty((len(labels), k), dtype=np.int64)
+    out[:, 0] = np.arange(len(labels))
+    for i, label in enumerate(labels):
+        # a draw over the class without i, shifted past i's own position
+        chosen = rng.choice(members[label].size - 1, size=k - 1, replace=False)
+        out[i, 1:] = members[label][chosen + (chosen >= rank[i])]
+    return out
+
+
 def pairwise_augment(
     docs: Sequence[Document], k: int = 2, seed: int = 0
 ) -> list[tuple[Document, ...]]:
@@ -378,23 +388,8 @@ def pairwise_augment(
     one), every tuple is label-pure, and ``k = 1`` returns the original
     documents as singletons.  Deterministic for a fixed seed.
     """
-    k = _check_int("k", k)
-    by_label: dict[Label, list[int]] = {}
-    for i, doc in enumerate(docs):
-        by_label.setdefault(doc.label, []).append(i)
-    for label, members in by_label.items():
-        if len(members) < k:
-            raise ValueError(
-                f"class {label.value!r} has {len(members)} documents, fewer than k={k}"
-            )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)))
-    out = []
-    for i, doc in enumerate(docs):
-        members = by_label[doc.label]
-        pool = [j for j in members if j != i]
-        chosen = rng.choice(len(pool), size=k - 1, replace=False) if k > 1 else []
-        out.append(tuple([docs[i]] + [docs[pool[int(c)]] for c in chosen]))
-    return out
+    index = _pool_indices([doc.label for doc in docs], k, seed)
+    return [tuple(docs[j] for j in row) for row in index]
 
 
 def pairwise_auroc(
@@ -412,8 +407,8 @@ def pairwise_auroc(
 
     One model is trained on the split's training documents, exactly as for
     the full-length :func:`auroc_vs_prefix_length` row, and scores every test
-    document once.  For each k the test documents are pooled into tuples
-    with :func:`pairwise_augment` by role (human or machine, whatever label
+    document once.  For each k the test documents are pooled into the tuples
+    :func:`pairwise_augment` draws, by role (human or machine, whatever label
     a document carries), so tuples never cross the split or the roles, and
     a tuple's score is the sum of its members' decision values: the
     multi-sample log-likelihood-ratio rule.  The k = 1 row is the unpooled
@@ -421,17 +416,14 @@ def pairwise_auroc(
     """
     ks = _check_ints("k_values", k_values)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
-    docs = [*human_docs, *machine_docs]
-    tokens, ids, lens = _encode(docs)
+    tokens, ids, lens = _encode([*human_docs, *machine_docs])
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
     scores = _heldout_scores(
         tokens, ids, train_rows, test_rows, y[train], test.size, space, min_df, config
     )
     # the model was trained on roles, so the tuples pool by role too
-    roles = [Label.HUMAN] * len(human_docs) + [Label.MACHINE] * len(machine_docs)
-    test_docs = [replace(docs[i], label=roles[i]) for i in test]
-    score = dict(zip(map(id, test_docs), scores))
+    roles = [Label.MACHINE if label else Label.HUMAN for label in y[test]]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;
     # the even seeds go unused, which keeps each k's tuples fixed
     aug_seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
@@ -439,8 +431,10 @@ def pairwise_auroc(
     )
     rows = []
     for j, k in enumerate(ks):
-        tuples = pairwise_augment(test_docs, k, seed=int(aug_seeds[2 * j + 1]))
+        index = _pool_indices(roles, k, int(aug_seeds[2 * j + 1]))
+        # member by member, left to right: a row-wise ndarray.sum adds in
+        # another order for k >= 9, and the scores would change in the last bit
+        pooled = sum(scores[member] for member in index.T)
         # tuple t is anchored on test document t, so it carries that label
-        pooled = np.array([sum(score[id(doc)] for doc in t) for t in tuples])
         rows.append(PairwiseRow(k=k, test_auroc=_auroc(pooled, y[test])))
     return rows

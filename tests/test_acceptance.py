@@ -272,7 +272,7 @@ def test_criterion_10_numerical_hygiene():
             l2 = float(rng.uniform(0.0, 0.3))
             lr = 0.25
             model, _ = train_logreg(x, y, TrainConfig(learning_rate=lr, epochs=1, l2=l2))
-            w1 = np.concatenate([model.weight_vector(), [model.bias]])
+            w1 = np.concatenate([model.weights, [model.bias]])
             grad_impl = -w1 / lr
 
             def loss_at(wb):

@@ -519,7 +519,7 @@ class TestFlagSurface:
             capsys, "corpus", mode, "--human", hp, "--machine", mp, flag, value
         )
         assert code == 2
-        assert f"corpus {mode} does not take {flag}" in err
+        assert f"unrecognized arguments: {flag}" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -576,6 +576,97 @@ class TestFlagSurface:
         assert code == 0
         header, _ = parse_csv(out)
         assert '"seed":3' in header and '"strict":false' in header
+
+
+    # Each corpus mode's defaults, pinned through the whole echoed config.
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            (
+                "tv-by-order",
+                '# detectability version=0.1.0 config={"command":"corpus tv-by-order",'
+                '"format":"csv","human":"{human}","machine":"{machine}",'
+                '"orders":[1,2,3,4],"strict":true}',
+            ),
+            (
+                "train-ablate",
+                '# detectability version=0.1.0 config={"command":"corpus train-ablate",'
+                '"epochs":500,"format":"csv","human":"{human}","l2":0.0001,'
+                '"learning_rate":0.1,"lengths":[5,10,20,50,100],"machine":"{machine}",'
+                '"min_df":2,"seed":0,"space":"tfidf","strict":true,"train_frac":0.7}',
+            ),
+            (
+                "pairwise",
+                '# detectability version=0.1.0 config={"command":"corpus pairwise",'
+                '"epochs":500,"format":"csv","human":"{human}","k_values":[1,2],'
+                '"l2":0.0001,"learning_rate":0.1,"machine":"{machine}","min_df":2,'
+                '"seed":0,"space":"tfidf","strict":true,"train_frac":0.7}',
+            ),
+        ],
+        ids=["tv-by-order", "train-ablate", "pairwise"],
+    )
+    def test_corpus_defaults_are_pinned(self, capsys, corpus_files, mode, line):
+        hp, mp = corpus_files
+        code, out, _ = run(capsys, "corpus", mode, "--human", hp, "--machine", mp)
+        assert code == 0
+        expected = line.replace("{human}", hp).replace("{machine}", mp)
+        assert out.splitlines()[0] == expected
+
+    def test_k_above_a_test_class_size_names_the_first_class(self, capsys, corpus_files):
+        # 40 documents a side leave 12 a side in the test split; human comes first
+        hp, mp = corpus_files
+        code, out, err = run(
+            capsys, "corpus", "pairwise", "--human", hp, "--machine", mp,
+            "--k-values", "1,40",
+        )
+        assert code == 1
+        assert "class 'human' has 12 documents, fewer than k=40" in err
+        assert out == ""
+
+
+# A JSON integer past the float range, Python's digit limit, or numpy's C long.
+TOO_BIG = [
+    (
+        ["tv", "m.json", "h.json"],
+        {"m.json": [10**400, 0], "h.json": [0.5, 0.5]},
+        "m.json: element 1 of 2 must be a finite number, got 1000",
+    ),
+    (
+        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "dep.json"],
+        {"dep.json": {"blocks": [[2, 10**400]]}},
+        "dep.json: field 'blocks' rho: element 1 of 1 must be a finite number, got 1000",
+    ),
+    (
+        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "dep.json"],
+        {"dep.json": {"blocks": [[10**400, 0.5]]}},
+        "dep.json: field 'blocks' block size: element 1 of 1 must be a finite number",
+    ),
+    (
+        ["tv", "m.json", "h.json"],
+        {"m.json": "[" + "1" * 5000 + ", 0]", "h.json": [0.5, 0.5]},
+        "m.json: ",  # then Python's digit-limit message, or the float-range one
+    ),
+    (
+        ["simulate", "sim.json"],
+        {"sim.json": {"m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [10**20],
+                      "trials_per_class": 5}},
+        "sim.json: n_values must be an integer in 1..9223372036854775807, "
+        "got 100000000000000000000",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files, message", TOO_BIG, ids=["tv", "rho", "block-size", "tv-digits", "n-values"]
+)
+def test_numbers_too_big_exit_two(capsys, tmp_path, monkeypatch, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"detectability: error: {message}" in err
 
 
 class TestOutputHandling:

@@ -186,17 +186,6 @@ class TestTrainLogreg:
         with pytest.raises(ValueError):
             train_logreg(x, np.array([0, 1]))
 
-    def test_weights_keyed_by_vocab_tokens(self):
-        docs = tiny_corpus()
-        labels = np.array([0, 1, 0])
-        v = build_vocab(docs, min_df=1)
-        x = featurize(docs, v)
-        model, _ = train_logreg(x, labels, vocab=v)
-        assert set(model.weights) == {"apple", "banana", "cherry"}
-        np.testing.assert_allclose(
-            model.weight_vector(), [model.weights[t] for t in v.tokens]
-        )
-
     def test_first_step_matches_analytic_gradient(self):
         # after one epoch from w = 0, the update is -lr * grad; compare
         # against central finite differences of the documented objective
@@ -211,7 +200,7 @@ class TestTrainLogreg:
             model, _ = train_logreg(
                 x, y, TrainConfig(learning_rate=lr, epochs=1, l2=l2)
             )
-            w1 = np.concatenate([model.weight_vector(), [model.bias]])
+            w1 = np.concatenate([model.weights, [model.bias]])
             grad_impl = -w1 / lr
 
             def loss_at(wb):
@@ -284,6 +273,22 @@ class TestPairwiseAugment:
         assert a == b
         c = pairwise_augment(docs, k=3, seed=6)
         assert a != c
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_tuples_follow_the_seeded_draws(self, k):
+        # reference: in document order, each anchor draws its k - 1 partners
+        # with one rng.choice over the other members of its class
+        docs = self.make_docs(n=12)
+        docs = docs[::2] + docs[1::2]  # interleave the classes
+        seed = 11
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)))
+        expected = []
+        for i, d in enumerate(docs):
+            pool = [j for j, e in enumerate(docs) if e.label is d.label and j != i]
+            chosen = rng.choice(len(pool), size=k - 1, replace=False) if k > 1 else []
+            expected.append([d.id] + [docs[pool[c]].id for c in chosen])
+        out = pairwise_augment(docs, k, seed=seed)
+        assert [[d.id for d in t] for t in out] == expected
 
     def test_k_exceeding_class_size_raises(self):
         docs = self.make_docs(n=3)
@@ -399,7 +404,7 @@ class TestPairwiseStudy:
         test_docs = [docs[i] for i in test]
         vocab = build_vocab(train_docs, min_df=2)
         y_train = [int(d.label is Label.MACHINE) for d in train_docs]
-        model, _ = train_logreg(featurize(train_docs, vocab), y_train, vocab=vocab)
+        model, _ = train_logreg(featurize(train_docs, vocab), y_train)
         test_scores = model.decision_function(featurize(test_docs, vocab))
         score = {id(d): s for d, s in zip(test_docs, test_scores)}
         seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
