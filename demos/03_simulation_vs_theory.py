@@ -19,13 +19,13 @@ trials = 20_000
 n_values = [1, 2, 4, 8, 16, 32, 64]
 
 
-def show(result, title):
+def show(rows, title):
     # the last column is the leading-order rate estimate 1 - exp(-n I_c)
     # pushed through the AUROC formula; it ignores lower-order terms, so
     # small-n empirical values may sit above it (unlike the exact ceiling)
     print(title)
     print(f"{'n':>4} {'empirical':>10} {'exact ceiling':>14} {'rate estimate':>14}")
-    for row in result.rows:
+    for row in rows:
         exact = "" if row.auroc_upper_exact is None else f"{row.auroc_upper_exact:.4f}"
         print(
             f"{row.n:>4} {row.empirical_auroc:>10.4f} {exact:>14}"

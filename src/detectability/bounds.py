@@ -69,11 +69,6 @@ class DependenceSpec:
         """Dependence mass ``sum_j (c_j - 1) * rho_j``; 0 iff effectively iid."""
         return float(sum((c - 1) * rho for c, rho in self.blocks))
 
-    @classmethod
-    def uniform(cls, c: int, rho: float, n_blocks: int) -> "DependenceSpec":
-        """``n_blocks`` identical blocks of size ``c`` and correlation ``rho``."""
-        return cls([(c, rho)] * _check_int("n_blocks", n_blocks))
-
 
 @dataclass(frozen=True)
 class BoundCurvePoint:

@@ -12,7 +12,7 @@ Subcommands map one-to-one onto the library surface:
 All data output is deterministic for fixed inputs and seed (the simulate
 wall-time column aside); CSV output opens with a ``#`` comment embedding the
 resolved configuration and the package version.  Exit codes: 0 success,
-1 domain/runtime error, 2 usage or parse error.
+1 domain, runtime or out-of-memory error, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -138,21 +138,18 @@ def _cell(v: Any) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _table(rows: Sequence[Any]) -> tuple[list[str], list[dict]]:
-    """Columns (one per field, in order) and dict rows of flat row dataclasses.
+def _table(rows: Sequence[Any]) -> list[dict]:
+    """Dict rows of flat row dataclasses, one key per field, in field order.
 
     Read by ``getattr``: ``asdict`` would deep-copy every value.
     """
     columns = [f.name for f in fields(rows[0])]
-    return columns, [{c: getattr(r, c) for c in columns} for r in rows]
+    return [{c: getattr(r, c) for c in columns} for r in rows]
 
 
-def _render(
-    columns: Sequence[str],
-    rows: Sequence[dict],
-    config: dict,
-    fmt: str,
-) -> str:
+def _render(rows: Sequence[dict], config: dict, fmt: str) -> str:
+    """CSV or JSON text; the columns are the rows' keys in first-appearance order."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     config_json = json.dumps(config, sort_keys=True, separators=(",", ":"))
     if fmt == "json":
         payload = {
@@ -203,7 +200,7 @@ _CORPUS_MODES = {
 }
 
 
-def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+def _cmd_tv(args: argparse.Namespace) -> tuple[list[dict], dict]:
     p = _load_distribution(args.dist_p)
     q = _load_distribution(args.dist_q)
     tv = tv_distance(p, q)
@@ -213,10 +210,10 @@ def _cmd_tv(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
         "auroc_upper": auroc_upper(tv),
     }
     config = {"command": "tv", "dist_p": args.dist_p, "dist_q": args.dist_q}
-    return ["tv", "chernoff_information", "auroc_upper"], [row], config
+    return [row], config
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
     config = {"command": "bounds", "delta": args.delta, "epsilon": args.epsilon}
     sizes = [("iid", 0.0, sample_complexity_iid(args.delta, args.epsilon))]
     if args.dependence is not None:
@@ -228,10 +225,10 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
         {"kind": kind, "alpha": alpha, **asdict(auroc_vs_n_curve(args.delta, [n])[0])}
         for kind, alpha, n in sizes
     ]
-    return ["kind", "alpha", "n", "tv_lower", "auroc_upper"], rows, config
+    return rows, config
 
 
-def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+def _cmd_curve(args: argparse.Namespace) -> tuple[list[dict], dict]:
     n_values = _parse_int_list(args.n_list, "--n-list")
     config = {"command": "curve", "delta": args.delta, "n_values": n_values}
     points = auroc_vs_n_curve(args.delta, n_values)
@@ -241,7 +238,7 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
         for pt in points
         for fpr, tpr in roc_upper_curve(pt.tv_lower, grid)
     ]
-    return ["kind", "n", "tv_lower", "auroc_upper", "fpr", "tpr"], rows, config
+    return rows, config
 
 
 def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -273,9 +270,9 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[list[dict], dict]:
     config = _simulate_config(args.config, args.seed)
-    columns, rows = _table(run_experiment(config).rows)
+    rows = _table(run_experiment(config))
     echo = {
         "command": "simulate",
         "m": [float(x) for x in config.m.probs],
@@ -289,7 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[dict], dict
         ),
         "seed": config.seed,
     }
-    return columns, rows, echo
+    return rows, echo
 
 
 def _load_corpus(path: str, strict: bool):
@@ -301,7 +298,7 @@ def _load_corpus(path: str, strict: bool):
     return docs
 
 
-def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
+def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     study, flag, _ = _CORPUS_MODES[args.mode]
     trained = args.mode != "tv-by-order"
     if trained:
@@ -327,7 +324,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[str], list[dict], dict]:
     dest = flag[2:].replace("-", "_")
     config[dest] = _parse_int_list(getattr(args, dest), flag)
     rows = globals()[study](human, machine, config[dest], **options)
-    return *_table(rows), config
+    return _table(rows), config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -422,14 +419,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        columns, rows, config = args.func(args)
+        rows, config = args.func(args)
         config["format"] = args.format
-        text = _render(columns, rows, config, args.format)
+        text = _render(rows, config, args.format)
         _write_output(text, args.out)
     except (UsageError, CorpusParseError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     return 0

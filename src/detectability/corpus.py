@@ -31,7 +31,6 @@ __all__ = [
     "load_jsonl",
     "ngram_table",
     "tokenize",
-    "tv_between_corpora",
 ]
 
 MAX_ORDER = 6
@@ -154,23 +153,6 @@ def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:
         for j in np.sort(first)
     }
     return NGramTable(order=order, counts=table, total=int(starts.size))
-
-
-def tv_between_corpora(
-    human_docs: Sequence[Document], machine_docs: Sequence[Document], order: int
-) -> float:
-    """Plug-in TV distance between two corpora at one n-gram order.
-
-    Empirical frequencies over the union of observed n-grams, no smoothing:
-    the estimate is exact for the empirical distributions and rises toward 1
-    as the orders stop overlapping.
-
-    Raises
-    ------
-    ValueError
-        If either corpus has no n-grams at this order.
-    """
-    return best_auroc_by_order(human_docs, machine_docs, [order])[0].tv
 
 
 @dataclass(frozen=True)

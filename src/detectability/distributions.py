@@ -101,12 +101,6 @@ class Categorical:
             raise ValueError("p must lie in [0, 1]")
         return cls([1.0 - p, p])
 
-    @classmethod
-    def uniform(cls, k: int) -> "Categorical":
-        """Uniform distribution over ``k`` indices."""
-        k = _check_int("k", k)
-        return cls(np.full(k, 1.0 / k))
-
     def log_probs(self) -> np.ndarray:
         """Elementwise natural log of the masses; zeros map to ``-inf``."""
         if self._log_probs_cache is None:

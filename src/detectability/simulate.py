@@ -25,8 +25,10 @@ only nondeterministic output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,6 @@ from .distributions import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentResult",
     "ExperimentRow",
     "rescale_blocks",
     "run_experiment",
@@ -61,6 +62,10 @@ _MACHINE, _HUMAN = 0, 1
 
 # The sample counts numpy's samplers take are C longs.
 _MAX_N = np.iinfo(np.int64).max
+
+# rescale_blocks lists every block of each n.  The count grows linearly with n
+# and listing 2**20 blocks takes about 0.5 s, so a larger pattern is refused.
+_MAX_BLOCKS = 1 << 20
 
 # One chunk of trials holds at most this many cells, counting max(n, k) cells
 # per trial (k the support size); it bounds the sampler's working memory.
@@ -81,7 +86,8 @@ class ExperimentConfig:
         Number of sample sets drawn per class at each ``n``.
     dependence : DependenceSpec or None
         Optional block-dependence pattern; it is rescaled to each ``n``
-        (see :func:`rescale_blocks`).  ``None`` means iid sampling.
+        (see :func:`rescale_blocks`), which may take at most 2**20 blocks.
+        ``None`` means iid sampling.
     seed : int
         Root seed for the per-chunk generator keys.
     """
@@ -108,6 +114,16 @@ class ExperimentConfig:
             self.dependence, DependenceSpec
         ):
             raise ValueError("dependence must be a DependenceSpec or None")
+        if self.dependence is not None:
+            n = max(self.n_values)
+            cycles, rest = divmod(n, self.dependence.n)
+            starts = itertools.accumulate((c for c, _ in self.dependence.blocks), initial=0)
+            blocks = cycles * len(self.dependence.blocks) + sum(s < rest for s in starts)
+            if blocks > _MAX_BLOCKS:
+                raise ValueError(
+                    f"n_values: n = {n} needs {blocks} dependence blocks, "
+                    f"more than {_MAX_BLOCKS}"
+                )
         object.__setattr__(self, "seed", _check_int("seed", self.seed, low=0))
 
 
@@ -126,13 +142,6 @@ class ExperimentRow:
     auroc_upper_exact: float | None
     auroc_upper_chernoff: float
     wall_time_seconds: float
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Rows of :func:`run_experiment`, one per requested ``n``."""
-
-    rows: tuple[ExperimentRow, ...]
 
 
 def trial_rng(seed: int, n: int, class_index: int, chunk: int) -> np.random.Generator:
@@ -178,15 +187,6 @@ def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
     return DependenceSpec(out)
 
 
-def _block_kinds(dep: DependenceSpec) -> dict[tuple[int, float], int]:
-    """Distinct ``(c, rho)`` blocks of ``dep`` with their multiplicities, in
-    first-appearance order."""
-    kinds: dict[tuple[int, float], int] = {}
-    for block in dep.blocks:
-        kinds[block] = kinds.get(block, 0) + 1
-    return kinds
-
-
 def _law_selected(dep: DependenceSpec, k: int) -> bool:
     """Whether :func:`sample_noniid` draws ``dep`` from the exact block laws.
 
@@ -198,7 +198,7 @@ def _law_selected(dep: DependenceSpec, k: int) -> bool:
     kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
     fit in int64.
     """
-    kinds = _block_kinds(dep)
+    kinds = Counter(dep.blocks)
     trials = _chunk_trials(dep.n, k)
     cells = sum(
         k * math.comb(c + k - 1, c - 1) + trials * math.comb(c + k - 1, c) for c, _ in kinds
@@ -241,7 +241,7 @@ def _sample_law(
     its blocks take each count type; the types' counts add up.
     """
     counts = np.zeros((trials, dist.support_size), dtype=np.int64)
-    for (c, rho), m in _block_kinds(dep).items():
+    for (c, rho), m in Counter(dep.blocks).items():
         atoms, law = _block_law(dist.probs, c, rho)
         counts += rng.multinomial(m, law, size=trials) @ atoms
     return counts
@@ -316,7 +316,7 @@ def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:
         return None
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     """Run the Monte Carlo experiment described by ``config``.
 
     For each ``n``: draw ``trials_per_class`` sample sets per class (iid, or
@@ -324,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     seeded chunk at a time (see the module docstring), score each chunk with
     :func:`log_likelihood_ratio` against the true pair -- dependent runs are
     still scored with the product-form likelihood -- and compute the
-    empirical AUROC of the two score samples.
+    empirical AUROC of the two score samples.  Returns one row per ``n``.
 
     Each row also carries the exact AUROC ceiling (when ``support**n`` fits
     the enumeration budget) and the Chernoff trend value.
@@ -362,4 +362,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 wall_time_seconds=time.perf_counter() - t0,
             )
         )
-    return ExperimentResult(rows=tuple(rows))
+    return tuple(rows)

@@ -12,7 +12,7 @@ members' decision values, the multi-sample log-likelihood-ratio rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,18 +58,9 @@ class Vocabulary:
     tokens: tuple[str, ...]
     doc_freq: np.ndarray
     n_docs: int
-    _index: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {tok: i for i, tok in enumerate(self.tokens)}
-        )
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def column(self, token: str) -> int | None:
-        return self._index.get(token)
 
 
 def _doc_rows(lens: np.ndarray, docs: np.ndarray) -> np.ndarray:
@@ -110,8 +101,9 @@ def _featurize_ids(
         raise ValueError(f"space must be one of {FEATURE_SPACES}, got {space!r}")
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
     column = np.fromiter(
-        (vocab._index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
+        (index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
     )[ids]
     kept = (rows >= 0) & (column >= 0)
     # duplicate (row, column) entries sum into term counts

@@ -35,7 +35,6 @@ from detectability import (
     sample_complexity_iid,
     sample_complexity_noniid,
     train_logreg,
-    tv_between_corpora,
     tv_distance,
     tv_tensor_lower,
 )
@@ -168,14 +167,14 @@ def test_criterion_06_simulation_tracks_exact_ceilings():
         cfg = ExperimentConfig(
             BERN_6, BERN_5, [1, 2, 4, 8, 16, 300], trials, seed=106
         )
-        res = run_experiment(cfg)
-        by_n = {r.n: r for r in res.rows}
+        rows = run_experiment(cfg)
+        by_n = {r.n: r for r in rows}
         # at one sample the best detector's exact AUROC is
         # 0.6*0.5 + 0.5*(0.6*0.5 + 0.4*0.5) = 0.55
         assert abs(by_n[1].empirical_auroc - 0.55) <= 0.01
         assert by_n[300].empirical_auroc >= 0.9
         slack = 3.0 * math.sqrt(1.0 / trials)
-        for row in res.rows:
+        for row in rows:
             if row.auroc_upper_exact is not None:
                 assert row.empirical_auroc <= row.auroc_upper_exact + slack
 
@@ -197,7 +196,7 @@ def test_criterion_07_dependence_degrades_detection():
         free = run(DependenceSpec([(10, 0.0)]), n_values)
         half = run(DependenceSpec([(10, 0.5)]), n_values)
         slack = 3.0 * math.sqrt(1.0 / trials)
-        for f_row, h_row in zip(free.rows, half.rows):
+        for f_row, h_row in zip(free, half):
             assert h_row.empirical_auroc <= f_row.empirical_auroc + slack
 
         # rho = 1 copies whole blocks, so n samples carry n/c of information
@@ -206,7 +205,7 @@ def test_criterion_07_dependence_degrades_detection():
             ExperimentConfig(BERN_6, BERN_5, [10, 30], trials, seed=107)
         )
         pair_slack = 6.0 * math.sqrt(1.0 / trials)
-        for full_row, iid_row in zip(full.rows, iid.rows):
+        for full_row, iid_row in zip(full, iid):
             assert full_row.n == 10 * iid_row.n
             assert abs(full_row.empirical_auroc - iid_row.empirical_auroc) <= pair_slack
 
@@ -233,7 +232,7 @@ def test_criterion_08_order_study_trend_and_plugin_recovery():
         assert true_tv == pytest.approx(0.3, abs=1e-12)
         h_uni = unigram_docs(rng, p, Label.HUMAN, 200, 500, "hu")
         m_uni = unigram_docs(rng, q, Label.MACHINE, 200, 500, "mu")
-        est = tv_between_corpora(h_uni, m_uni, 1)
+        est = best_auroc_by_order(h_uni, m_uni, [1])[0].tv
         assert abs(est - 0.3) <= 0.03
 
 

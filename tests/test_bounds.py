@@ -167,11 +167,9 @@ class TestDependenceSpec:
         dep2 = DependenceSpec([(3, 1.0), (2, 0.25), (1, 0.9)])
         assert dep2.n == 6
         assert dep2.alpha == pytest.approx(2.25)
-
-    def test_uniform_builder(self):
-        dep = DependenceSpec.uniform(5, 0.2, 4)
-        assert dep.blocks == ((5, 0.2),) * 4
-        assert dep.n == 20
+        dep3 = DependenceSpec([(5, 0.2)] * 4)
+        assert dep3.blocks == ((5, 0.2),) * 4
+        assert dep3.n == 20
 
     def test_independent_blocks_have_zero_alpha(self):
         assert DependenceSpec([(1, 0.7), (1, 0.0)]).alpha == 0.0

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **kwargs):
+    """``python -m detectability`` in a subprocess, killed after 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "detectability", *argv],
+        env=env, capture_output=True, text=True, timeout=60, **kwargs,
+    )
+
+
+def cap_address_space():
+    """Run in a child before exec: a runaway allocation fails at 512 MiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
 
 def parse_csv(text):
@@ -341,6 +356,32 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert f"{cfg}: {message}" in err
+
+    def test_huge_dependent_n_exits_two(self, tmp_path):
+        # listing one block per 10 samples of this n would never finish; the
+        # timeout and the address-space cap make a regression fail instead of
+        # hang or fill the machine's memory
+        n = 2**63 - 1
+        cfg = self.write_config(
+            tmp_path, n_values=[n], dependence={"blocks": [[10, 0.5]]}
+        )
+        proc = run_module("simulate", cfg, preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"detectability: error: {cfg}: n_values: n = {n} needs "
+            f"{n // 10 + 1} dependence blocks, more than {2**20}\n"
+        )
+
+    def test_unallocatable_trial_count_exits_one(self, capsys, tmp_path):
+        # 10**12 float64 scores need 7.28 TiB, which numpy refuses to allocate
+        # before touching any memory
+        cfg = self.write_config(tmp_path, trials_per_class=10**12)
+        code, out, err = run(capsys, "simulate", cfg)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("detectability: error: Unable to allocate 7.28 TiB")
+        assert err.count("\n") == 1
 
     def test_dependence_block_in_config(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dependence={"blocks": [[2, 0.5]]})
@@ -782,22 +823,15 @@ def test_column_contract(capsys, tmp_path, bern_pair, corpus_files, argv, column
 class TestEntryPoint:
     """``python -m detectability`` runs ``cli.entry``: ``main``'s output and code."""
 
-    def run_module(self, *argv):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "detectability", *argv],
-            env=env, capture_output=True, text=True,
-        )
-
     def test_prints_what_main_prints(self, capsys, bern_pair):
         _, expected, _ = run(capsys, "tv", *bern_pair)
-        proc = self.run_module("tv", *bern_pair)
+        proc = run_module("tv", *bern_pair)
         assert proc.returncode == 0
         assert proc.stdout == expected
         assert proc.stderr == ""
 
     def test_bad_flag_exits_two(self, bern_pair):
-        proc = self.run_module("tv", *bern_pair, "--seed", "1")
+        proc = run_module("tv", *bern_pair, "--seed", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "unrecognized arguments: --seed 1" in proc.stderr

@@ -17,7 +17,6 @@ from detectability import (
     load_jsonl,
     ngram_table,
     tokenize,
-    tv_between_corpora,
 )
 
 from _synth import ngram_counts, order_rows, strip_tokenize, unigram_docs, write_jsonl
@@ -119,24 +118,24 @@ class TestTvBetweenCorpora:
         # (1/3,2/3) = 1/3
         h = [doc("a a b")]
         m = [doc("a b b", label=Label.MACHINE)]
-        assert tv_between_corpora(h, m, 1) == pytest.approx(1 / 3, abs=1e-12)
+        assert best_auroc_by_order(h, m, [1])[0].tv == pytest.approx(1 / 3, abs=1e-12)
 
     def test_identical_corpora_give_zero(self):
         docs_a = [doc("x y z x")]
         docs_b = [doc("x y z x", label=Label.MACHINE)]
-        assert tv_between_corpora(docs_a, docs_b, 1) == 0.0
-        assert tv_between_corpora(docs_a, docs_b, 2) == 0.0
+        assert best_auroc_by_order(docs_a, docs_b, [1])[0].tv == 0.0
+        assert best_auroc_by_order(docs_a, docs_b, [2])[0].tv == 0.0
 
     def test_disjoint_vocab_gives_one(self):
         h = [doc("a b")]
         m = [doc("c d", label=Label.MACHINE)]
-        assert tv_between_corpora(h, m, 1) == 1.0
+        assert best_auroc_by_order(h, m, [1])[0].tv == 1.0
 
     def test_empty_side_raises(self):
         h = [doc("a b")]
         m = [doc("c", label=Label.MACHINE)]  # no bigrams
         with pytest.raises(ValueError):
-            tv_between_corpora(h, m, 2)
+            best_auroc_by_order(h, m, [2])[0].tv
 
 
 class TestBestAurocByOrder:

@@ -96,7 +96,7 @@ class TestLogLikelihoodRatio:
 
     def test_input_validation(self):
         with pytest.raises(DimensionError):
-            log_likelihood_ratio(BERN_6, Categorical.uniform(3), [0])
+            log_likelihood_ratio(BERN_6, Categorical(np.full(3, 1 / 3)), [0])
         with pytest.raises(ValueError):
             log_likelihood_ratio(BERN_6, BERN_5, [])
         with pytest.raises(ValueError):

@@ -93,8 +93,8 @@ class TestCategorical:
         assert BERN_6.probs.tolist() == [0.4, 0.6]
 
     def test_equality_and_hash(self):
-        assert Categorical([0.5, 0.5]) == Categorical.uniform(2)
-        assert hash(Categorical([0.5, 0.5])) == hash(Categorical.uniform(2))
+        assert Categorical([0.5, 0.5]) == Categorical(np.full(2, 1 / 2))
+        assert hash(Categorical([0.5, 0.5])) == hash(Categorical(np.full(2, 1 / 2)))
 
 
 class TestTvDistance:

@@ -20,8 +20,10 @@ from detectability import (
     trial_rng,
     tv_distance,
 )
+from detectability import simulate
 from detectability.simulate import (
     _CHUNK_CELLS,
+    _MAX_BLOCKS,
     _block_law,
     _chunk_trials,
     _law_selected,
@@ -253,8 +255,8 @@ class TestDependentExact:
         cfg = ExperimentConfig(
             BERN_6, BERN_5, list(self.EXACT), trials, dependence=self.DEP, seed=17
         )
-        res = run_experiment(cfg)
-        for row in res.rows:
+        rows = run_experiment(cfg)
+        for row in rows:
             auroc, se = dependent_lr_auroc(
                 BERN_6, BERN_5, rescale_blocks(self.DEP, row.n), trials
             )
@@ -287,9 +289,8 @@ class TestTrialRng:
         # trial_rng(seed, n, class, j); rebuilding every chunk by hand must
         # reproduce the run's AUROC exactly
         n, trials, seed = 300, 500, 4
-        cfg = ExperimentConfig(
-            TRI, Categorical.uniform(3), [n], trials, dependence=dependence, seed=seed
-        )
+        uniform = Categorical(np.full(3, 1 / 3))
+        cfg = ExperimentConfig(TRI, uniform, [n], trials, dependence=dependence, seed=seed)
         step = _chunk_trials(n, 3)
         assert trials > step  # the run spans several chunks
         per_class = []
@@ -305,13 +306,13 @@ class TestTrialRng:
                 parts.append(log_likelihood_ratio(cfg.m, cfg.h, counts))
             per_class.append(np.concatenate(parts))
         want = roc_from_scores(*per_class).auroc
-        assert run_experiment(cfg).rows[0].empirical_auroc == want
+        assert run_experiment(cfg)[0].empirical_auroc == want
 
 
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(BERN_6, Categorical.uniform(3), [1], 10)
+            ExperimentConfig(BERN_6, Categorical(np.full(3, 1 / 3)), [1], 10)
         with pytest.raises(ValueError):
             ExperimentConfig(BERN_6, BERN_5, [], 10)
         with pytest.raises(ValueError):
@@ -339,6 +340,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(BERN_6, BERN_5, **args)
 
+    @pytest.mark.parametrize("blocks", [[(10, 0.5)], [(3, 0.2), (2, 0.9), (1, 0.0)]])
+    def test_block_count_is_the_listing_length(self, monkeypatch, blocks):
+        # the config counts the blocks of its largest n without listing them
+        dep = DependenceSpec(blocks)
+        for n in range(1, 3 * dep.n + 2):
+            count = len(rescale_blocks(dep, n).blocks)
+            monkeypatch.setattr(simulate, "_MAX_BLOCKS", count)
+            ExperimentConfig(BERN_6, BERN_5, [n], 10, dependence=dep)
+            monkeypatch.setattr(simulate, "_MAX_BLOCKS", count - 1)
+            with pytest.raises(ValueError, match=f"^n_values: n = {n} needs {count} "):
+                ExperimentConfig(BERN_6, BERN_5, [n], 10, dependence=dep)
+
+    def test_block_cap(self):
+        dep = DependenceSpec([(10, 0.5)])
+        at_cap = 10 * _MAX_BLOCKS
+        ExperimentConfig(BERN_6, BERN_5, [1, at_cap], 10, dependence=dep)
+        with pytest.raises(
+            ValueError,
+            match=f"^n_values: n = {at_cap + 1} needs {_MAX_BLOCKS + 1} dependence "
+            f"blocks, more than {_MAX_BLOCKS}$",
+        ):
+            ExperimentConfig(BERN_6, BERN_5, [1, at_cap + 1], 10, dependence=dep)
+        # iid runs list no blocks
+        ExperimentConfig(BERN_6, BERN_5, [1, at_cap + 1], 10)
+
     def test_numpy_integers_are_accepted(self):
         cfg = ExperimentConfig(
             BERN_6, BERN_5, np.array([1, 2]), np.int64(5), seed=np.int32(3)
@@ -350,9 +376,9 @@ class TestExperimentConfig:
 class TestRunExperiment:
     def test_rows_and_exact_bound_gating(self):
         cfg = ExperimentConfig(BERN_6, BERN_5, [1, 4, 30, 20_000], 200, seed=1)
-        res = run_experiment(cfg)
-        assert [r.n for r in res.rows] == [1, 4, 30, 20_000]
-        for row in res.rows:
+        rows = run_experiment(cfg)
+        assert [r.n for r in rows] == [1, 4, 30, 20_000]
+        for row in rows:
             assert 0.0 <= row.empirical_auroc <= 1.0
             assert row.wall_time_seconds >= 0.0
             # support 2: 2^30 > 10^7 so the exact column drops out; 2^20000
@@ -368,7 +394,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(BERN_6, BERN_5, [2, 8], 300, seed=7)
         a = run_experiment(cfg)
         b = run_experiment(cfg)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.empirical_auroc == rb.empirical_auroc
             assert ra.auroc_upper_exact == rb.auroc_upper_exact
             assert ra.auroc_upper_chernoff == rb.auroc_upper_chernoff
@@ -378,7 +404,7 @@ class TestRunExperiment:
         for dep in (None, DependenceSpec([(10, 0.5)])):
             cfg = ExperimentConfig(BERN_6, BERN_5, [300], trials, dependence=dep, seed=5)
             a, b = run_experiment(cfg), run_experiment(cfg)
-            assert a.rows[0].empirical_auroc == b.rows[0].empirical_auroc
+            assert a[0].empirical_auroc == b[0].empirical_auroc
 
     def test_block_run_memory_is_bounded_by_the_chunk(self):
         # one dense trials x n float64 array of this run would take 48 MB;
@@ -396,8 +422,8 @@ class TestRunExperiment:
 
     def test_auroc_grows_with_n(self):
         cfg = ExperimentConfig(BERN_6, BERN_5, [1, 2, 4, 8, 16, 32, 64], 10_000, seed=2)
-        res = run_experiment(cfg)
-        aucs = [r.empirical_auroc for r in res.rows]
+        rows = run_experiment(cfg)
+        aucs = [r.empirical_auroc for r in rows]
         rho = spearmanr(range(len(aucs)), aucs).statistic
         assert rho > 0.95
         assert aucs[-1] > 0.85
@@ -417,7 +443,7 @@ class TestRunExperiment:
                 seed=3,
             )
         )
-        assert tied.rows[0].empirical_auroc < free.rows[0].empirical_auroc
+        assert tied[0].empirical_auroc < free[0].empirical_auroc
 
     def test_tv_sanity(self):
         assert tv_distance(BERN_6, BERN_5) == pytest.approx(0.1)

@@ -6,6 +6,7 @@ dropped from ``__all__`` is silently never computed.  The CLI's import graph
 is surface too: every invocation pays for what ``detectability.cli`` loads.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -21,6 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["bounds", "corpus", "detector", "distributions", "simulate", "textlab"]
 # Traced methods, found through their class's ``__all__`` entry.
 METHODS = {("textlab", "decision_function"): "LinearModel"}
+# Public names that no code under src/ calls, and why each stays public.
+NO_CALLER = {
+    "ngram_table": "traced in BENCHMARK.json",
+    "build_vocab": "traced in BENCHMARK.json",
+    "featurize": "traced in BENCHMARK.json",
+    "pairwise_augment": "traced in BENCHMARK.json",
+    "min_error_bruteforce": "acceptance criterion 2 and demos/01 use it",
+}
 
 
 def traced_functions():
@@ -55,6 +64,27 @@ def test_every_exported_name_exists(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_every_public_name_has_a_caller():
+    # a name counts as used when a package module imports it by name or
+    # loads it as a name or an attribute anywhere under src/
+    used = set()
+    for path in (ROOT / "src" / "detectability").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    public = {
+        name
+        for module in MODULES
+        for name in importlib.import_module(f"detectability.{module}").__all__
+    }
+    assert set(NO_CALLER) <= public
+    assert sorted(public - used - set(NO_CALLER)) == []
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -52,14 +52,14 @@ class TestVocabulary:
 
     def test_doc_freq_counts_documents_not_tokens(self):
         v = build_vocab(tiny_corpus(), min_df=1)
-        assert v.doc_freq[v.column("apple")] == 2
-        assert v.doc_freq[v.column("banana")] == 2
+        assert v.doc_freq[v.tokens.index("apple")] == 2
+        assert v.doc_freq[v.tokens.index("banana")] == 2
         assert v.n_docs == 3
 
     def test_column_is_none_for_oov(self):
         v = build_vocab(tiny_corpus(), min_df=2)
-        assert v.column("durian") is None
-        assert v.column("apple") == 0
+        assert "durian" not in v.tokens
+        assert v.tokens[0] == "apple"
 
 
 WORDS = ["apple", "Apple,", "banana.", "«cherry»", "don't", "—", "ß", "naïve", "x", "y"]
@@ -97,9 +97,9 @@ class TestFeaturize:
         x = featurize(docs, v, space="counts")
         assert sp.issparse(x)
         dense = x.toarray()
-        assert dense[0, v.column("apple")] == 2
-        assert dense[0, v.column("banana")] == 1
-        assert dense[2, v.column("cherry")] == 1
+        assert dense[0, v.tokens.index("apple")] == 2
+        assert dense[0, v.tokens.index("banana")] == 1
+        assert dense[2, v.tokens.index("cherry")] == 1
 
     def test_tfidf_matches_manual_computation(self):
         docs = tiny_corpus()
@@ -109,7 +109,7 @@ class TestFeaturize:
         counts = np.zeros((3, len(v)))
         for i, d in enumerate(docs):
             for tok in d.text.split():
-                counts[i, v.column(tok)] += 1
+                counts[i, v.tokens.index(tok)] += 1
         idf = np.log((1 + n) / (1 + v.doc_freq)) + 1.0
         manual = counts * idf
         norms = np.linalg.norm(manual, axis=1, keepdims=True)
@@ -128,7 +128,7 @@ class TestFeaturize:
         v = build_vocab(docs[:2], min_df=1)  # no "cherry"... wait, b has it
         v = build_vocab([docs[0]], min_df=1)  # apple, banana only
         x = featurize([doc("apple zebra")], v, space="counts").toarray()
-        assert x[0, v.column("apple")] == 1
+        assert x[0, v.tokens.index("apple")] == 1
         assert x.sum() == 1
 
     def test_all_oov_doc_keeps_zero_row(self):
