@@ -272,8 +272,11 @@ def _sample_copy(
     # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
     np.minimum(vals, k - 1, out=vals)
     copies = u[1] < np.repeat(rho, c)
+    # the positions at block offset i are by_offset[ends[i - 1]:ends[i]]
+    by_offset = np.argsort(offset, kind="stable")
+    ends = np.cumsum(np.bincount(offset))
     for i in range(1, int(c.max())):
-        pos = np.flatnonzero(offset == i)
+        pos = by_offset[ends[i - 1] : ends[i]]
         targets = start[pos] + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
         picked = np.take_along_axis(vals, targets, axis=1)
         vals[:, pos] = np.where(copies[:, pos], picked, vals[:, pos])

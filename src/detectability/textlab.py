@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .bounds import _check_int, _check_ints
 from .corpus import Document, _encode
 from .detector import Label, roc_from_scores
+
+# scipy is most of the package's import time, and only featurizing and
+# training need it, so those two functions import it when called.  They bind
+# ``sp`` at module level, which lets typing.get_type_hints resolve the
+# ``sp.csr_matrix`` annotations once either has run.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LinearModel",
@@ -97,6 +102,9 @@ def _featurize_ids(
     space: str,
 ) -> sp.csr_matrix:
     """Feature matrix of ``n_rows`` documents, from token rows and ids as above."""
+    global sp
+    import scipy.sparse as sp
+
     if space not in FEATURE_SPACES:
         raise ValueError(f"space must be one of {FEATURE_SPACES}, got {space!r}")
     if len(vocab) == 0:
@@ -211,6 +219,10 @@ def train_logreg(
         ``losses`` has ``epochs + 1`` entries; ``losses[-1]`` is the final
         training loss.
     """
+    global sp
+    import scipy.sparse as sp
+    from scipy.special import expit
+
     cfg = config if config is not None else TrainConfig()
     x = features if sp.issparse(features) else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)

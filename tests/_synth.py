@@ -53,6 +53,31 @@ def copy_process_law(probs, c: int, rho: float) -> dict[tuple[int, ...], float]:
     return {key: mass for key, mass in law.items() if mass > 0.0}
 
 
+def copy_counts_by_scan(
+    dist: Categorical, dep, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Reference copy sampler: finds each block offset's positions by a full scan.
+
+    Draws the same ``(3, trials, dep.n)`` uniforms as ``simulate._sample_copy``
+    and resolves the copies one block offset at a time, so the two agree bit
+    for bit; this one costs O(c * n) per call for blocks of length c.
+    """
+    c = np.array([b[0] for b in dep.blocks], dtype=np.int64)
+    rho = np.array([b[1] for b in dep.blocks], dtype=np.float64)
+    n, k = int(c.sum()), dist.support_size
+    start = np.repeat(np.cumsum(c) - c, c)
+    offset = np.arange(n) - start
+    u = rng.random((3, trials, n))
+    vals = np.minimum(np.searchsorted(np.cumsum(dist.probs), u[0], side="right"), k - 1)
+    copies = u[1] < np.repeat(rho, c)
+    for i in range(1, int(c.max())):
+        pos = np.flatnonzero(offset == i)
+        targets = start[pos] + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
+        picked = np.take_along_axis(vals, targets, axis=1)
+        vals[:, pos] = np.where(copies[:, pos], picked, vals[:, pos])
+    return np.stack([np.bincount(row, minlength=k) for row in vals])
+
+
 def mann_whitney_exact(x: np.ndarray, y: np.ndarray, trials: int) -> tuple[float, float]:
     """Exact AUROC ``P(X > Y) + P(X = Y) / 2`` and the Mann-Whitney standard error.
 

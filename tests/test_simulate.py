@@ -31,7 +31,7 @@ from detectability.simulate import (
     _sample_law,
 )
 
-from _synth import copy_process_law, dependent_lr_auroc
+from _synth import copy_counts_by_scan, copy_process_law, dependent_lr_auroc
 
 BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
@@ -167,6 +167,21 @@ class TestSampleNoniid:
                     else:
                         xs.append(min(int(np.searchsorted(cdf, fresh_u[t, j], side="right")), 2))
             np.testing.assert_array_equal(got[t], np.bincount(xs, minlength=3))
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(1, 0.5)],
+            [(40, 0.7)],
+            [(5, 0.9), (1, 0.2), (12, 0.5), (5, 0.0), (2, 1.0), (12, 0.3)],
+            [(3, 0.4)] * 9 + [(17, 0.8)] + [(2, 0.6)] * 4,
+        ],
+    )
+    def test_matches_the_scan_reference_on_mixed_blocks(self, blocks):
+        dep = DependenceSpec(blocks)
+        got = _sample_copy(TRI, dep, 64, np.random.default_rng(13))
+        want = copy_counts_by_scan(TRI, dep, 64, np.random.default_rng(13))
+        np.testing.assert_array_equal(got, want)
 
     def test_deterministic_under_seed(self):
         dep = DependenceSpec([(3, 0.4)] * 7)

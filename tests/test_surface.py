@@ -3,7 +3,8 @@
 The benchmark tracer finds the functions it times through each module's
 ``__all__``; a per-layer metric whose function was renamed, deleted or
 dropped from ``__all__`` is silently never computed.  The CLI's import graph
-is surface too: every invocation pays for what ``detectability.cli`` loads.
+is surface too: every invocation pays for what ``detectability.cli`` loads,
+and scipy loads only when a corpus mode featurizes or trains.
 """
 
 import ast
@@ -12,11 +13,23 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detectability
+from detectability import (
+    Label,
+    build_vocab,
+    featurize,
+    pairwise_auroc,
+    textlab,
+    train_logreg,
+)
+
+from _synth import unigram_docs, write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["bounds", "corpus", "detector", "distributions", "simulate", "textlab"]
@@ -95,3 +108,126 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def fresh_python(code, *args):
+    """Standard output of ``code`` run with ``args`` in a new interpreter."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout
+
+
+def scipy_modules(names):
+    return sorted(name for name in names if name.startswith("scipy"))
+
+
+@pytest.mark.parametrize("module", ["detectability", "detectability.cli"])
+def test_import_loads_no_scipy(module):
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    assert scipy_modules(json.loads(fresh_python(code))) == []
+
+
+def scipy_after_cli(argvs):
+    """Exit codes of ``cli.main`` on each argument list, and the scipy modules then loaded."""
+    code = """
+import contextlib, io, json, sys
+from detectability.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+    codes, loaded = json.loads(fresh_python(code, json.dumps(argvs)))
+    return codes, scipy_modules(loaded)
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Paths of tiny inputs for every subcommand."""
+    files = {
+        "m": [0.4, 0.6],
+        "h": [0.5, 0.5],
+        "dep": {"blocks": [[3, 0.5]]},
+        "sim": {
+            "m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [1, 6],
+            "trials_per_class": 50, "seed": 3, "dependence": {"blocks": [[3, 0.5]]},
+        },
+    }
+    paths = {}
+    for name, value in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    human, machine = text_docs()
+    for name, docs in (("human", human), ("machine", machine)):
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        write_jsonl(paths[name], docs)
+    return paths
+
+
+def test_closed_form_commands_load_no_scipy(cli_inputs):
+    p = cli_inputs
+    argvs = [
+        ["tv", p["m"], p["h"]],
+        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", p["dep"]],
+        ["curve", "--delta", "0.1", "--n-list", "1,2,4"],
+        ["simulate", p["sim"]],
+        ["corpus", "tv-by-order", "--human", p["human"], "--machine", p["machine"]],
+    ]
+    assert scipy_after_cli(argvs) == ([0] * len(argvs), [])
+
+
+def test_training_loads_scipy(cli_inputs):
+    # the check above can fail: a mode that featurizes and trains loads scipy
+    p = cli_inputs
+    argv = ["corpus", "train-ablate", "--human", p["human"], "--machine", p["machine"],
+            "--lengths", "5,20"]
+    codes, loaded = scipy_after_cli([argv])
+    assert codes == [0]
+    assert {"scipy.sparse", "scipy.special"} <= set(loaded)
+
+
+def text_docs():
+    rng = np.random.default_rng(5)
+    human = unigram_docs(rng, np.full(6, 1 / 6), Label.HUMAN, 12, 20, "h")
+    machine = unigram_docs(rng, np.arange(1, 7) / 21, Label.MACHINE, 12, 20, "m")
+    return human, machine
+
+
+def train_on_features(human, machine):
+    docs = human + machine
+    y = [0] * len(human) + [1] * len(machine)
+    return train_logreg(featurize(docs, build_vocab(docs)), y)[0].weights
+
+
+# each is the first call into textlab in its interpreter, so it imports scipy itself
+TEXT_CALLS = {
+    "featurize": lambda human, machine: featurize(
+        human + machine, build_vocab(human + machine)
+    ).toarray(),
+    "train_logreg dense": lambda human, machine: train_logreg(
+        np.random.default_rng(3).random((20, 5)), [0, 1] * 10
+    )[0].weights,
+    "train_logreg sparse": train_on_features,
+    "pairwise_auroc": lambda human, machine: [
+        row.test_auroc for row in pairwise_auroc(human, machine, (1, 2, 3))
+    ],
+}
+
+
+def text_call(name):
+    """The scipy modules loaded before ``TEXT_CALLS[name]``, its value, and featurize's return hint."""
+    human, machine = text_docs()
+    before = scipy_modules(sys.modules)
+    value = np.asarray(TEXT_CALLS[name](human, machine)).tolist()
+    hint = typing.get_type_hints(textlab.featurize)["return"]
+    return before, value, f"{hint.__module__}.{hint.__qualname__}"
+
+
+@pytest.mark.parametrize("name", TEXT_CALLS)
+def test_textlab_imports_scipy_when_first_called(name):
+    code = "import json, sys; from test_surface import text_call; print(json.dumps(text_call(sys.argv[1])))"
+    before, value, hint = json.loads(fresh_python(code, name))
+    assert before == []
+    assert [value, hint] == list(text_call(name)[1:])
