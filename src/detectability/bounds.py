@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -171,7 +170,11 @@ def tv_tensor_lower(n: int, delta: float) -> float:
     """
     n = _check_int("n", n)
     delta = _check_delta(delta)
-    return max(0.0, 1.0 - 2.0 * math.exp(-n * delta * delta / 2.0))
+    try:
+        rate = n * delta * delta / 2.0
+    except OverflowError:  # n is past the float range; the bound is 1.0 past a rate of 40
+        rate = math.exp(min(math.log(n) + 2 * math.log(delta) - math.log(2), math.log(40)))
+    return max(0.0, 1.0 - 2.0 * math.exp(-rate))
 
 
 def tv_tensor_chernoff(n: int, chernoff: float) -> float:
@@ -186,6 +189,14 @@ def tv_tensor_chernoff(n: int, chernoff: float) -> float:
     if chernoff < 0.0 or math.isnan(chernoff):
         raise ValueError(f"chernoff must be nonnegative, got {chernoff!r}")
     return 1.0 - math.exp(-n * chernoff)
+
+
+def _ceil_samples(inputs: str, value) -> int:
+    """``ceil(value())``, or a ValueError naming the ``inputs`` if it leaves the float range."""
+    try:
+        return math.ceil(value())
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"the sample size at {inputs} is past the float range") from None
 
 
 def sample_complexity_iid(delta: float, epsilon: float) -> int:
@@ -204,7 +215,8 @@ def sample_complexity_iid(delta: float, epsilon: float) -> int:
     """
     delta = _check_delta(delta)
     epsilon = _check_epsilon(epsilon)
-    return math.ceil(math.log(2.0 / (1.0 - epsilon)) / (delta * delta))
+    inputs = f"delta = {delta!r}"
+    return _ceil_samples(inputs, lambda: math.log(2.0 / (1.0 - epsilon)) / (delta * delta))
 
 
 def sample_complexity_noniid(
@@ -223,8 +235,8 @@ def sample_complexity_noniid(
     :func:`sample_complexity_iid`; the two formulas come from different
     derivations and are both exposed as published.
 
-    A warning (never an error) is emitted if the returned ``n`` fails the
-    underlying concentration precondition ``delta > alpha / n``.
+    The returned ``n`` exceeds ``2 alpha / delta``, so it always meets the
+    concentration precondition ``delta > alpha / n``.
     """
     delta = _check_delta(delta)
     epsilon = _check_epsilon(epsilon)
@@ -232,21 +244,12 @@ def sample_complexity_noniid(
         raise TypeError("dep must be a DependenceSpec")
     gamma = math.log(8.0 / (1.0 - epsilon))
     alpha = dep.alpha
-    value = (
-        gamma / (2.0 * delta * delta)
+    return _ceil_samples(
+        f"delta = {delta!r}, alpha = {alpha!r}",
+        lambda: gamma / (2.0 * delta * delta)
         + 2.0 * alpha / delta
-        + math.sqrt(gamma * gamma + 8.0 * alpha * delta * gamma)
-        / (2.0 * delta * delta)
+        + math.sqrt(gamma * gamma + 8.0 * alpha * delta * gamma) / (2.0 * delta * delta),
     )
-    n = math.ceil(value)
-    if delta <= alpha / n:
-        warnings.warn(
-            f"returned n={n} violates the concentration precondition "
-            f"delta > alpha/n (delta={delta}, alpha={alpha})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return n
 
 
 def auroc_vs_n_curve(delta: float, n_values: Sequence[int]) -> list[BoundCurvePoint]:

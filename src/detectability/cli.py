@@ -290,7 +290,10 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _load_corpus(path: str, strict: bool):
-    docs, skipped = load_jsonl(path, strict=strict)
+    try:
+        docs, skipped = load_jsonl(path, strict=strict)
+    except CorpusParseError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     if skipped:
         print(f"{PROG}: skipped {skipped} bad line(s) in {path}", file=sys.stderr)
     if not docs:
@@ -423,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config["format"] = args.format
         text = _render(rows, config, args.format)
         _write_output(text, args.out)
-    except (UsageError, CorpusParseError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError) as exc:

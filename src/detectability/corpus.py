@@ -238,7 +238,7 @@ def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document]
 
     Each line must be an object with a nonempty string ``id`` (unique within
     the file), nonempty ``text``, and ``label`` of ``"human"`` or
-    ``"machine"``.
+    ``"machine"``.  A line holding bytes that are not UTF-8 is a bad line.
 
     Parameters
     ----------
@@ -256,7 +256,8 @@ def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document]
     docs: list[Document] = []
     seen_ids: set[str] = set()
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps each undecodable byte, as a lone surrogate, on its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 if strict:
@@ -265,7 +266,13 @@ def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document]
                 continue
             try:
                 try:
+                    line.encode("utf-8")
                     obj = json.loads(line)
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise CorpusParseError(
+                        f"byte {byte:#04x} at column {exc.start + 1} is not UTF-8", line=line_no
+                    ) from None
                 except json.JSONDecodeError as exc:
                     raise CorpusParseError(
                         f"malformed JSON at column {exc.colno}: {exc.msg}",

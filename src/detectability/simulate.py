@@ -11,21 +11,15 @@ chunks, and chunk ``j`` gets its own generator, keyed by
 A chunk holds at most ``_CHUNK_CELLS`` (2**16) cells, counting ``max(n, k)``
 cells per trial for support size ``k``, so it covers ``2**16 // max(n, k)``
 trials (at least one).  Each chunk is sampled as a matrix of per-trial count
-vectors and scored in one call.  Iid chunks are one multinomial draw.  A
-block-dependent chunk draws one multinomial per distinct ``(c, rho)`` block
-kind, in first-appearance order, over that kind's exact count-type law.
-Where building and drawing from those laws would touch more cells than the
-copy process (long blocks, large supports), the chunk runs the copy process
-on one ``(3, trials, n)`` array of uniforms instead; see
-:func:`sample_noniid` for the rule, which depends only on the support size
-and the block pattern, so every chunk of a row uses the same sampler.
-Results are therefore bit-identical across runs; wall-clock columns are the
-only nondeterministic output.
+vectors and scored in one call: iid chunks by one multinomial draw,
+block-dependent ones as :func:`sample_noniid` describes, by a rule that
+depends only on the support size, the block pattern and ``n``, so every
+chunk of a row uses the same sampler.  Results are therefore bit-identical
+across runs; wall-clock columns are the only nondeterministic output.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import Counter
@@ -51,7 +45,6 @@ from .distributions import (
 __all__ = [
     "ExperimentConfig",
     "ExperimentRow",
-    "rescale_blocks",
     "run_experiment",
     "sample_iid",
     "sample_noniid",
@@ -62,10 +55,6 @@ _MACHINE, _HUMAN = 0, 1
 
 # The sample counts numpy's samplers take are C longs.
 _MAX_N = np.iinfo(np.int64).max
-
-# rescale_blocks lists every block of each n.  The count grows linearly with n
-# and listing 2**20 blocks takes about 0.5 s, so a larger pattern is refused.
-_MAX_BLOCKS = 1 << 20
 
 # One chunk of trials holds at most this many cells, counting max(n, k) cells
 # per trial (k the support size); it bounds the sampler's working memory.
@@ -85,9 +74,8 @@ class ExperimentConfig:
     trials_per_class : int
         Number of sample sets drawn per class at each ``n``.
     dependence : DependenceSpec or None
-        Optional block-dependence pattern; it is rescaled to each ``n``
-        (see :func:`rescale_blocks`), which may take at most 2**20 blocks.
-        ``None`` means iid sampling.
+        Optional block-dependence pattern, cycled to cover each ``n`` (see
+        :func:`sample_noniid`).  ``None`` means iid sampling.
     seed : int
         Root seed for the per-chunk generator keys.
     """
@@ -110,20 +98,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "trials_per_class", _check_int("trials_per_class", self.trials_per_class)
         )
-        if self.dependence is not None and not isinstance(
-            self.dependence, DependenceSpec
-        ):
+        if not isinstance(self.dependence, (DependenceSpec, type(None))):
             raise ValueError("dependence must be a DependenceSpec or None")
-        if self.dependence is not None:
-            n = max(self.n_values)
-            cycles, rest = divmod(n, self.dependence.n)
-            starts = itertools.accumulate((c for c, _ in self.dependence.blocks), initial=0)
-            blocks = cycles * len(self.dependence.blocks) + sum(s < rest for s in starts)
-            if blocks > _MAX_BLOCKS:
-                raise ValueError(
-                    f"n_values: n = {n} needs {blocks} dependence blocks, "
-                    f"more than {_MAX_BLOCKS}"
-                )
         object.__setattr__(self, "seed", _check_int("seed", self.seed, low=0))
 
 
@@ -168,42 +144,46 @@ def sample_iid(
     return rng.multinomial(_check_int("n", n), dist.probs, size=trials)
 
 
-def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
-    """Fit a block pattern to ``n`` samples.
+def _rescale(dep: DependenceSpec, n: int) -> tuple[int, list[tuple[int, float]]]:
+    """``dep.blocks`` cycled over ``n`` samples: whole cycles, then a partial one.
 
-    Cycles through ``dep.blocks`` until ``n`` samples are covered; the final
-    block is truncated to fit, keeping its correlation.
+    Returns the number of whole cycles and the partial cycle's blocks, the
+    last of them truncated to fit (it keeps its correlation).
     """
-    n = _check_int("n", n)
-    out: list[tuple[int, float]] = []
-    total = 0
-    while total < n:
-        for c, rho in dep.blocks:
-            take = min(c, n - total)
-            out.append((take, rho))
-            total += take
-            if total == n:
-                break
-    return DependenceSpec(out)
+    cycles, rest = divmod(n, dep.n)
+    partial = []
+    for c, rho in dep.blocks:
+        if rest == 0:
+            break
+        partial.append((min(c, rest), rho))
+        rest -= partial[-1][0]
+    return cycles, partial
 
 
-def _law_selected(dep: DependenceSpec, k: int) -> bool:
-    """Whether :func:`sample_noniid` draws ``dep`` from the exact block laws.
+def _block_kinds(dep: DependenceSpec, n: int) -> Counter:
+    """Multiplicity of each ``(c, rho)`` block of ``dep`` at ``n``, in first-appearance order."""
+    cycles, partial = _rescale(dep, n)
+    whole = Counter({block: m * cycles for block, m in Counter(dep.blocks).items()})
+    return whole + Counter(partial)  # + drops the kinds of zero whole cycles
+
+
+def _law_selected(dep: DependenceSpec, n: int, k: int) -> bool:
+    """Whether :func:`sample_noniid` draws ``dep`` at ``n`` from the exact block laws.
 
     True when the law sampler touches no more cells than the copy process
-    on a full chunk of ``T = _chunk_trials(dep.n, k)`` trials, which touches
-    ``T * dep.n``: building each distinct kind's law touches ``k`` cells per
+    on a full chunk of ``T = _chunk_trials(n, k)`` trials, which touches
+    ``T * n``: building each distinct kind's law touches ``k`` cells per
     count type of every step, ``k * C(c + k - 1, c - 1)`` in all, and the
     draws one cell per trial and type of the ``C(c + k - 1, c)``.  Each
     kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
     fit in int64.
     """
-    kinds = Counter(dep.blocks)
-    trials = _chunk_trials(dep.n, k)
+    kinds = _block_kinds(dep, n)
+    trials = _chunk_trials(n, k)
     cells = sum(
         k * math.comb(c + k - 1, c - 1) + trials * math.comb(c + k - 1, c) for c, _ in kinds
     )
-    return cells <= trials * dep.n and all((c + 1) ** k <= 2**63 for c, _ in kinds)
+    return cells <= trials * n and all((c + 1) ** k <= 2**63 for c, _ in kinds)
 
 
 def _block_law(probs: np.ndarray, c: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +212,7 @@ def _block_law(probs: np.ndarray, c: int, rho: float) -> tuple[np.ndarray, np.nd
 
 
 def _sample_law(
-    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
+    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Block-dependent count vectors drawn from the exact block laws.
 
@@ -241,41 +221,51 @@ def _sample_law(
     its blocks take each count type; the types' counts add up.
     """
     counts = np.zeros((trials, dist.support_size), dtype=np.int64)
-    for (c, rho), m in Counter(dep.blocks).items():
+    for (c, rho), m in _block_kinds(dep, n).items():
         atoms, law = _block_law(dist.probs, c, rho)
         counts += rng.multinomial(m, law, size=trials) @ atoms
     return counts
 
 
+def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
+    """Each of ``n`` positions' offset in its block, and its block's ``rho``.
+
+    One cycle's arrays are tiled once per whole cycle; the partial cycle's follow.
+    """
+    cycles, partial = _rescale(dep, n)
+    blocks = [*dep.blocks, *partial]
+    c = np.array([b[0] for b in blocks], dtype=np.int64)
+    offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+    rho = np.repeat([b[1] for b in blocks], c)
+    return tuple(np.concatenate([np.tile(a[: dep.n], cycles), a[dep.n :]]) for a in (offset, rho))
+
+
 def _sample_copy(
-    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
+    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Block-dependent count vectors from the copy process itself.
 
-    The copy process runs on a ``(trials, dep.n)`` sample matrix, one block
+    The copy process runs on a ``(trials, n)`` sample matrix, one block
     position at a time across every block and trial; each row is then
     counted into a ``(trials, support_size)`` matrix.  One
-    ``(3, trials, dep.n)`` array of uniforms is drawn (fresh draws, copy
-    coins, copy-target picks; coins and picks of block heads go unused), so
-    the result is a pure function of the generator state regardless of how
-    the copies resolve.
+    ``(3, trials, n)`` array of uniforms is drawn (fresh draws, copy coins,
+    copy-target picks; coins and picks of block heads go unused), so the
+    result is a pure function of the generator state regardless of how the
+    copies resolve.
     """
-    c = np.array([b[0] for b in dep.blocks], dtype=np.int64)
-    rho = np.array([b[1] for b in dep.blocks], dtype=np.float64)
-    n = int(c.sum())
+    offset, rho = _copy_positions(dep, n)
     k = dist.support_size
-    start = np.repeat(np.cumsum(c) - c, c)  # block head of each position
-    offset = np.arange(n) - start
+    start = np.arange(n) - offset  # block head of each position
 
     u = rng.random((3, trials, n))
     vals = np.searchsorted(np.cumsum(dist.probs), u[0], side="right")
     # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
     np.minimum(vals, k - 1, out=vals)
-    copies = u[1] < np.repeat(rho, c)
+    copies = u[1] < rho
     # the positions at block offset i are by_offset[ends[i - 1]:ends[i]]
     by_offset = np.argsort(offset, kind="stable")
     ends = np.cumsum(np.bincount(offset))
-    for i in range(1, int(c.max())):
+    for i in range(1, len(ends)):
         pos = by_offset[ends[i - 1] : ends[i]]
         targets = start[pos] + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
         picked = np.take_along_axis(vals, targets, axis=1)
@@ -286,16 +276,16 @@ def _sample_copy(
 
 
 def sample_noniid(
-    dist: Categorical, dep: DependenceSpec, trials: int, rng: np.random.Generator
+    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Count vectors of ``trials`` sets of ``dep.n`` draws with within-block copying.
+    """Count vectors of ``trials`` sets of ``n`` draws with within-block copying.
 
+    The blocks cycle through ``dep.blocks`` until ``n`` samples are covered,
+    the final block truncated to fit; they are counted, never listed.
     Blocks are mutually independent.  Inside a block the first sample is a
     fresh draw; each later sample copies a uniformly chosen earlier sample
-    of the block with probability ``rho``, else draws fresh.  Consequently
-    the conditional mean of sample ``i`` given the block's past is
-    ``rho * (past mean) + (1 - rho) * (unconditional mean)``.  Returns a
-    ``(trials, support_size)`` integer matrix whose rows sum to ``dep.n``.
+    of the block with probability ``rho``, else draws fresh.  Returns a
+    ``(trials, support_size)`` integer matrix whose rows sum to ``n``.
 
     Stream convention.  The count types of one block kind ``(c, rho)`` have
     an exact law (:func:`_block_law`), built without random numbers.  When
@@ -304,12 +294,13 @@ def sample_noniid(
     type keys fit in int64 (:func:`_law_selected`; in practice short blocks
     over small supports), one ``multinomial(multiplicity, law,
     size=trials)`` is drawn per kind, in first-appearance order.  Otherwise
-    the copy process runs position by position on one ``(3, trials,
-    dep.n)`` array of uniforms: fresh draws, copy coins and copy-target
-    picks.  Either way the result is a pure function of the generator state.
+    the copy process runs position by position on one ``(3, trials, n)``
+    array of uniforms: fresh draws, copy coins and copy-target picks.
+    Either way the result is a pure function of the generator state.
     """
-    sampler = _sample_law if _law_selected(dep, dist.support_size) else _sample_copy
-    return sampler(dist, dep, trials, rng)
+    n = _check_int("n", n)
+    sampler = _sample_law if _law_selected(dep, n, dist.support_size) else _sample_copy
+    return sampler(dist, dep, n, trials, rng)
 
 
 def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:
@@ -338,21 +329,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     for n in config.n_values:
         t0 = time.perf_counter()
         step = _chunk_trials(n, config.m.support_size)
-        dep_n = (
-            rescale_blocks(config.dependence, n)
-            if config.dependence is not None
-            else None
-        )
         per_class: list[np.ndarray] = []
         for class_index, dist in ((_MACHINE, config.m), (_HUMAN, config.h)):
             scores = np.empty(trials)
             for chunk, lo in enumerate(range(0, trials, step)):
                 size = min(step, trials - lo)
                 rng = trial_rng(config.seed, n, class_index, chunk)
-                if dep_n is None:
+                if config.dependence is None:
                     counts = sample_iid(dist, n, size, rng)
                 else:
-                    counts = sample_noniid(dist, dep_n, size, rng)
+                    counts = sample_noniid(dist, config.dependence, n, size, rng)
                 scores[lo : lo + size] = log_likelihood_ratio(config.m, config.h, counts)
             per_class.append(scores)
         curve = roc_from_scores(per_class[_MACHINE], per_class[_HUMAN])

@@ -10,6 +10,7 @@ import numpy as np
 
 from detectability import (
     Categorical,
+    DependenceSpec,
     Document,
     Label,
     OrderRow,
@@ -18,6 +19,25 @@ from detectability import (
 )
 from detectability.corpus import _strip_punct
 from detectability.simulate import _block_law
+
+
+def rescale_blocks(dep: DependenceSpec, n: int) -> DependenceSpec:
+    """Reference rescaling: every block of ``dep`` cycled to cover ``n`` samples.
+
+    Cycles through ``dep.blocks`` until ``n`` samples are covered; the final
+    block is truncated to fit, keeping its correlation.  Lists one block per
+    block of the result, so it is for small ``n`` only.
+    """
+    out: list[tuple[int, float]] = []
+    total = 0
+    while total < n:
+        for c, rho in dep.blocks:
+            take = min(c, n - total)
+            out.append((take, rho))
+            total += take
+            if total == n:
+                break
+    return DependenceSpec(out)
 
 
 def product_masses(dist: Categorical, n: int) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detectability import (
     Categorical,
@@ -112,6 +114,12 @@ class TestTvTensorLower:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.99
 
+    def test_n_past_the_float_range(self):
+        # n delta^2 / 2 is 5e397, 0.5 and 5e19: the floor is 1, 0 and 1
+        assert tv_tensor_lower(10**400, 0.1) == 1.0
+        assert tv_tensor_lower(10**400, 1e-200) == 0.0
+        assert tv_tensor_lower(10**420, 1e-200) == 1.0
+
 
 class TestTvTensorChernoff:
     def test_frozen_values(self):
@@ -144,6 +152,22 @@ class TestSampleComplexityIid:
         for delta, eps in [(0.0, 0.9), (1.1, 0.9), (0.1, 0.4), (0.1, 1.0)]:
             with pytest.raises(ValueError):
                 sample_complexity_iid(delta, eps)
+
+    @pytest.mark.parametrize("delta", [1e-200, 1e-160])
+    def test_sample_size_past_the_float_range_names_delta(self, delta):
+        # delta**2 underflows to 0 at 1e-200, and the quotient overflows at 1e-160
+        with pytest.raises(
+            ValueError, match=rf"^the sample size at delta = {delta!r} is past the float range$"
+        ):
+            sample_complexity_iid(delta, 0.9)
+        with pytest.raises(
+            ValueError,
+            match=rf"^the sample size at delta = {delta!r}, alpha = 4\.5 is past the float range$",
+        ):
+            sample_complexity_noniid(delta, 0.9, DependenceSpec([(10, 0.5)]))
+        # a dependence mass near the float limit overflows it at any delta
+        with pytest.raises(ValueError, match=r"^the sample size at delta = 0\.1, alpha = 1e\+308 "):
+            sample_complexity_noniid(0.1, 0.9, DependenceSpec([(10**308 + 1, 1.0)]))
 
     def test_guarantee_holds_and_is_tight(self):
         # n draws must push the tensorized floor's ceiling to >= eps, and
@@ -226,6 +250,16 @@ class TestSampleComplexityNoniid:
             gamma**2 + 8 * alpha * delta * gamma
         ) / (2 * delta**2)
         assert sample_complexity_noniid(delta, eps, dep) == math.ceil(root)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(1e-6, 1.0),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.lists(st.tuples(st.integers(1, 10**6), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    )
+    def test_result_meets_the_concentration_precondition(self, delta, eps, blocks):
+        dep = DependenceSpec(blocks)
+        assert delta > dep.alpha / sample_complexity_noniid(delta, eps, dep)
 
     def test_domain(self):
         dep = DependenceSpec([(2, 0.5)])

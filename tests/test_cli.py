@@ -174,6 +174,23 @@ class TestBoundsCommand:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("delta", ["1e-200", "1e-160"])
+    @pytest.mark.parametrize("dependence", [False, True])
+    def test_sample_size_past_the_float_range_exit_one(
+        self, capsys, tmp_path, delta, dependence
+    ):
+        dep = tmp_path / "dep.json"
+        dep.write_text(json.dumps({"blocks": [[10, 0.5]]}))
+        extra = ["--dependence", str(dep)] if dependence else []
+        code, out, err = run(capsys, "bounds", "--delta", delta, "--epsilon", "0.9", *extra)
+        assert code == 1
+        assert out == ""
+        # the iid row comes first, so its sample size is the one reported
+        assert err == (
+            f"detectability: error: the sample size at delta = {float(delta)!r} "
+            "is past the float range\n"
+        )
+
     def test_missing_dependence_file_exit_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -238,6 +255,15 @@ class TestCurveCommand:
             assert float(pts[-1]["tpr"]) == 1.0
         # n = 1 keeps the raw separation
         assert float(bound[0]["tv_lower"]) == pytest.approx(0.1)
+
+    def test_n_past_the_float_range_saturates(self, capsys):
+        huge = 10**399
+        code, out, _ = run(capsys, "curve", "--delta", "0.1", "--n-list", f"1,{huge}")
+        assert code == 0
+        _, rows = parse_csv(out)
+        (last,) = [r for r in rows if r["kind"] == "bound" and int(r["n"]) == huge]
+        assert float(last["tv_lower"]) == 1.0
+        assert float(last["auroc_upper"]) == 1.0
 
     def test_error_on_descending_n_list(self, capsys):
         code, _, err = run(capsys, "curve", "--delta", "0.1", "--n-list", "4,2")
@@ -357,21 +383,35 @@ class TestSimulateCommand:
         assert out == ""
         assert f"{cfg}: {message}" in err
 
-    def test_huge_dependent_n_exits_two(self, tmp_path):
-        # listing one block per 10 samples of this n would never finish; the
-        # timeout and the address-space cap make a regression fail instead of
-        # hang or fill the machine's memory
-        n = 2**63 - 1
+    def test_huge_dependent_n_runs(self, tmp_path):
+        # the law sampler counts the blocks of each kind, so the largest n
+        # runs; listing one block per 10 samples would never finish, and the
+        # timeout and the address-space cap make a regression fail instead
+        # of hang or fill the machine's memory
         cfg = self.write_config(
-            tmp_path, n_values=[n], dependence={"blocks": [[10, 0.5]]}
+            tmp_path, n_values=[2**63 - 1], dependence={"blocks": [[10, 0.5]]}
         )
         proc = run_module("simulate", cfg, preexec_fn=cap_address_space)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            f"detectability: error: {cfg}: n_values: n = {n} needs "
-            f"{n // 10 + 1} dependence blocks, more than {2**20}\n"
+        assert proc.returncode == 0, proc.stderr
+        _, rows = parse_csv(proc.stdout)
+        assert [int(r["n"]) for r in rows] == [2**63 - 1]
+        assert 0.0 <= float(rows[0]["empirical_auroc"]) <= 1.0
+
+    def test_copy_path_too_big_for_memory_exits_one(self, tmp_path):
+        # blocks of 500 over 10 letters take the copy process, whose 2**40
+        # positions per trial no memory holds
+        cfg = self.write_config(
+            tmp_path,
+            m=[0.1] * 10,
+            h=[0.05] * 5 + [0.15] * 5,
+            n_values=[2**40],
+            dependence={"blocks": [[500, 0.5]]},
         )
+        proc = run_module("simulate", cfg, preexec_fn=cap_address_space)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("detectability: error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
 
     def test_unallocatable_trial_count_exits_one(self, capsys, tmp_path):
         # 10**12 float64 scores need 7.28 TiB, which numpy refuses to allocate
@@ -452,6 +492,23 @@ class TestCorpusCommand:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_line_not_utf8(self, capsys, corpus_files, tmp_path, strict):
+        hp, mp = corpus_files
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(open(hp, "rb").read() + b'{"id": "x", "text": "\xe9", "label": "human"}\n')
+        argv = ["corpus", "tv-by-order", "--human", str(bad), "--machine", mp, "--orders", "1"]
+        code, out, err = run(capsys, *argv, *([] if strict else ["--lenient"]))
+        if strict:
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"detectability: error: {bad}: line 41: byte 0xe9 at column 22 is not UTF-8\n"
+            )
+        else:
+            assert code == 0
+            assert err == f"detectability: skipped 1 bad line(s) in {bad}\n"
 
     def test_lenient_skips_with_note(self, capsys, corpus_files, tmp_path):
         hp, mp = corpus_files

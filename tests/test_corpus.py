@@ -241,6 +241,24 @@ class TestLoadJsonl:
         assert skipped == 1
         assert [d.id for d in docs] == ["a", "b"]
 
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        # a lone \r still ends a line, as in text mode, so the bad line is 3
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(
+            b'{"id": "a", "text": "x", "label": "human"}\r'
+            b'{"id": "b", "text": "y", "label": "human"}\r\n'
+            b'{"id": "c", "text": "caf\xe9", "label": "human"}\n'
+            b'{"id": "d", "text": "z", "label": "machine"}\n'
+        )
+        with pytest.raises(
+            CorpusParseError, match=r"^line 3: byte 0xe9 at column 25 is not UTF-8$"
+        ) as exc:
+            load_jsonl(path)
+        assert exc.value.line == 3
+        docs, skipped = load_jsonl(path, strict=False)
+        assert skipped == 1
+        assert [d.id for d in docs] == ["a", "b", "d"]
+
     def test_document_validation(self):
         with pytest.raises(ValueError):
             Document(id="", text="x", label="human")

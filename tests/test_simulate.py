@@ -3,15 +3,18 @@
 import math
 import tracemalloc
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multinomial, spearmanr
 
 from detectability import (
     Categorical,
     DependenceSpec,
     ExperimentConfig,
-    rescale_blocks,
     run_experiment,
     log_likelihood_ratio,
     roc_from_scores,
@@ -20,18 +23,24 @@ from detectability import (
     trial_rng,
     tv_distance,
 )
-from detectability import simulate
 from detectability.simulate import (
     _CHUNK_CELLS,
-    _MAX_BLOCKS,
+    _block_kinds,
     _block_law,
     _chunk_trials,
+    _copy_positions,
     _law_selected,
+    _rescale,
     _sample_copy,
     _sample_law,
 )
 
-from _synth import copy_counts_by_scan, copy_process_law, dependent_lr_auroc
+from _synth import (
+    copy_counts_by_scan,
+    copy_process_law,
+    dependent_lr_auroc,
+    rescale_blocks,
+)
 
 BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
@@ -70,24 +79,69 @@ class TestSampleIid:
 
 
 class TestRescaleBlocks:
+    # A pattern at n is described by its whole cycles and its partial cycle;
+    # the law sampler sees the block kinds, the copy process the positions.
     def test_exact_fit_cycles_pattern(self):
         dep = DependenceSpec([(3, 0.5), (2, 0.1)])
-        out = rescale_blocks(dep, 10)
-        assert out.blocks == ((3, 0.5), (2, 0.1), (3, 0.5), (2, 0.1))
+        assert _rescale(dep, 10) == (2, [])
+        assert _block_kinds(dep, 10) == {(3, 0.5): 2, (2, 0.1): 2}
 
     def test_truncates_final_block(self):
         dep = DependenceSpec([(4, 0.9)])
-        out = rescale_blocks(dep, 10)
-        assert out.blocks == ((4, 0.9), (4, 0.9), (2, 0.9))
-        assert out.n == 10
+        assert _rescale(dep, 10) == (2, [(2, 0.9)])
+        assert list(_block_kinds(dep, 10).items()) == [((4, 0.9), 2), ((2, 0.9), 1)]
+        np.testing.assert_array_equal(_copy_positions(dep, 10)[0], [0, 1, 2, 3] * 2 + [0, 1])
 
     def test_identity_when_lengths_agree(self):
         dep = DependenceSpec([(5, 0.3), (5, 0.7)])
-        assert rescale_blocks(dep, 10).blocks == dep.blocks
+        assert _rescale(dep, 10) == (1, [])
+        assert list(_block_kinds(dep, 10)) == list(dep.blocks)
 
     def test_n_smaller_than_first_block(self):
         dep = DependenceSpec([(10, 0.5)])
-        assert rescale_blocks(dep, 3).blocks == ((3, 0.5),)
+        assert _rescale(dep, 3) == (0, [(3, 0.5)])
+        assert _block_kinds(dep, 3) == {(3, 0.5): 1}
+
+    @staticmethod
+    def assert_matches_the_listing(dep, n):
+        listing = rescale_blocks(dep, n).blocks
+        assert list(_block_kinds(dep, n).items()) == list(Counter(listing).items())
+        offset, rho = _copy_positions(dep, n)
+        np.testing.assert_array_equal(offset, np.concatenate([np.arange(c) for c, _ in listing]))
+        np.testing.assert_array_equal(rho, np.concatenate([np.full(c, r) for c, r in listing]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.data(),
+    )
+    def test_kinds_and_positions_match_the_listing(self, blocks, data):
+        dep = DependenceSpec(blocks)
+        self.assert_matches_the_listing(dep, data.draw(st.integers(1, 3 * dep.n + 2)))
+
+    @pytest.mark.parametrize(
+        "blocks, n",
+        [
+            ([(3, 0.5), (2, 0.1)], 15),  # rest == 0
+            ([(3, 0.2), (2, 0.9), (1, 0.0)], 4),  # n < dep.n
+            ([(4, 0.5), (1, 0.5)], 12),  # the truncated (2, 0.5) is a new kind
+            ([(2, 0.3), (4, 0.5), (2, 0.5)], 20),  # the truncated (2, 0.5) repeats a kind
+            ([(2, 0.3), (1, 0.7), (2, 0.3)], 6),  # a repeated kind listed once, first
+        ],
+    )
+    def test_edge_cases_match_the_listing(self, blocks, n):
+        self.assert_matches_the_listing(DependenceSpec(blocks), n)
+
+    def test_huge_n_is_counted_not_listed(self):
+        dep = DependenceSpec([(3, 0.2), (2, 0.9)])
+        n = 2**63 - 1  # 2 past a whole cycle
+        kinds = _block_kinds(dep, n)
+        cycles = n // 5
+        assert list(kinds.items()) == [((3, 0.2), cycles), ((2, 0.9), cycles), ((2, 0.2), 1)]
 
 
 # The law sampler and the copy process draw from one law; sample_noniid
@@ -101,16 +155,16 @@ class TestSampleNoniid:
         # is counted a whole number of blocks
         dep = DependenceSpec([(5, 1.0)] * 20)
         for sampler in SAMPLERS:
-            counts = sampler(TRI, dep, 300, np.random.default_rng(3))
+            counts = sampler(TRI, dep, dep.n, 300, np.random.default_rng(3))
             assert counts.shape == (300, 3), sampler.__name__
             assert (counts.sum(axis=1) == 100).all(), sampler.__name__
             assert (counts % 5 == 0).all(), sampler.__name__
             assert (counts % 10 != 0).any(), sampler.__name__  # blocks vary within a set
 
     def test_rho_zero_matches_marginal(self):
-        dep = rescale_blocks(DependenceSpec([(5, 0.0)]), 500)
+        dep = DependenceSpec([(5, 0.0)])
         for sampler in SAMPLERS:
-            counts = sampler(TRI, dep, 2000, np.random.default_rng(4))
+            counts = sampler(TRI, dep, 500, 2000, np.random.default_rng(4))
             draws = counts.sum()
             for k, p in enumerate(TRI.probs):
                 freq = pooled_frequencies(counts)[k]
@@ -119,9 +173,9 @@ class TestSampleNoniid:
     def test_marginal_preserved_under_dependence(self):
         # copying earlier draws leaves each position marginally distributed
         # as the base distribution; the tolerance counts blocks, not draws
-        dep = rescale_blocks(DependenceSpec([(4, 0.7)]), 400)
+        dep = DependenceSpec([(4, 0.7)])
         for sampler in SAMPLERS:
-            counts = sampler(TRI, dep, 1500, np.random.default_rng(5))
+            counts = sampler(TRI, dep, 400, 1500, np.random.default_rng(5))
             for k, p in enumerate(TRI.probs):
                 freq = pooled_frequencies(counts)[k]
                 tol = 4 * math.sqrt(p * (1 - p) / (counts.sum() / 4))
@@ -134,7 +188,7 @@ class TestSampleNoniid:
         sets = 400_000
         expect = rho + (1 - rho) * float((TRI.probs**2).sum())
         for sampler in SAMPLERS:
-            counts = sampler(TRI, DependenceSpec([(2, rho)]), sets, np.random.default_rng(6))
+            counts = sampler(TRI, DependenceSpec([(2, rho)]), 2, sets, np.random.default_rng(6))
             match = (counts == 2).any(axis=1).mean()
             tol = 4 * math.sqrt(expect * (1 - expect) / sets)
             assert abs(match - expect) < tol, sampler.__name__
@@ -144,7 +198,7 @@ class TestSampleNoniid:
         # sum of whole blocks, so only 0, 2, 3 or 5 can occur
         dep = DependenceSpec([(2, 1.0), (3, 1.0)])
         for sampler in SAMPLERS:
-            counts = sampler(TRI, dep, 20_000, np.random.default_rng(8))
+            counts = sampler(TRI, dep, 5, 20_000, np.random.default_rng(8))
             assert (counts.sum(axis=1) == 5).all(), sampler.__name__
             assert set(np.unique(counts).tolist()) == {0, 2, 3, 5}, sampler.__name__
 
@@ -153,7 +207,7 @@ class TestSampleNoniid:
         # uniforms per position) one set and one position at a time
         dep = DependenceSpec([(4, 0.6), (1, 0.3), (3, 0.9), (2, 0.0)])
         sets = 50
-        got = _sample_copy(TRI, dep, sets, np.random.default_rng(9))
+        got = _sample_copy(TRI, dep, dep.n, sets, np.random.default_rng(9))
         fresh_u, coin_u, pick_u = np.random.default_rng(9).random((3, sets, dep.n))
         cdf = np.cumsum(TRI.probs)
         for t in range(sets):
@@ -179,15 +233,17 @@ class TestSampleNoniid:
     )
     def test_matches_the_scan_reference_on_mixed_blocks(self, blocks):
         dep = DependenceSpec(blocks)
-        got = _sample_copy(TRI, dep, 64, np.random.default_rng(13))
-        want = copy_counts_by_scan(TRI, dep, 64, np.random.default_rng(13))
-        np.testing.assert_array_equal(got, want)
+        for n in (1, dep.n, 2 * dep.n + 3):
+            got = _sample_copy(TRI, dep, n, 64, np.random.default_rng(13))
+            listing = rescale_blocks(dep, n)
+            want = copy_counts_by_scan(TRI, listing, 64, np.random.default_rng(13))
+            np.testing.assert_array_equal(got, want)
 
     def test_deterministic_under_seed(self):
         dep = DependenceSpec([(3, 0.4)] * 7)
         for sampler in SAMPLERS:
-            a = sampler(TRI, dep, 30, np.random.default_rng(7))
-            b = sampler(TRI, dep, 30, np.random.default_rng(7))
+            a = sampler(TRI, dep, 21, 30, np.random.default_rng(7))
+            b = sampler(TRI, dep, 21, 30, np.random.default_rng(7))
             np.testing.assert_array_equal(a, b)
 
     def test_type_frequencies_match_the_exact_law(self):
@@ -196,7 +252,7 @@ class TestSampleNoniid:
         atoms, law = _block_law(dist.probs, 4, 0.3)
         sets = 20_000
         for sampler in SAMPLERS:
-            counts = sampler(dist, DependenceSpec([(4, 0.3)]), sets, np.random.default_rng(10))
+            counts = sampler(dist, DependenceSpec([(4, 0.3)]), 4, sets, np.random.default_rng(10))
             types, freq = np.unique(counts, axis=0, return_counts=True)
             seen = {tuple(row): f / sets for row, f in zip(types.tolist(), freq)}
             assert seen.keys() <= {tuple(row) for row in atoms.tolist()}, sampler.__name__
@@ -207,24 +263,24 @@ class TestSampleNoniid:
     def test_selection_by_cells_touched(self):
         # the law runs when building and drawing it touches no more cells
         # than the copy process on a full chunk, and its type keys fit int64
-        sim_block = [rescale_blocks(DependenceSpec([(10, 0.5)]), n) for n in (50, 100, 300)]
-        assert all(_law_selected(dep, 2) for dep in sim_block)
+        tens = DependenceSpec([(10, 0.5)])
+        assert all(_law_selected(tens, n, 2) for n in (50, 100, 300))  # sim-block
         tri_pair = DependenceSpec([(2, 0.5)])  # 6 types for 2 samples
-        assert not _law_selected(tri_pair, 3)
-        assert not _law_selected(rescale_blocks(DependenceSpec([(10, 0.5)]), 3000), 1000)
+        assert not _law_selected(tri_pair, 2, 3)
+        assert not _law_selected(tens, 3000, 1000)
         # 1001 types for 5000 samples, but the law takes 999 steps over up
         # to 1000 types to build
-        assert not _law_selected(rescale_blocks(DependenceSpec([(1000, 0.5)]), 5000), 2)
+        assert not _law_selected(DependenceSpec([(1000, 0.5)]), 5000, 2)
         # 861 types for 1000 samples, but 3**41 keys overflow int64
-        assert not _law_selected(rescale_blocks(DependenceSpec([(2, 0.5)]), 1000), 41)
+        assert not _law_selected(DependenceSpec([(2, 0.5)]), 1000, 41)
         # sample_noniid follows the selection on the same generator state
-        for dist, dep, sampler in (
-            (BERN_6, sim_block[0], _sample_law),
-            (TRI, tri_pair, _sample_copy),
+        for dist, dep, n, sampler in (
+            (BERN_6, tens, 50, _sample_law),
+            (TRI, tri_pair, 2, _sample_copy),
         ):
             np.testing.assert_array_equal(
-                sample_noniid(dist, dep, 40, np.random.default_rng(11)),
-                sampler(dist, dep, 40, np.random.default_rng(11)),
+                sample_noniid(dist, dep, n, 40, np.random.default_rng(11)),
+                sampler(dist, dep, n, 40, np.random.default_rng(11)),
             )
 
 
@@ -317,7 +373,7 @@ class TestTrialRng:
                 if dependence is None:
                     counts = sample_iid(dist, n, size, rng)
                 else:
-                    counts = sample_noniid(dist, rescale_blocks(dependence, n), size, rng)
+                    counts = sample_noniid(dist, dependence, n, size, rng)
                 parts.append(log_likelihood_ratio(cfg.m, cfg.h, counts))
             per_class.append(np.concatenate(parts))
         want = roc_from_scores(*per_class).auroc
@@ -355,30 +411,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(BERN_6, BERN_5, **args)
 
-    @pytest.mark.parametrize("blocks", [[(10, 0.5)], [(3, 0.2), (2, 0.9), (1, 0.0)]])
-    def test_block_count_is_the_listing_length(self, monkeypatch, blocks):
-        # the config counts the blocks of its largest n without listing them
-        dep = DependenceSpec(blocks)
-        for n in range(1, 3 * dep.n + 2):
-            count = len(rescale_blocks(dep, n).blocks)
-            monkeypatch.setattr(simulate, "_MAX_BLOCKS", count)
-            ExperimentConfig(BERN_6, BERN_5, [n], 10, dependence=dep)
-            monkeypatch.setattr(simulate, "_MAX_BLOCKS", count - 1)
-            with pytest.raises(ValueError, match=f"^n_values: n = {n} needs {count} "):
-                ExperimentConfig(BERN_6, BERN_5, [n], 10, dependence=dep)
-
-    def test_block_cap(self):
-        dep = DependenceSpec([(10, 0.5)])
-        at_cap = 10 * _MAX_BLOCKS
-        ExperimentConfig(BERN_6, BERN_5, [1, at_cap], 10, dependence=dep)
-        with pytest.raises(
-            ValueError,
-            match=f"^n_values: n = {at_cap + 1} needs {_MAX_BLOCKS + 1} dependence "
-            f"blocks, more than {_MAX_BLOCKS}$",
-        ):
-            ExperimentConfig(BERN_6, BERN_5, [1, at_cap + 1], 10, dependence=dep)
-        # iid runs list no blocks
-        ExperimentConfig(BERN_6, BERN_5, [1, at_cap + 1], 10)
+    @pytest.mark.parametrize("blocks", [None, [(10, 0.5)], [(3, 0.2), (2, 0.9), (1, 0.0)]])
+    def test_n_is_capped_at_int64_with_or_without_dependence(self, blocks):
+        # the pattern is counted, not listed, so its number of blocks sets no cap
+        dep = DependenceSpec(blocks) if blocks else None
+        ExperimentConfig(BERN_6, BERN_5, [1, 2**63 - 1], 10, dependence=dep)
+        with pytest.raises(ValueError, match=f"^n_values must be an integer in 1..{2**63 - 1}, "):
+            ExperimentConfig(BERN_6, BERN_5, [1, 2**63], 10, dependence=dep)
 
     def test_numpy_integers_are_accepted(self):
         cfg = ExperimentConfig(
@@ -435,6 +474,21 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_law_path_memory_does_not_grow_with_n(self):
+        # 10**8 blocks of 10, drawn one trial per chunk from their kinds' laws
+        cfg = ExperimentConfig(
+            BERN_6, BERN_5, [10**9], 20, dependence=DependenceSpec([(10, 0.5)]), seed=3
+        )
+        assert _law_selected(cfg.dependence, 10**9, 2)
+        tracemalloc.start()
+        try:
+            (row,) = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert 0.0 <= row.empirical_auroc <= 1.0
+
     def test_auroc_grows_with_n(self):
         cfg = ExperimentConfig(BERN_6, BERN_5, [1, 2, 4, 8, 16, 32, 64], 10_000, seed=2)
         rows = run_experiment(cfg)
@@ -462,3 +516,42 @@ class TestRunExperiment:
 
     def test_tv_sanity(self):
         assert tv_distance(BERN_6, BERN_5) == pytest.approx(0.1)
+
+
+W40 = Categorical(np.arange(1, 41) / 820)
+U40 = Categorical(np.full(40, 1 / 40))
+
+
+class TestStreamPin:
+    # Literal empirical AUROCs of 400 trials per class at seed 23.  Any change
+    # to the seeded stream, the block rescaling or the sampler selection moves
+    # them, so they are compared with ==, not with a tolerance.
+    @pytest.mark.parametrize(
+        "m, h, blocks, want",
+        [
+            # law path
+            (BERN_6, BERN_5, [(10, 0.5)], {50: 0.745475, 100: 0.8092, 300: 0.92639375}),
+            # mixed kinds, a truncated partial cycle; n = 7 copies, n = 31 uses laws
+            (
+                TRI,
+                Categorical(np.full(3, 1 / 3)),
+                [(3, 0.2), (2, 0.9), (1, 0.0)],
+                {7: 0.74778125, 31: 0.90994375},
+            ),
+            # copy path: long blocks, n below and above the pattern length
+            (
+                BERN_6,
+                BERN_5,
+                [(200, 0.5), (7, 0.3)],
+                {5: 0.6080125, 64: 0.6910625, 1000: 0.967965625},
+            ),
+            # copy path: a 40-letter support
+            (W40, U40, [(10, 0.5), (4, 1.0)], {30: 0.93429375, 100: 0.99609375}),
+            (BERN_6, BERN_5, None, {20: 0.73886875}),
+        ],
+        ids=["law", "mixed", "long", "wide", "iid"],
+    )
+    def test_empirical_auroc_is_pinned(self, m, h, blocks, want):
+        dep = DependenceSpec(blocks) if blocks else None
+        rows = run_experiment(ExperimentConfig(m, h, list(want), 400, dependence=dep, seed=23))
+        assert {row.n: row.empirical_auroc for row in rows} == want
