@@ -230,14 +230,17 @@ def _sample_law(
 def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
     """Each of ``n`` positions' offset in its block, and its block's ``rho``.
 
-    One cycle's arrays are tiled once per whole cycle; the partial cycle's follow.
+    One cycle's arrays are tiled once per whole cycle; the partial cycle's
+    follow.  Below one whole cycle only the partial cycle is built, so the
+    arrays never outgrow ``n``.
     """
     cycles, partial = _rescale(dep, n)
-    blocks = [*dep.blocks, *partial]
+    head = dep.n if cycles else 0
+    blocks = [*(dep.blocks if cycles else ()), *partial]
     c = np.array([b[0] for b in blocks], dtype=np.int64)
     offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
     rho = np.repeat([b[1] for b in blocks], c)
-    return tuple(np.concatenate([np.tile(a[: dep.n], cycles), a[dep.n :]]) for a in (offset, rho))
+    return tuple(np.concatenate([np.tile(a[:head], cycles), a[head:]]) for a in (offset, rho))
 
 
 def _sample_copy(

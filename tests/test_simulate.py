@@ -136,6 +136,13 @@ class TestRescaleBlocks:
     def test_edge_cases_match_the_listing(self, blocks, n):
         self.assert_matches_the_listing(DependenceSpec(blocks), n)
 
+    def test_positions_below_one_cycle_cover_only_n(self):
+        # a pattern far longer than n builds arrays of n entries, not of the pattern
+        dep = DependenceSpec([(10**12, 0.5), (3, 0.2)])
+        offset, rho = _copy_positions(dep, 64)
+        np.testing.assert_array_equal(offset, np.arange(64))
+        np.testing.assert_array_equal(rho, np.full(64, 0.5))
+
     def test_huge_n_is_counted_not_listed(self):
         dep = DependenceSpec([(3, 0.2), (2, 0.9)])
         n = 2**63 - 1  # 2 past a whole cycle
@@ -547,9 +554,11 @@ class TestStreamPin:
             ),
             # copy path: a 40-letter support
             (W40, U40, [(10, 0.5), (4, 1.0)], {30: 0.93429375, 100: 0.99609375}),
+            # copy path: n far below a pattern of 10**12 samples
+            (BERN_6, BERN_5, [(10**12, 0.5)], {5: 0.6080125, 64: 0.6910625}),
             (BERN_6, BERN_5, None, {20: 0.73886875}),
         ],
-        ids=["law", "mixed", "long", "wide", "iid"],
+        ids=["law", "mixed", "long", "wide", "huge-pattern", "iid"],
     )
     def test_empirical_auroc_is_pinned(self, m, h, blocks, want):
         dep = DependenceSpec(blocks) if blocks else None
