@@ -153,10 +153,9 @@ def _rescale(dep: DependenceSpec, n: int) -> tuple[int, list[tuple[int, float]]]
     cycles, rest = divmod(n, dep.n)
     partial = []
     for c, rho in dep.blocks:
-        if rest == 0:
-            break
-        partial.append((min(c, rest), rho))
-        rest -= partial[-1][0]
+        if rest > 0:
+            partial.append((min(c, rest), rho))
+            rest -= c
     return cycles, partial
 
 
@@ -230,13 +229,11 @@ def _sample_law(
 def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
     """Each of ``n`` positions' offset in its block, and its block's ``rho``.
 
-    One cycle's arrays are tiled once per whole cycle; the partial cycle's
-    follow.  Below one whole cycle only the partial cycle is built, so the
-    arrays never outgrow ``n``.
+    One cycle's arrays, built only if a whole cycle fits in ``n``, are tiled
+    once per whole cycle; the partial cycle's follow.
     """
     cycles, partial = _rescale(dep, n)
-    head = dep.n if cycles else 0
-    blocks = [*(dep.blocks if cycles else ()), *partial]
+    head, blocks = (dep.n, [*dep.blocks, *partial]) if cycles else (0, partial)
     c = np.array([b[0] for b in blocks], dtype=np.int64)
     offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
     rho = np.repeat([b[1] for b in blocks], c)
