@@ -11,7 +11,9 @@ dependence.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -45,17 +47,21 @@ class DependenceSpec:
 
     blocks: tuple[tuple[int, float], ...]
 
-    def __init__(self, blocks: Iterable[Sequence[float]]):
-        norm = []
-        for b in blocks:
-            c, rho = b
-            c = _check_int("block size", c)
-            rho = float(rho)
-            if not 0.0 <= rho <= 1.0:
-                raise ValueError(f"block correlation must lie in [0, 1], got {rho!r}")
-            norm.append((c, rho))
-        if not norm:
+    def __init__(self, blocks: Sequence[Sequence[float]]):
+        if not isinstance(blocks, (list, tuple)):
+            shown = json.dumps(blocks, default=repr)
+            raise ValueError(f"blocks must be a list of (size, rho) pairs, got {shown}")
+        if not blocks:
             raise ValueError("at least one block is required")
+        norm = []
+        for i, b in enumerate(blocks, start=1):
+            where = f"block {i} of {len(blocks)}"
+            if not isinstance(b, (list, tuple)) or len(b) != 2:
+                shown = json.dumps(b, default=repr)
+                raise ValueError(f"{where} must be a (size, rho) pair, got {shown}")
+            _check_real(f"{where}: size", b[0])  # a number, and alpha's (c - 1) * rho fits a float
+            c = _check_int(f"{where}: size", b[0])
+            norm.append((c, _check_real(f"{where}: rho", b[1], 0, 1, "[]")))
         object.__setattr__(self, "blocks", tuple(norm))
 
     @property
@@ -78,11 +84,28 @@ class BoundCurvePoint:
     auroc_upper: float
 
 
-def _check_unit(name: str, x: float, *, low: float = 0.0, high: float = 1.0) -> float:
-    x = float(x)
-    if not low <= x <= high or math.isnan(x):
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {x!r}")
-    return x
+def _check_real(
+    name: str, x: float, low: float = -math.inf, high: float = math.inf, ends: str = "()"
+) -> float:
+    """``x`` as a float from ``low`` to ``high``; the defaults take any finite float.
+
+    ``ends`` marks each end closed or open: ``"(]"`` means ``low < x <= high``.
+    Non-numbers (bools and strings included), NaN and ints past the float range
+    raise.  A non-number is shown as JSON spells it: inputs mostly come from JSON.
+    """
+    # int and float first: they pass without the slower abstract-class check
+    if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(x, default=repr)}")
+    try:
+        f = float(x)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be a finite number, got {x}") from None
+    above_low = low <= f if ends[0] == "[" else low < f
+    if above_low and (f <= high if ends[1] == "]" else f < high):
+        return f
+    if (low, high) == (-math.inf, math.inf):
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(f)}")
+    raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {f!r}")
 
 
 def _check_int(name: str, n: int, low: int = 1, high: int | None = None) -> int:
@@ -113,20 +136,6 @@ def _check_ints(
     return out
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0 or math.isnan(delta):
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    return delta
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.5 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0.5, 1), got {epsilon!r}")
-    return epsilon
-
-
 def roc_upper_curve(
     tv: float, fpr_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -144,8 +153,8 @@ def roc_upper_curve(
     list of (fpr, tpr)
         One pair per grid entry; no detector's ROC can cross above it.
     """
-    tv = _check_unit("tv", tv)
-    grid = [(_check_unit("fpr", f)) for f in fpr_grid]
+    tv = _check_real("tv", tv, 0.0, 1.0, "[]")
+    grid = [_check_real("fpr", f, 0.0, 1.0, "[]") for f in fpr_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("fpr_grid must be sorted ascending")
     return [(f, min(f + tv, 1.0)) for f in grid]
@@ -157,7 +166,7 @@ def auroc_upper(tv: float) -> float:
     The area under ``min(fpr + tv, 1)``.  Monotone in ``tv``, with value
     0.5 at ``tv = 0`` (coin flipping) and 1 at ``tv = 1``.
     """
-    tv = _check_unit("tv", tv)
+    tv = _check_real("tv", tv, 0.0, 1.0, "[]")
     return 0.5 + tv - tv * tv / 2.0
 
 
@@ -169,7 +178,7 @@ def tv_tensor_lower(n: int, delta: float) -> float:
     Clamped at 0 where the exponential term exceeds 1 (small ``n``).
     """
     n = _check_int("n", n)
-    delta = _check_delta(delta)
+    delta = _check_real("delta", delta, 0, 1, "(]")
     try:
         rate = n * delta * delta / 2.0
     except OverflowError:  # n is past the float range; the bound is 1.0 past a rate of 40
@@ -185,10 +194,12 @@ def tv_tensor_chernoff(n: int, chernoff: float) -> float:
     (disjoint supports), giving 1 for every ``n``.
     """
     n = _check_int("n", n)
-    chernoff = float(chernoff)
-    if chernoff < 0.0 or math.isnan(chernoff):
-        raise ValueError(f"chernoff must be nonnegative, got {chernoff!r}")
-    return 1.0 - math.exp(-n * chernoff)
+    chernoff = _check_real("chernoff", chernoff, 0, math.inf, "[]")
+    try:
+        rate = n * chernoff
+    except OverflowError:  # n is past the float range; the estimate is 1.0 past a rate of 40
+        rate = math.exp(min(math.log(n) + math.log(chernoff), math.log(40))) if chernoff else 0.0
+    return 1.0 - math.exp(-rate)
 
 
 def _ceil_samples(inputs: str, value) -> int:
@@ -213,8 +224,8 @@ def sample_complexity_iid(delta: float, epsilon: float) -> int:
     epsilon : float
         Target AUROC, in [0.5, 1).
     """
-    delta = _check_delta(delta)
-    epsilon = _check_epsilon(epsilon)
+    delta = _check_real("delta", delta, 0, 1, "(]")
+    epsilon = _check_real("epsilon", epsilon, 0.5, 1, "[)")
     inputs = f"delta = {delta!r}"
     return _ceil_samples(inputs, lambda: math.log(2.0 / (1.0 - epsilon)) / (delta * delta))
 
@@ -238,8 +249,8 @@ def sample_complexity_noniid(
     The returned ``n`` exceeds ``2 alpha / delta``, so it always meets the
     concentration precondition ``delta > alpha / n``.
     """
-    delta = _check_delta(delta)
-    epsilon = _check_epsilon(epsilon)
+    delta = _check_real("delta", delta, 0, 1, "(]")
+    epsilon = _check_real("epsilon", epsilon, 0.5, 1, "[)")
     if not isinstance(dep, DependenceSpec):
         raise TypeError("dep must be a DependenceSpec")
     gamma = math.log(8.0 / (1.0 - epsilon))
@@ -260,7 +271,7 @@ def auroc_vs_n_curve(delta: float, n_values: Sequence[int]) -> list[BoundCurvePo
     left end of the curve (n = 1, where the concentration bound clamps to 0)
     is ``delta`` itself.  Both columns are nondecreasing in ``n``.
     """
-    delta = _check_delta(delta)
+    delta = _check_real("delta", delta, 0, 1, "(]")
     points = []
     for n in _check_ints("n_values", n_values):
         tv = max(delta, tv_tensor_lower(n, delta))

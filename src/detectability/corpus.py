@@ -61,11 +61,11 @@ class Document:
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
-            raise ValueError("id must be a nonempty string")
+            raise ValueError("field 'id' must be a nonempty string")
         if not isinstance(self.text, str) or not self.text.strip():
-            raise ValueError("text must be nonempty")
+            raise ValueError("field 'text' must be nonempty")
         if not isinstance(self.label, Label):
-            raise ValueError("label must be a Label")
+            raise ValueError("field 'label' must be 'human' or 'machine'")
 
 
 @dataclass(frozen=True)
@@ -217,20 +217,14 @@ def _parse_line(obj: object, line_no: int, seen_ids: set[str]) -> Document:
     for fieldname in ("id", "text", "label"):
         if fieldname not in obj:
             raise CorpusParseError(f"missing field '{fieldname}'", line=line_no)
-    doc_id = obj["id"]
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusParseError("field 'id' must be a nonempty string", line=line_no)
-    if doc_id in seen_ids:
-        raise CorpusParseError(f"duplicate id '{doc_id}'", line=line_no)
-    text = obj["text"]
-    if not isinstance(text, str) or not text.strip():
-        raise CorpusParseError("field 'text' must be nonempty", line=line_no)
-    label = obj["label"]
-    if label not in _LABELS:
-        raise CorpusParseError(
-            "field 'label' must be 'human' or 'machine'", line=line_no
-        )
-    return Document(id=doc_id, text=text, label=_LABELS[label])
+    label = obj["label"] if isinstance(obj["label"], str) else None  # a list cannot hash
+    try:
+        doc = Document(id=obj["id"], text=obj["text"], label=_LABELS.get(label))
+    except ValueError as exc:
+        raise CorpusParseError(str(exc), line=line_no) from None
+    if doc.id in seen_ids:
+        raise CorpusParseError(f"duplicate id '{doc.id}'", line=line_no)
+    return doc
 
 
 def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document], int]:

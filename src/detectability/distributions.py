@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _check_int
+from .bounds import _check_int, _check_real
 
 __all__ = [
     "BudgetError",
@@ -60,7 +60,8 @@ class Categorical:
     probs : sequence of float
         Nonnegative masses.  They must sum to 1 within ``1e-12``; inputs
         inside that tolerance are renormalized exactly, anything outside is
-        rejected.
+        rejected.  Each element of a list or tuple must be a finite number;
+        a bool or a string is refused, not converted.
 
     Notes
     -----
@@ -70,6 +71,9 @@ class Categorical:
     __slots__ = ("probs", "_log_probs_cache")
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
+        if isinstance(probs, (list, tuple)):
+            k = len(probs)
+            probs = [_check_real(f"element {i} of {k}", p) for i, p in enumerate(probs, start=1)]
         arr = np.asarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("probs must be a nonempty 1-d sequence")
@@ -97,8 +101,7 @@ class Categorical:
     @classmethod
     def bernoulli(cls, p: float) -> "Categorical":
         """Two-outcome distribution with mass ``p`` on index 1."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        p = _check_real("p", p, 0, 1, "[]")
         return cls([1.0 - p, p])
 
     def log_probs(self) -> np.ndarray:

@@ -38,6 +38,7 @@ from .detector import log_likelihood_ratio, roc_from_scores
 from .distributions import (
     BudgetError,
     Categorical,
+    _check_same_support,
     chernoff_information,
     product_tv_exact,
 )
@@ -90,8 +91,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.m, Categorical) or not isinstance(self.h, Categorical):
             raise ValueError("m and h must be Categorical distributions")
-        if self.m.support_size != self.h.support_size:
-            raise ValueError("m and h must share a support size")
+        _check_same_support(self.m, self.h)
         object.__setattr__(
             self, "n_values", tuple(_check_ints("n_values", self.n_values, high=_MAX_N))
         )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bounds import _check_int, _check_ints
+from .bounds import _check_int, _check_ints, _check_real
 from .corpus import Document, _encode
 from .detector import Label, roc_from_scores
 
@@ -278,8 +278,7 @@ def _stratified_split(
     n_human: int, n_machine: int, train_frac: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train and test indices into the human documents followed by the machine ones."""
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must lie in (0, 1)")
+    train_frac = _check_real("train_frac", train_frac, 0, 1, "()")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _SPLIT_SALT)))
     train, test = [], []
     for offset, count in ((0, n_human), (n_human, n_machine)):

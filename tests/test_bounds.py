@@ -136,6 +136,10 @@ class TestTvTensorChernoff:
     def test_zero_rate_is_zero(self):
         assert tv_tensor_chernoff(100, 0.0) == 0.0
 
+    def test_n_past_the_float_range(self):
+        assert tv_tensor_chernoff(10**400, 0.1) == 1.0
+        assert tv_tensor_chernoff(10**400, 0.0) == 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tv_tensor_chernoff(0, 0.1)
@@ -349,3 +353,114 @@ class TestIntegerValidators:
     def test_non_integers_are_rejected_not_truncated(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call()
+
+
+# Each call takes the drawn value where a real number, an integer or a block
+# belongs; the real-number places are checked by one validator.
+SCALAR_CALLS = {
+    "auroc_upper": lambda v: auroc_upper(v),
+    "roc_upper_curve tv": lambda v: roc_upper_curve(v, [0.5]),
+    "roc_upper_curve fpr": lambda v: roc_upper_curve(0.5, [v]),
+    "tv_tensor_lower n": lambda v: tv_tensor_lower(v, 0.1),
+    "tv_tensor_lower delta": lambda v: tv_tensor_lower(5, v),
+    "tv_tensor_chernoff n": lambda v: tv_tensor_chernoff(v, 0.1),
+    "tv_tensor_chernoff chernoff": lambda v: tv_tensor_chernoff(5, v),
+    "sample_complexity_iid delta": lambda v: sample_complexity_iid(v, 0.9),
+    "sample_complexity_iid epsilon": lambda v: sample_complexity_iid(0.1, v),
+    "sample_complexity_noniid delta": lambda v: sample_complexity_noniid(
+        v, 0.9, DependenceSpec([(10, 0.5)])
+    ),
+    "sample_complexity_noniid epsilon": lambda v: sample_complexity_noniid(
+        0.1, v, DependenceSpec([(10, 0.5)])
+    ),
+    "auroc_vs_n_curve delta": lambda v: auroc_vs_n_curve(v, [1, 2]),
+    "auroc_vs_n_curve n": lambda v: auroc_vs_n_curve(0.1, [v]),
+    "Categorical element": lambda v: Categorical([0.5, v]),
+    "Categorical.bernoulli": lambda v: Categorical.bernoulli(v),
+    "DependenceSpec size": lambda v: DependenceSpec([(v, 0.5)]),
+    "DependenceSpec rho": lambda v: DependenceSpec([(2, v)]),
+    "DependenceSpec block": lambda v: DependenceSpec([v]),
+}
+
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.integers(-3, 12)
+    | st.integers(10**399, 10**400).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats(0.0, 1.0)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, np.float32(0.5), np.int64(3), np.True_]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestRealValidator:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_LIKE)
+    def test_scalar_inputs_return_or_raise_value_error(self, value):
+        def is_number(v):
+            numeric = isinstance(v, (int, float, np.integer, np.floating))
+            return numeric and not isinstance(v, (bool, np.bool_))
+
+        for name, call in SCALAR_CALLS.items():
+            try:
+                call(value)
+            except ValueError:
+                continue
+            if name == "DependenceSpec block":
+                assert len(value) == 2 and all(map(is_number, value)), f"{name} took {value!r}"
+            else:
+                assert is_number(value), f"{name} took {value!r}"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sample_complexity_iid(True, 0.9), "^delta must be a number, got true$"),
+            (lambda: tv_tensor_lower(1, "0.5"), '^delta must be a number, got "0.5"$'),
+            (lambda: auroc_upper(None), "^tv must be a number, got null$"),
+            (
+                lambda: sample_complexity_iid(math.nan, 0.9),
+                r"^delta must lie in \(0, 1\], got nan$",
+            ),
+            (lambda: tv_tensor_chernoff(5, -1), r"^chernoff must lie in \[0, inf\], got -1\.0$"),
+            (lambda: Categorical.bernoulli(2), r"^p must lie in \[0, 1\], got 2\.0$"),
+            (lambda: Categorical(["0.4", 0.6]), '^element 1 of 2 must be a number, got "0.4"$'),
+            (
+                lambda: Categorical([0.5, math.nan]),
+                "^element 2 of 2 must be a finite number, got NaN$",
+            ),
+            (
+                lambda: Categorical([10**400, 0]),
+                "^element 1 of 2 must be a finite number, got 1000",
+            ),
+            (lambda: DependenceSpec(5), r"^blocks must be a list of \(size, rho\) pairs, got 5$"),
+            (lambda: DependenceSpec([5]), r"^block 1 of 1 must be a \(size, rho\) pair, got 5$"),
+            (
+                lambda: DependenceSpec([(True, 0.5)]),
+                "^block 1 of 1: size must be a number, got true$",
+            ),
+            (
+                lambda: DependenceSpec([(2, 0.5), (3, 1.5)]),
+                r"^block 2 of 2: rho must lie in \[0, 1\], got 1\.5$",
+            ),
+            (
+                lambda: DependenceSpec([(10**400, 0.5)]),
+                "^block 1 of 1: size must be a finite number, got 1000",
+            ),
+        ],
+        ids=[
+            "delta-bool", "delta-string", "tv-null", "delta-nan", "chernoff-negative",
+            "p-above-one", "element-string", "element-nan", "element-too-big", "blocks-int",
+            "block-int", "size-bool", "rho-above-one", "size-too-big",
+        ],
+    )
+    def test_messages_name_the_field_and_value(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_numpy_scalars_are_numbers(self):
+        assert auroc_upper(np.float32(0.5)) == 0.875
+        assert Categorical([np.float32(0.25), np.float64(0.75)]).probs.tolist() == [0.25, 0.75]
+        assert DependenceSpec([(np.int64(3), np.float32(0.5))]).blocks == ((3, 0.5),)

@@ -234,7 +234,7 @@ class TestBoundsCommand:
         assert code == 2
         assert out == ""
         assert (
-            f"{bad}: field 'blocks' rho: element 2 of 2 must be a number, got {shown}"
+            f"{bad}: field 'blocks': block 2 of 2: rho must be a number, got {shown}"
         ) in err
 
 
@@ -345,6 +345,13 @@ class TestSimulateCommand:
         assert out == ""
         assert field in err
 
+    def test_support_sizes_differ_exit_two(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, h=[0.2, 0.3, 0.5])
+        code, out, err = run(capsys, "simulate", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == f"detectability: error: {cfg}: support sizes differ: 2 vs 3\n"
+
     def test_fractional_block_size_exit_two(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dependence={"blocks": [[2.9, 0.5]]})
         code, out, err = run(capsys, "simulate", cfg)
@@ -364,14 +371,14 @@ class TestSimulateCommand:
             (
                 "dependence",
                 {"blocks": [[2, "0.5"]]},
-                "field 'dependence': field 'blocks' rho: "
-                "element 1 of 1 must be a number, got \"0.5\"",
+                "field 'dependence': field 'blocks': "
+                "block 1 of 1: rho must be a number, got \"0.5\"",
             ),
             (
                 "dependence",
                 {"blocks": [[2, True]]},
-                "field 'dependence': field 'blocks' rho: "
-                "element 1 of 1 must be a number, got true",
+                "field 'dependence': field 'blocks': "
+                "block 1 of 1: rho must be a number, got true",
             ),
         ],
         ids=["m-string", "h-bool", "rho-string", "rho-bool"],
@@ -509,6 +516,25 @@ class TestCorpusCommand:
         else:
             assert code == 0
             assert err == f"detectability: skipped 1 bad line(s) in {bad}\n"
+
+    @pytest.mark.parametrize(
+        "label", [["human"], {"human": 1}, 1], ids=["list", "object", "number"]
+    )
+    def test_non_string_label(self, capsys, corpus_files, tmp_path, label):
+        hp, mp = corpus_files
+        bad = tmp_path / "bad.jsonl"
+        record = json.dumps({"id": "x", "text": "y", "label": label})
+        bad.write_text(open(hp, encoding="utf-8").read() + record + "\n")
+        argv = ["corpus", "tv-by-order", "--human", str(bad), "--machine", mp, "--orders", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"detectability: error: {bad}: line 41: field 'label' must be 'human' or 'machine'\n"
+        )
+        code, _, err = run(capsys, *argv, "--lenient")
+        assert code == 0
+        assert err == f"detectability: skipped 1 bad line(s) in {bad}\n"
 
     def test_lenient_skips_with_note(self, capsys, corpus_files, tmp_path):
         hp, mp = corpus_files
@@ -732,12 +758,12 @@ TOO_BIG = [
     (
         ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "dep.json"],
         {"dep.json": {"blocks": [[2, 10**400]]}},
-        "dep.json: field 'blocks' rho: element 1 of 1 must be a finite number, got 1000",
+        "dep.json: field 'blocks': block 1 of 1: rho must be a finite number, got 1000",
     ),
     (
         ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "dep.json"],
         {"dep.json": {"blocks": [[10**400, 0.5]]}},
-        "dep.json: field 'blocks' block size: element 1 of 1 must be a finite number",
+        "dep.json: field 'blocks': block 1 of 1: size must be a finite number, got 1000",
     ),
     (
         ["tv", "m.json", "h.json"],
