@@ -109,7 +109,10 @@ def _check_real(
 
 
 def _check_int(name: str, n: int, low: int = 1, high: int | None = None) -> int:
-    """``n`` as an int in ``low..high``; non-integers (floats, strings, bools) raise."""
+    """``n`` as an int in ``low..high``; non-integers (floats, strings, bools) raise.
+
+    A rejected value is shown as JSON spells it, as in :func:`_check_real`.
+    """
     what = "a positive integer" if low == 1 else f"an integer >= {low}"
     if high is not None:
         what = f"an integer in {low}..{high}"
@@ -118,9 +121,9 @@ def _check_int(name: str, n: int, low: int = 1, high: int | None = None) -> int:
             raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} must be {what}, got {n!r}") from None
+        raise ValueError(f"{name} must be {what}, got {json.dumps(n, default=repr)}") from None
     if n < low or (high is not None and n > high):
-        raise ValueError(f"{name} must be {what}, got {n!r}")
+        raise ValueError(f"{name} must be {what}, got {n}")
     return n
 
 

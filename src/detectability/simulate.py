@@ -14,12 +14,15 @@ trials (at least one).  Each chunk is sampled as a matrix of per-trial count
 vectors and scored in one call: iid chunks by one multinomial draw,
 block-dependent ones as :func:`sample_noniid` describes, by a rule that
 depends only on the support size, the block pattern and ``n``, so every
-chunk of a row uses the same sampler.  Results are therefore bit-identical
-across runs; wall-clock columns are the only nondeterministic output.
+chunk of a row uses the same sampler.  A row's block laws or copy positions
+are built once, from that class's masses, and each chunk only draws.
+Results are therefore bit-identical across runs; wall-clock columns are the
+only nondeterministic output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -95,9 +98,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "n_values", tuple(_check_ints("n_values", self.n_values, high=_MAX_N))
         )
-        object.__setattr__(
-            self, "trials_per_class", _check_int("trials_per_class", self.trials_per_class)
-        )
+        trials = _check_int("trials_per_class", self.trials_per_class, high=_MAX_N)
+        object.__setattr__(self, "trials_per_class", trials)
         if not isinstance(self.dependence, (DependenceSpec, type(None))):
             raise ValueError("dependence must be a DependenceSpec or None")
         object.__setattr__(self, "seed", _check_int("seed", self.seed, low=0))
@@ -176,6 +178,11 @@ def _law_selected(dep: DependenceSpec, n: int, k: int) -> bool:
     draws one cell per trial and type of the ``C(c + k - 1, c)``.  Each
     kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
     fit in int64.
+
+    The count charges the law build to every chunk although a row builds
+    its laws once, and near the crossover it can pick the slower sampler.
+    It is kept on purpose: the rule picks the sampler, so it is part of the
+    stream contract, and any other count would change some rows' streams.
     """
     kinds = _block_kinds(dep, n)
     trials = _chunk_trials(n, k)
@@ -210,20 +217,31 @@ def _block_law(probs: np.ndarray, c: int, rho: float) -> tuple[np.ndarray, np.nd
     return keys[:, None] // radix % (c + 1), mass
 
 
+def _law_sampler(dist: Categorical, dep: DependenceSpec, n: int):
+    """``draw(trials, rng)``: block-dependent count vectors from the exact block laws.
+
+    Each distinct block kind's law is built once, from ``dist``'s masses.
+    Each draw then takes, for every kind in first-appearance order, one
+    ``multinomial(multiplicity, law, size=trials)`` that counts how many of
+    its blocks take each count type; the types' counts add up.
+    """
+    k = dist.support_size
+    kinds = [(m, *_block_law(dist.probs, c, rho)) for (c, rho), m in _block_kinds(dep, n).items()]
+
+    def draw(trials: int, rng: np.random.Generator) -> np.ndarray:
+        counts = np.zeros((trials, k), dtype=np.int64)
+        for m, atoms, law in kinds:
+            counts += rng.multinomial(m, law, size=trials) @ atoms
+        return counts
+
+    return draw
+
+
 def _sample_law(
     dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Block-dependent count vectors drawn from the exact block laws.
-
-    For each distinct block kind, in first-appearance order, one
-    ``multinomial(multiplicity, law, size=trials)`` draw counts how many of
-    its blocks take each count type; the types' counts add up.
-    """
-    counts = np.zeros((trials, dist.support_size), dtype=np.int64)
-    for (c, rho), m in _block_kinds(dep, n).items():
-        atoms, law = _block_law(dist.probs, c, rho)
-        counts += rng.multinomial(m, law, size=trials) @ atoms
-    return counts
+    """One draw from :func:`_law_sampler`, whatever :func:`_law_selected` picks."""
+    return _law_sampler(dist, dep, n)(trials, rng)
 
 
 def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
@@ -240,14 +258,13 @@ def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate([np.tile(a[:head], cycles), a[head:]]) for a in (offset, rho))
 
 
-def _sample_copy(
-    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Block-dependent count vectors from the copy process itself.
+def _copy_sampler(dist: Categorical, dep: DependenceSpec, n: int):
+    """``draw(trials, rng)``: block-dependent count vectors from the copy process itself.
 
-    The copy process runs on a ``(trials, n)`` sample matrix, one block
-    position at a time across every block and trial; each row is then
-    counted into a ``(trials, support_size)`` matrix.  One
+    The positions, their grouping by block offset and ``dist``'s cdf are
+    built once.  Each draw runs the copy process on a ``(trials, n)`` sample
+    matrix, one block position at a time across every block and trial, and
+    counts each row into a ``(trials, support_size)`` matrix.  One
     ``(3, trials, n)`` array of uniforms is drawn (fresh draws, copy coins,
     copy-target picks; coins and picks of block heads go unused), so the
     result is a pure function of the generator state regardless of how the
@@ -256,23 +273,36 @@ def _sample_copy(
     offset, rho = _copy_positions(dep, n)
     k = dist.support_size
     start = np.arange(n) - offset  # block head of each position
-
-    u = rng.random((3, trials, n))
-    vals = np.searchsorted(np.cumsum(dist.probs), u[0], side="right")
-    # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
-    np.minimum(vals, k - 1, out=vals)
-    copies = u[1] < rho
+    cdf = np.cumsum(dist.probs)
     # the positions at block offset i are by_offset[ends[i - 1]:ends[i]]
     by_offset = np.argsort(offset, kind="stable")
     ends = np.cumsum(np.bincount(offset))
+    groups = []
     for i in range(1, len(ends)):
         pos = by_offset[ends[i - 1] : ends[i]]
-        targets = start[pos] + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
-        picked = np.take_along_axis(vals, targets, axis=1)
-        vals[:, pos] = np.where(copies[:, pos], picked, vals[:, pos])
+        groups.append((i, pos, start[pos]))
 
-    rows = np.arange(trials)[:, None] * k
-    return np.bincount((rows + vals).ravel(), minlength=trials * k).reshape(trials, k)
+    def draw(trials: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random((3, trials, n))
+        vals = np.searchsorted(cdf, u[0], side="right")
+        # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
+        np.minimum(vals, k - 1, out=vals)
+        copies = u[1] < rho
+        for i, pos, head in groups:
+            targets = head + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)
+            picked = np.take_along_axis(vals, targets, axis=1)
+            vals[:, pos] = np.where(copies[:, pos], picked, vals[:, pos])
+        rows = np.arange(trials)[:, None] * k
+        return np.bincount((rows + vals).ravel(), minlength=trials * k).reshape(trials, k)
+
+    return draw
+
+
+def _sample_copy(
+    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One draw from :func:`_copy_sampler`, whatever :func:`_law_selected` picks."""
+    return _copy_sampler(dist, dep, n)(trials, rng)
 
 
 def sample_noniid(
@@ -296,11 +326,18 @@ def sample_noniid(
     size=trials)`` is drawn per kind, in first-appearance order.  Otherwise
     the copy process runs position by position on one ``(3, trials, n)``
     array of uniforms: fresh draws, copy coins and copy-target picks.
-    Either way the result is a pure function of the generator state.
+    Either way the result is a pure function of the generator state.  The
+    laws or the copy positions depend only on ``dist``, ``dep`` and ``n``:
+    :func:`run_experiment` builds them once per ``(n, class)`` row and then
+    draws each chunk from them.
     """
-    n = _check_int("n", n)
-    sampler = _sample_law if _law_selected(dep, n, dist.support_size) else _sample_copy
-    return sampler(dist, dep, n, trials, rng)
+    return _noniid_sampler(dist, dep, _check_int("n", n))(trials, rng)
+
+
+def _noniid_sampler(dist: Categorical, dep: DependenceSpec, n: int):
+    """``draw(trials, rng)`` for :func:`sample_noniid` at ``n``, its setup done once."""
+    builder = _law_sampler if _law_selected(dep, n, dist.support_size) else _copy_sampler
+    return builder(dist, dep, n)
 
 
 def _exact_auroc_bound(m: Categorical, h: Categorical, n: int) -> float | None:
@@ -331,14 +368,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
         step = _chunk_trials(n, config.m.support_size)
         per_class: list[np.ndarray] = []
         for class_index, dist in ((_MACHINE, config.m), (_HUMAN, config.h)):
+            if config.dependence is None:
+                draw = functools.partial(sample_iid, dist, n)
+            else:
+                draw = _noniid_sampler(dist, config.dependence, n)
             scores = np.empty(trials)
             for chunk, lo in enumerate(range(0, trials, step)):
                 size = min(step, trials - lo)
-                rng = trial_rng(config.seed, n, class_index, chunk)
-                if config.dependence is None:
-                    counts = sample_iid(dist, n, size, rng)
-                else:
-                    counts = sample_noniid(dist, config.dependence, n, size, rng)
+                counts = draw(size, trial_rng(config.seed, n, class_index, chunk))
                 scores[lo : lo + size] = log_likelihood_ratio(config.m, config.h, counts)
             per_class.append(scores)
         curve = roc_from_scores(per_class[_MACHINE], per_class[_HUMAN])

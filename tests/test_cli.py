@@ -345,6 +345,25 @@ class TestSimulateCommand:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("n_values", [True], "true"),
+            ("trials_per_class", "5", '"5"'),
+            ("trials_per_class", None, "null"),
+            # numpy's samplers take at most 2**63 - 1 trials
+            ("trials_per_class", 10**30, str(10**30)),
+        ],
+        ids=["bool", "string", "null", "past-int64"],
+    )
+    def test_rejected_integer_is_shown_as_json(self, capsys, tmp_path, field, value, shown):
+        cfg = self.write_config(tmp_path, **{field: value})
+        code, out, err = run(capsys, "simulate", cfg)
+        assert code == 2
+        assert out == ""
+        want = f"{field} must be an integer in 1..{2**63 - 1}, got {shown}"
+        assert err == f"detectability: error: {cfg}: {want}\n"
+
     def test_support_sizes_differ_exit_two(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, h=[0.2, 0.3, 0.5])
         code, out, err = run(capsys, "simulate", cfg)

@@ -1,5 +1,6 @@
 """Monte Carlo machinery: samplers, block dependence, experiment driver."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from detectability import (
     trial_rng,
     tv_distance,
 )
+from detectability import simulate
 from detectability.simulate import (
     _CHUNK_CELLS,
     _block_kinds,
@@ -30,6 +32,7 @@ from detectability.simulate import (
     _chunk_trials,
     _copy_positions,
     _law_selected,
+    _noniid_sampler,
     _rescale,
     _sample_copy,
     _sample_law,
@@ -341,6 +344,10 @@ class TestDependentExact:
             assert abs(row.empirical_auroc - auroc) <= 4 * se
 
 
+# One dependent pattern per sampler at n = 300 over three letters.
+CONTRACT_DEPS = [DependenceSpec([(4, 0.5)]), DependenceSpec([(200, 0.5)])]
+
+
 class TestTrialRng:
     def test_streams_are_distinct(self):
         draws = {
@@ -361,11 +368,15 @@ class TestTrialRng:
         assert _chunk_trials(4, 1000) == _CHUNK_CELLS // 1000
         assert _chunk_trials(10 * _CHUNK_CELLS, 2) == 1
 
-    @pytest.mark.parametrize("dependence", [None, DependenceSpec([(4, 0.5)])])
+    def test_chunk_contract_covers_both_samplers(self):
+        assert [_law_selected(dep, 300, 3) for dep in CONTRACT_DEPS] == [True, False]
+
+    @pytest.mark.parametrize("dependence", [None, *CONTRACT_DEPS])
     def test_run_follows_the_chunk_stream_contract(self, dependence):
         # chunk j of (seed, n, class) is sampled and scored from
         # trial_rng(seed, n, class, j); rebuilding every chunk by hand must
-        # reproduce the run's AUROC exactly
+        # reproduce the run's AUROC exactly, and a row's sampler, built once,
+        # must draw each chunk as sample_noniid does
         n, trials, seed = 300, 500, 4
         uniform = Categorical(np.full(3, 1 / 3))
         cfg = ExperimentConfig(TRI, uniform, [n], trials, dependence=dependence, seed=seed)
@@ -373,6 +384,8 @@ class TestTrialRng:
         assert trials > step  # the run spans several chunks
         per_class = []
         for class_index, dist in ((0, cfg.m), (1, cfg.h)):
+            if dependence is not None:
+                draw = _noniid_sampler(dist, dependence, n)
             parts = []
             for chunk, lo in enumerate(range(0, trials, step)):
                 size = min(step, trials - lo)
@@ -381,10 +394,31 @@ class TestTrialRng:
                     counts = sample_iid(dist, n, size, rng)
                 else:
                     counts = sample_noniid(dist, dependence, n, size, rng)
+                    row_draw = draw(size, trial_rng(seed, n, class_index, chunk))
+                    np.testing.assert_array_equal(row_draw, counts)
                 parts.append(log_likelihood_ratio(cfg.m, cfg.h, counts))
             per_class.append(np.concatenate(parts))
         want = roc_from_scores(*per_class).auroc
         assert run_experiment(cfg)[0].empirical_auroc == want
+
+    def test_each_row_builds_its_block_laws_once(self, monkeypatch):
+        # the sim-block workload: 1 + 2 + 5 chunks per class at n = 50, 100,
+        # 300, but one law per (n, class), each from that class's masses
+        cfg = ExperimentConfig(
+            BERN_6, BERN_5, [50, 100, 300], 1000, dependence=DependenceSpec([(10, 0.5)])
+        )
+        want = run_experiment(cfg)
+        built = []
+
+        def counting(probs, c, rho):
+            built.append((tuple(probs), c, rho))
+            return _block_law(probs, c, rho)
+
+        monkeypatch.setattr(simulate, "_block_law", counting)
+        got = run_experiment(cfg)
+        assert built == [(tuple(BERN_6.probs), 10, 0.5), (tuple(BERN_5.probs), 10, 0.5)] * 3
+        no_time = [dataclasses.replace(row, wall_time_seconds=0.0) for row in (*got, *want)]
+        assert no_time[:3] == no_time[3:]
 
 
 class TestExperimentConfig:

@@ -41,6 +41,7 @@ NO_CALLER = {
     "build_vocab": "traced in BENCHMARK.json",
     "featurize": "traced in BENCHMARK.json",
     "pairwise_augment": "traced in BENCHMARK.json",
+    "sample_noniid": "traced in BENCHMARK.json; run_experiment draws through its per-row form",
     "min_error_bruteforce": "acceptance criterion 2 and demos/01 use it",
 }
 
