@@ -238,6 +238,53 @@ class TestTrainLogreg:
                 train_logreg(x, np.array([1, 0, 1, 0]))
 
 
+class TestTrainPin:
+    """Training outputs as literals, compared with ``==``.
+
+    A change to featurizing or training that claims to keep every output
+    must keep these bit for bit.  Counts train at a lower rate: raw counts
+    are not normalised, and 0.1 diverges on them.
+    """
+
+    @pytest.mark.parametrize(
+        "space, lr, loss, bias",
+        [
+            ("tfidf", 0.1, 0.44863184706587805, 0.07759195368111738),
+            ("counts", 0.01, 0.17621801675636142, 0.030554318006797473),
+        ],
+    )
+    def test_final_loss_and_bias(self, space, lr, loss, bias):
+        h, m = drifted_corpora(seed=41, n_docs=40, doc_len=30)
+        docs = h + m
+        x = featurize(docs, build_vocab(docs, min_df=2), space=space)
+        model, losses = train_logreg(x, [0] * 40 + [1] * 40, TrainConfig(learning_rate=lr))
+        assert float(losses[-1]) == loss
+        assert model.bias == bias
+
+    @pytest.mark.parametrize(
+        "space, lr, prefix, pooled",
+        [
+            (
+                "tfidf", 0.1,
+                [0.5694444444444444, 0.7986111111111112, 0.9722222222222222],
+                [0.9722222222222222, 0.9930555555555556],
+            ),
+            (
+                "counts", 0.01,
+                [0.5902777777777778, 0.7569444444444444, 0.9513888888888888],
+                [0.9513888888888888, 0.9861111111111112],
+            ),
+        ],
+    )
+    def test_study_aurocs(self, space, lr, prefix, pooled):
+        h, m = drifted_corpora(seed=41, n_docs=40, doc_len=30)
+        options = dict(seed=9, space=space, config=TrainConfig(learning_rate=lr))
+        rows = auroc_vs_prefix_length(h, m, [2, 5, 30], **options)
+        assert [r.test_auroc for r in rows] == prefix
+        rows = pairwise_auroc(h, m, [1, 2], **options)
+        assert [r.test_auroc for r in rows] == pooled
+
+
 class TestPairwiseAugment:
     def make_docs(self, n=8):
         rng = np.random.default_rng(33)
