@@ -44,7 +44,12 @@ from .bounds import (
 from .corpus import CorpusParseError, load_jsonl, best_auroc_by_order
 from .distributions import Categorical, chernoff_information, tv_distance
 from .simulate import ExperimentConfig, run_experiment
-from .textlab import TrainConfig, auroc_vs_prefix_length, pairwise_auroc
+from .textlab import (
+    TrainConfig,
+    _check_study_options,
+    auroc_vs_prefix_length,
+    pairwise_auroc,
+)
 
 PROG = "detectability"
 
@@ -279,14 +284,31 @@ def _load_corpus(path: str, strict: bool):
     return docs
 
 
+# The training flags by the library field each one sets, to name a bad value's flag.
+_TRAINING_FLAGS = {
+    "seed": "--seed",
+    "train_frac": "--train-frac",
+    "min_df": "--min-df",
+    "learning_rate": "--lr",
+    "epochs": "--epochs",
+    "l2": "--l2",
+}
+
+
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     study, flag, _ = _CORPUS_MODES[args.mode]
     trained = args.mode != "tv-by-order"
+    options = {}
     if trained:
+        # before loading, and so ahead of a bad list too, as the library checks them
         try:
-            _check_int("--seed", args.seed, low=0)
+            _check_int("seed", args.seed, low=0)
+            _check_study_options(args.train_frac, args.min_df)
+            train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
         except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            field, rest = str(exc).split(" ", 1)
+            raise UsageError(f"{_TRAINING_FLAGS[field]} {rest}") from None
+        options = {o: getattr(args, o) for o in ("train_frac", "seed", "space", "min_df")}
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
     config = {
@@ -295,11 +317,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
         "machine": args.machine,
         "strict": args.strict,
     }
-    options = {}
     if trained:
-        # before the list flag: a bad --lr is reported ahead of a bad list
-        train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
-        options = {o: getattr(args, o) for o in ("train_frac", "seed", "space", "min_df")}
         config |= options | asdict(train_cfg)
         options["config"] = train_cfg
     dest = flag[2:].replace("-", "_")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -86,6 +87,12 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
+def _token(raw: str) -> str:
+    """One lowercased raw word with its edge punctuation stripped ("" if nothing is left)."""
+    # alphanumeric characters are never punctuation (category P)
+    return raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties.
 
@@ -93,13 +100,7 @@ def tokenize(text: str) -> list[str]:
     becomes ``["the", "cat", "the", "cat"]``.  Interior punctuation (as in
     "don't") survives.
     """
-    out = []
-    for raw in text.lower().split():
-        # alphanumeric characters are never punctuation (category P)
-        tok = raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for tok in map(_token, text.lower().split()) if tok]
 
 
 def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -108,14 +109,24 @@ def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray
     Returns ``(tokens, ids, lens)``: the sorted distinct tokens, the id of
     every token of every document in document order (an id is the token's
     index in ``tokens``, so id order is string order), and each document's
-    token count.
+    token count.  The rule of :func:`tokenize` runs once per distinct raw
+    word, not once per occurrence.
     """
-    token_lists = [tokenize(doc.text) for doc in docs]
-    flat = [tok for toks in token_lists for tok in toks]
-    tokens = sorted(set(flat))
-    index = {tok: i for i, tok in enumerate(tokens)}
-    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
-    lens = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    words = [doc.text.lower().split() for doc in docs]
+    flat = list(chain.from_iterable(words))
+    distinct = dict.fromkeys(flat)
+    stripped = list(map(_token, distinct))
+    tokens = sorted(set(stripped).difference(("",)))
+    index = dict(zip(tokens, range(len(tokens))))
+    index[""] = -1
+    # each raw word's token id; -1 marks a word that strips to nothing
+    word_id = dict(zip(distinct, map(index.__getitem__, stripped)))
+    ids = np.fromiter(map(word_id.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    dropped = ids < 0
+    if dropped.any():
+        lens -= np.bincount(np.repeat(np.arange(lens.size), lens)[dropped], minlength=lens.size)
+        ids = ids[~dropped]
     return tokens, ids, lens
 
 

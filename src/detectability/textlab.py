@@ -75,52 +75,38 @@ def _doc_rows(lens: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return np.repeat(rows, lens)
 
 
-def _vocab_from_ids(
-    tokens: Sequence[str], rows: np.ndarray, ids: np.ndarray, n_rows: int, min_df: int
-) -> Vocabulary:
-    """Vocabulary of the token ids seen in at least ``min_df`` of ``n_rows`` rows.
+def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) -> sp.csr_matrix:
+    """Term counts of ``n_rows`` documents: entry ``(r, i)`` counts id ``i`` in row ``r``.
 
-    ``ids`` index the sorted ``tokens``; ``rows`` gives each id's document
-    row, and a token whose row is -1 is left out.
+    ``rows`` gives each token's document row, and a token whose row is -1 is
+    left out; ``ids`` index the ``width`` columns.
     """
-    min_df = _check_int("min_df", min_df)
-    v = len(tokens)
-    kept = rows >= 0
-    df = np.bincount(np.unique(rows[kept] * v + ids[kept]) % v, minlength=v)
-    vocab_ids = np.flatnonzero(df >= min_df)
-    return Vocabulary(
-        tokens=tuple(tokens[i] for i in vocab_ids), doc_freq=df[vocab_ids], n_docs=n_rows
-    )
-
-
-def _featurize_ids(
-    tokens: Sequence[str],
-    rows: np.ndarray,
-    ids: np.ndarray,
-    n_rows: int,
-    vocab: Vocabulary,
-    space: str,
-) -> sp.csr_matrix:
-    """Feature matrix of ``n_rows`` documents, from token rows and ids as above."""
     global sp
     import scipy.sparse as sp
 
+    kept = rows >= 0
+    # duplicate (row, id) entries sum into term counts
+    return sp.csr_matrix(
+        (np.ones(np.count_nonzero(kept)), (rows[kept], ids[kept])), shape=(n_rows, width)
+    )
+
+
+def _vocab_columns(counts: sp.csr_matrix, min_df: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``counts`` nonzero in at least ``min_df`` rows, and their row counts."""
+    df = np.bincount(counts.indices, minlength=counts.shape[1])
+    columns = np.flatnonzero(df >= min_df)
+    return columns, df[columns]
+
+
+def _weigh(counts: sp.csr_matrix, doc_freq: np.ndarray, n_docs: int, space: str) -> sp.csr_matrix:
+    """Features from vocabulary term counts, as :func:`featurize` describes."""
     if space not in FEATURE_SPACES:
         raise ValueError(f"space must be one of {FEATURE_SPACES}, got {space!r}")
-    if len(vocab) == 0:
+    if counts.shape[1] == 0:
         raise ValueError("empty vocabulary")
-    index = {tok: i for i, tok in enumerate(vocab.tokens)}
-    column = np.fromiter(
-        (index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
-    )[ids]
-    kept = (rows >= 0) & (column >= 0)
-    # duplicate (row, column) entries sum into term counts
-    x = sp.csr_matrix(
-        (np.ones(np.count_nonzero(kept)), (rows[kept], column[kept])),
-        shape=(n_rows, len(vocab)),
-    )
+    x = counts
     if space == "tfidf":
-        idf = np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq)) + 1.0
+        idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
         x = x.multiply(idf[None, :]).tocsr()
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
         inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
@@ -130,9 +116,13 @@ def _featurize_ids(
 
 def build_vocab(docs: Sequence[Document], min_df: int = 2) -> Vocabulary:
     """Vocabulary of tokens appearing in at least ``min_df`` documents."""
+    min_df = _check_int("min_df", min_df)
     tokens, ids, lens = _encode(docs)
-    rows = _doc_rows(lens, np.arange(lens.size))
-    return _vocab_from_ids(tokens, rows, ids, lens.size, min_df)
+    counts = _count_matrix(_doc_rows(lens, np.arange(lens.size)), ids, lens.size, len(tokens))
+    columns, doc_freq = _vocab_columns(counts, min_df)
+    return Vocabulary(
+        tokens=tuple(tokens[i] for i in columns), doc_freq=doc_freq, n_docs=lens.size
+    )
 
 
 def featurize(
@@ -145,8 +135,13 @@ def featurize(
     Tokens outside the vocabulary are ignored.
     """
     tokens, ids, lens = _encode(docs)
-    rows = _doc_rows(lens, np.arange(lens.size))
-    return _featurize_ids(tokens, rows, ids, lens.size, vocab, space)
+    index = dict(zip(vocab.tokens, range(len(vocab))))
+    column = np.fromiter(
+        (index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
+    )[ids]
+    rows = np.where(column >= 0, _doc_rows(lens, np.arange(lens.size)), -1)
+    counts = _count_matrix(rows, column, lens.size, len(vocab))
+    return _weigh(counts, vocab.doc_freq, vocab.n_docs, space)
 
 
 @dataclass(frozen=True)
@@ -162,13 +157,9 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
+        _check_real("learning_rate", self.learning_rate, 0, math.inf, "()")
         _check_int("epochs", self.epochs)
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2!r}")
+        _check_real("l2", self.l2, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +181,15 @@ class LinearModel:
         return np.asarray(features @ self.weights).ravel() + self.bias
 
 
-def _logreg_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
-    # mean log-loss, numerically stable, plus ridge penalty (bias excluded)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * (w @ w))
+def _logreg_loss(
+    z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float, out=(None, None)
+) -> float:
+    # mean log-loss, numerically stable, plus ridge penalty (bias excluded);
+    # ``out`` may name two arrays shaped like ``z`` to compute in
+    loss = np.logaddexp(0.0, z, out=out[0])
+    loss -= np.multiply(y, z, out=out[1])
+    # the sum over the count is np.mean's own arithmetic
+    return float(np.add.reduce(loss) / loss.size + 0.5 * l2 * (w @ w))
 
 
 def train_logreg(
@@ -234,20 +231,29 @@ def train_logreg(
     if y.min() == y.max():
         raise ValueError("both classes must be present")
 
+    lr, l2 = cfg.learning_rate, cfg.l2
     w = np.zeros(d)
     b = 0.0
     losses = np.empty(cfg.epochs + 1)
     z = np.asarray(x @ w).ravel() + b
-    losses[0] = _logreg_loss(z, y, w, cfg.l2)
+    # each epoch computes in these buffers, with the float operations of
+    # resid = expit(z) - y; w -= lr * (x.T @ resid / n + l2 * w)
+    resid, penalty, scratch = np.empty(n), np.empty(d), (np.empty(n), np.empty(n))
+    losses[0] = _logreg_loss(z, y, w, l2, scratch)
     xt = x.T
     for epoch in range(1, cfg.epochs + 1):
-        resid = expit(z) - y
-        grad_w = np.asarray(xt @ resid).ravel() / n + cfg.l2 * w
-        grad_b = float(resid.mean())
-        w = w - cfg.learning_rate * grad_w
-        b = b - cfg.learning_rate * grad_b
-        z = np.asarray(x @ w).ravel() + b
-        losses[epoch] = _logreg_loss(z, y, w, cfg.l2)
+        expit(z, out=resid)
+        resid -= y
+        grad_w = np.asarray(xt @ resid).ravel()
+        grad_w /= n
+        grad_w += np.multiply(w, l2, out=penalty)
+        grad_b = float(np.add.reduce(resid) / n)
+        grad_w *= lr
+        w -= grad_w
+        b = b - lr * grad_b
+        z = np.asarray(x @ w).ravel()
+        z += b
+        losses[epoch] = _logreg_loss(z, y, w, l2, scratch)
         # written so that a NaN loss fails the check too
         if not losses[epoch] <= losses[epoch - 1] + _LOSS_SLACK:
             raise RuntimeError(
@@ -278,7 +284,6 @@ def _stratified_split(
     n_human: int, n_machine: int, train_frac: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train and test indices into the human documents followed by the machine ones."""
-    train_frac = _check_real("train_frac", train_frac, 0, 1, "()")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _SPLIT_SALT)))
     train, test = [], []
     for offset, count in ((0, n_human), (n_human, n_machine)):
@@ -291,26 +296,30 @@ def _stratified_split(
     return np.concatenate(train), np.concatenate(test)
 
 
-def _heldout_scores(
-    tokens: Sequence[str],
+def _check_study_options(train_frac: float, min_df: int) -> tuple[float, int]:
+    """The split fraction and document-frequency floor the two studies take."""
+    return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df)
+
+
+def _heldout_features(
+    n_tokens: int,
     ids: np.ndarray,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
-    y_train: np.ndarray,
+    n_train: int,
     n_test: int,
     space: str,
     min_df: int,
-    config: TrainConfig | None,
-) -> np.ndarray:
-    """Test-row decision values of a model trained on the train rows alone.
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Train and test feature matrices over the vocabulary of the train rows alone.
 
-    Token rows are as in :func:`_vocab_from_ids`.
+    Token rows and ids are as in :func:`_count_matrix`; the vocabulary is the
+    ids in at least ``min_df`` train rows.
     """
-    vocab = _vocab_from_ids(tokens, train_rows, ids, y_train.size, min_df)
-    x_train = _featurize_ids(tokens, train_rows, ids, y_train.size, vocab, space)
-    x_test = _featurize_ids(tokens, test_rows, ids, n_test, vocab, space)
-    model, _ = train_logreg(x_train, y_train, config)
-    return model.decision_function(x_test)
+    train = _count_matrix(train_rows, ids, n_train, n_tokens)
+    test = _count_matrix(test_rows, ids, n_test, n_tokens)
+    columns, doc_freq = _vocab_columns(train, min_df)
+    return tuple(_weigh(c[:, columns], doc_freq, n_train, space) for c in (train, test))
 
 
 def _auroc(scores: np.ndarray, y: np.ndarray) -> float:
@@ -336,6 +345,7 @@ def auroc_vs_prefix_length(
     a logistic model is trained, and the test AUROC recorded.
     """
     lengths = _check_ints("lengths", lengths)
+    train_frac, min_df = _check_study_options(train_frac, min_df)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
@@ -346,9 +356,11 @@ def auroc_vs_prefix_length(
         # a document's first ``length`` tokens
         train_l = np.where(offset < length, train_rows, -1)
         test_l = np.where(offset < length, test_rows, -1)
-        scores = _heldout_scores(
-            tokens, ids, train_l, test_l, y[train], test.size, space, min_df, config
+        x_train, x_test = _heldout_features(
+            len(tokens), ids, train_l, test_l, train.size, test.size, space, min_df
         )
+        model, _ = train_logreg(x_train, y[train], config)
+        scores = model.decision_function(x_test)
         rows.append(PrefixRow(length=length, test_auroc=_auroc(scores, y[test])))
     return rows
 
@@ -418,13 +430,16 @@ def pairwise_auroc(
     test AUROC.
     """
     ks = _check_ints("k_values", k_values)
+    train_frac, min_df = _check_study_options(train_frac, min_df)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    scores = _heldout_scores(
-        tokens, ids, train_rows, test_rows, y[train], test.size, space, min_df, config
+    x_train, x_test = _heldout_features(
+        len(tokens), ids, train_rows, test_rows, train.size, test.size, space, min_df
     )
+    model, _ = train_logreg(x_train, y[train], config)
+    scores = model.decision_function(x_test)
     # the model was trained on roles, so the tuples pool by role too
     roles = [Label.MACHINE if label else Label.HUMAN for label in y[test]]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;

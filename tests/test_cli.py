@@ -665,6 +665,30 @@ class TestFlagSurface:
         assert f"unrecognized arguments: {flag}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lr", "0", "must lie in (0, inf), got 0.0"),
+            ("--l2", "-1", "must lie in [0, inf), got -1.0"),
+            ("--epochs", "0", "must be a positive integer, got 0"),
+            ("--train-frac", "0", "must lie in (0, 1), got 0.0"),
+            ("--train-frac", "1", "must lie in (0, 1), got 1.0"),
+            ("--min-df", "0", "must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_training_flag_exits_2_naming_it_before_loading(
+        self, capsys, tmp_path, mode, flag, value, message
+    ):
+        # the corpora do not exist: the flag is checked before they are read
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run(
+            capsys, "corpus", mode, "--human", missing, "--machine", missing, flag, value
+        )
+        assert code == 2
+        assert err == f"detectability: error: {flag} {message}\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--l2", "nan", "l2"), ("--l2", "inf", "l2"), ("--lr", "inf", "learning_rate")],
@@ -676,8 +700,10 @@ class TestFlagSurface:
         code, out, err = run(
             capsys, "corpus", "pairwise", "--human", hp, "--machine", mp, flag, value
         )
-        assert code == 1
-        assert f"{field} must be" in err and f"got {value}" in err
+        assert code == 2
+        # named by the flag, not by the library field it sets
+        assert err.startswith(f"detectability: error: {flag} must lie in ")
+        assert f"error: {field} " not in err and f"got {value}" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -691,8 +717,8 @@ class TestFlagSurface:
             capsys, "corpus", mode, "--human", hp, "--machine", mp,
             "--lr", "-5", flag, "3,1",
         )
-        assert code == 1
-        assert "learning_rate must be" in err and "got -5.0" in err
+        assert code == 2
+        assert "--lr must lie in (0, inf), got -5.0" in err
         assert out == ""
 
     @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])

@@ -38,6 +38,7 @@ METHODS = {("textlab", "decision_function"): "LinearModel"}
 # Public names that no code under src/ calls, and why each stays public.
 NO_CALLER = {
     "ngram_table": "traced in BENCHMARK.json",
+    "tokenize": "traced in BENCHMARK.json; _encode applies its rule once per distinct word",
     "build_vocab": "traced in BENCHMARK.json",
     "featurize": "traced in BENCHMARK.json",
     "pairwise_augment": "traced in BENCHMARK.json",

@@ -23,9 +23,16 @@ from detectability import (
     train_logreg,
 )
 from detectability import textlab
+from detectability.corpus import _encode
 from detectability.textlab import _AUGMENT_SALT, _logreg_loss, _stratified_split
 
-from _synth import count_csr_reference, rand_pair, unigram_docs, vocab_reference
+from _synth import (
+    count_csr_reference,
+    rand_pair,
+    strip_tokenize,
+    unigram_docs,
+    vocab_reference,
+)
 
 
 def doc(text, label=Label.HUMAN, id="d0"):
@@ -85,6 +92,35 @@ class TestAgainstTokenListReference:
             x = featurize(docs, v, space="counts")
             indptr, indices, data = count_csr_reference(docs, tokens)
             assert x.shape == (len(docs), len(tokens))
+            assert x.indptr.tolist() == indptr
+            assert x.indices.tolist() == indices
+            assert x.data.tolist() == data
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc_lists)
+    def test_encode_matches_stripped_token_lists(self, docs):
+        token_lists = [strip_tokenize(d.text) for d in docs]
+        tokens, ids, lens = _encode(docs)
+        assert tokens == sorted({tok for toks in token_lists for tok in toks})
+        assert [tokens[i] for i in ids] == [tok for toks in token_lists for tok in toks]
+        assert lens.tolist() == [len(toks) for toks in token_lists]
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc_lists, doc_lists, st.integers(1, 3))
+    def test_heldout_count_matrices_match(self, train, test, min_df):
+        # the studies' path: one encoding of both splits, rows picking each side
+        tokens, ids, lens = _encode(train + test)
+        sides = np.arange(len(train)), np.arange(len(train), lens.size)
+        rows = [textlab._doc_rows(lens, side) for side in sides]
+        args = len(tokens), ids, *rows, len(train), len(test), "counts", min_df
+        vocab, _ = vocab_reference(train, min_df)
+        if not vocab:
+            with pytest.raises(ValueError, match="empty vocabulary"):
+                textlab._heldout_features(*args)
+            return
+        for docs, x in zip((train, test), textlab._heldout_features(*args)):
+            indptr, indices, data = count_csr_reference(docs, vocab)
+            assert x.shape == (len(docs), len(vocab))
             assert x.indptr.tolist() == indptr
             assert x.indices.tolist() == indices
             assert x.data.tolist() == data
@@ -222,11 +258,26 @@ class TestTrainLogreg:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(l2=-1.0)
+        assert TrainConfig(l2=0.0).l2 == 0.0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", True, "must be a number, got true"),
+            ("learning_rate", "0.1", 'must be a number, got "0.1"'),
+            ("l2", False, "must be a number, got false"),
+            ("l2", None, "must be a number, got null"),
+        ],
+    )
+    def test_config_rejects_non_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["learning_rate", "l2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        ends = r"\(0, inf\)" if field == "learning_rate" else r"\[0, inf\)"
+        with pytest.raises(ValueError, match=f"^{field} must lie in {ends}, got {value}$"):
             TrainConfig(**{field: value})
 
     def test_nan_loss_raises(self):
