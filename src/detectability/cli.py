@@ -44,12 +44,7 @@ from .bounds import (
 from .corpus import CorpusParseError, load_jsonl, best_auroc_by_order
 from .distributions import Categorical, chernoff_information, tv_distance
 from .simulate import ExperimentConfig, run_experiment
-from .textlab import (
-    TrainConfig,
-    _check_study_options,
-    auroc_vs_prefix_length,
-    pairwise_auroc,
-)
+from .textlab import TrainConfig, _check_study_options, auroc_vs_prefix_length, pairwise_auroc
 
 PROG = "detectability"
 
@@ -284,7 +279,7 @@ def _load_corpus(path: str, strict: bool):
     return docs
 
 
-# The training flags by the library field each one sets, to name a bad value's flag.
+# Each library field a training flag sets, and that flag: an error names the flag.
 _TRAINING_FLAGS = {
     "seed": "--seed",
     "train_frac": "--train-frac",
@@ -300,7 +295,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     trained = args.mode != "tv-by-order"
     options = {}
     if trained:
-        # before loading, and so ahead of a bad list too, as the library checks them
+        # by the library's own checks, before loading and so ahead of a bad list
         try:
             _check_int("seed", args.seed, low=0)
             _check_study_options(args.train_frac, args.min_df)

@@ -88,7 +88,7 @@ def _strip_punct(token: str) -> str:
 
 
 def _token(raw: str) -> str:
-    """One lowercased raw word with its edge punctuation stripped ("" if nothing is left)."""
+    """A raw word with its edge punctuation stripped ("" if nothing is left)."""
     # alphanumeric characters are never punctuation (category P)
     return raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
 
