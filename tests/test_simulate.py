@@ -598,3 +598,79 @@ class TestStreamPin:
         dep = DependenceSpec(blocks) if blocks else None
         rows = run_experiment(ExperimentConfig(m, h, list(want), 400, dependence=dep, seed=23))
         assert {row.n: row.empirical_auroc for row in rows} == want
+
+
+class TestCeilingPin:
+    # Literal auroc_upper_exact of every row, blank past the enumeration
+    # budget.  A change to how the exact types are grown, summed or gated
+    # moves them, so they are compared with ==, not with a tolerance.
+    @pytest.mark.parametrize(
+        "m, h, want",
+        [
+            # Bernoulli-like: 2**23 is the budget edge, n = 24 is blank
+            (
+                Categorical.bernoulli(0.61),
+                Categorical.bernoulli(0.52),
+                {
+                    1: 0.58595,
+                    2: 0.5965285549999999,
+                    3: 0.623595209342,
+                    4: 0.6382953195212188,
+                    5: 0.6490720635312797,
+                    6: 0.6663289862236654,
+                    7: 0.6684031885407439,
+                    8: 0.6874508866519075,
+                    9: 0.6902938420834324,
+                    10: 0.7042528049367782,
+                    11: 0.7105060275452368,
+                    12: 0.7180476973762182,
+                    13: 0.7269884821816774,
+                    14: 0.7296100924453537,
+                    15: 0.7407041451437084,
+                    16: 0.7416834097718678,
+                    17: 0.7522857824946962,
+                    18: 0.7557728423281282,
+                    19: 0.7621731233765043,
+                    20: 0.7677940796981031,
+                    21: 0.7706849564901306,
+                    22: 0.7781284309915499,
+                    23: 0.7781809448884275,
+                    24: None,
+                },
+            ),
+            # k = 3: 3**14 is in the budget, 3**15 is past it
+            (
+                TRI,
+                Categorical([0.35, 0.4, 0.25]),
+                {
+                    1: 0.71875,
+                    2: 0.763671875,
+                    3: 0.79439921875,
+                    7: 0.8900442310314178,
+                    13: 0.945642955237007,
+                    14: 0.9513044992442838,
+                    15: None,
+                    40: None,
+                },
+            ),
+            # k = 10: 10**7 is exactly the budget
+            (
+                Categorical(np.arange(1, 11) / 55),
+                Categorical(np.full(10, 0.1)),
+                {
+                    1: 0.7014462809917356,
+                    2: 0.770650826446281,
+                    3: 0.8147017709737345,
+                    4: 0.8462064312592995,
+                    5: 0.8700652267829931,
+                    6: 0.8892426259891184,
+                    7: 0.9048755003967529,
+                    8: None,
+                },
+            ),
+        ],
+        ids=["bernoulli", "k3", "k10"],
+    )
+    def test_auroc_upper_exact_is_pinned(self, m, h, want):
+        rows = run_experiment(ExperimentConfig(m, h, list(want), 1, seed=0))
+        assert {row.n: row.auroc_upper_exact for row in rows} == want
