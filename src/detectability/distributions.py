@@ -151,10 +151,19 @@ def _check_same_support(p: Categorical, q: Categorical) -> None:
         )
 
 
-def _check_budget(k: int, n: int) -> None:
+def _within_budget(k: int, n: int) -> bool:
+    """Whether ``k ** n`` outcome tuples fit :data:`ENUMERATION_BUDGET`.
+
+    Once false at some ``n`` it stays false for every larger ``n``, so the
+    in-budget sizes of an ascending list are a prefix of it.
+    """
     # past the budget's bit length k ** n >= 2 ** n is over it: skip the power,
     # which for large n is slow and too long to print
-    if k > 1 and (n > ENUMERATION_BUDGET.bit_length() or k**n > ENUMERATION_BUDGET):
+    return k == 1 or (n <= ENUMERATION_BUDGET.bit_length() and k**n <= ENUMERATION_BUDGET)
+
+
+def _check_budget(k: int, n: int) -> None:
+    if not _within_budget(k, n):
         raise BudgetError(
             f"enumeration of {k}**{n} outcomes exceeds budget {ENUMERATION_BUDGET}"
         )
@@ -268,37 +277,54 @@ def product_tv_exact(p: Categorical, q: Categorical, n: int) -> float:
     """
     _check_same_support(p, q)
     n = _check_int("n", n)
+    _check_budget(p.support_size, n)
+    return next(_product_tvs(p, q, (n,)))
+
+
+def _product_tvs(p: Categorical, q: Categorical, ns):
+    """Yield :func:`product_tv_exact` at each ``n`` of ``ns``, growing the types once.
+
+    ``ns`` must be ascending and within the enumeration budget; nothing here
+    checks either.  The sorted tuples are grown one position per level, and
+    each ``n`` sums its final position over level ``n - 1``, so a sweep grows
+    the levels of its largest ``n`` once, lazily, between yields; its memory
+    is that of the largest ``n`` alone.
+    """
     k = p.support_size
-    _check_budget(k, n)
-    if n == 1 or k == 1:  # one sample, or one outcome: no index arrays needed
-        return tv_distance(p, q)
-    # A partial tuple of length t carries its last index, the length of its
-    # final run, its multinomial coefficient t!/prod(counts!) and its masses.
-    last = np.arange(k)
-    run = np.ones(k, dtype=np.int64)
-    coef = np.ones(k)
-    pm, qm = p.probs, q.probs
-    for t in range(2, n):
-        width, _, j = _sorted_children(last, k)
-        parent = np.repeat(np.arange(last.size), width)
-        run = np.where(j == last[parent], run[parent] + 1, 1)
-        coef = coef[parent] * t / run
-        pm = pm[parent] * p.probs[j]
-        qm = qm[parent] * q.probs[j]
-        last = j
-    # The last position is summed per parent tuple, in place, without
-    # building its children's run and coefficient arrays.
-    width, start, j = _sorted_children(last, k)
-    pj, qj = p.probs[j], q.probs[j]
-    del j
-    pj *= np.repeat(pm, width)
-    qj *= np.repeat(qm, width)
-    pj -= qj
-    del qj
-    np.abs(pj, out=pj)
-    pj[start] /= run + 1  # repeating the last index lengthens its run
-    total = 0.5 * n * float(coef @ np.add.reduceat(pj, start))
-    return min(total, 1.0)
+    t = 0  # no tuples are built before the first n >= 2
+    for n in ns:
+        if n == 1 or k == 1:  # one sample, or one outcome: no index arrays needed
+            yield tv_distance(p, q)
+            continue
+        if t == 0:
+            # A partial tuple of length t carries its last index, the length of
+            # its final run, its multinomial coefficient t!/prod(counts!) and
+            # its masses.
+            t, last, run, coef = 1, np.arange(k), np.ones(k, dtype=np.int64), np.ones(k)
+            pm, qm = p.probs, q.probs
+        while t < n - 1:
+            t += 1
+            width, _, j = _sorted_children(last, k)
+            parent = np.repeat(np.arange(last.size), width)
+            run = np.where(j == last[parent], run[parent] + 1, 1)
+            coef = coef[parent] * t / run
+            pm = pm[parent] * p.probs[j]
+            qm = qm[parent] * q.probs[j]
+            last = j
+        # The last position is summed per parent tuple, in place, without
+        # building its children's run and coefficient arrays.
+        width, start, j = _sorted_children(last, k)
+        pj, qj = p.probs[j], q.probs[j]
+        del j
+        pj *= np.repeat(pm, width)
+        qj *= np.repeat(qm, width)
+        pj -= qj
+        del qj
+        np.abs(pj, out=pj)
+        pj[start] /= run + 1  # repeating the last index lengthens its run
+        total = 0.5 * n * float(coef @ np.add.reduceat(pj, start))
+        del pj  # the next level need not share memory with this sum
+        yield min(total, 1.0)
 
 
 def _sorted_children(last: np.ndarray, k: int):

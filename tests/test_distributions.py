@@ -19,7 +19,11 @@ from detectability import (
     tv_distance,
 )
 
-from detectability.distributions import _logsumexp
+from detectability.distributions import (
+    _logsumexp,
+    _product_tvs,
+    _within_budget,
+)
 
 from _synth import product_masses, rand_pair
 
@@ -254,14 +258,29 @@ class TestProductTvExact:
         assert 0.0 <= tv <= 1.0
 
     def test_budget_edge_memory(self):
-        # 2**23 tuples at the budget edge, but only 24 types
-        tracemalloc.start()
-        try:
-            product_tv_exact(BERN_6, BERN_5, 23)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # 2**23 tuples at the budget edge, but only 24 types; a sweep up to
+        # it holds one level at a time
+        for run in (
+            lambda: product_tv_exact(BERN_6, BERN_5, 23),
+            lambda: list(_product_tvs(BERN_6, BERN_5, range(1, 24))),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sweep_equals_one_call_per_n(self, data):
+        k = data.draw(st.integers(1, 6))
+        weights = st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)
+        p, q = (Categorical(np.array(w) / sum(w)) for w in (data.draw(weights), data.draw(weights)))
+        top = 30 if k == 1 else max(n for n in range(1, 25) if _within_budget(k, n))
+        ns = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=6)))
+        assert list(_product_tvs(p, q, ns)) == [product_tv_exact(p, q, n) for n in ns]
 
     def test_large_support(self):
         # a loop over support indices would take minutes here

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import multinomial, spearmanr
 
 from detectability import (
+    BudgetError,
     Categorical,
     DependenceSpec,
     ExperimentConfig,
@@ -24,7 +25,7 @@ from detectability import (
     trial_rng,
     tv_distance,
 )
-from detectability import simulate
+from detectability import distributions, simulate
 from detectability.simulate import (
     _CHUNK_CELLS,
     _block_kinds,
@@ -557,6 +558,46 @@ class TestRunExperiment:
 
     def test_tv_sanity(self):
         assert tv_distance(BERN_6, BERN_5) == pytest.approx(0.1)
+
+    def test_one_growth_of_the_types_per_run(self, monkeypatch):
+        # 21 levels grown once and 22 final sums; one enumeration per row
+        # grew 1 + 2 + ... + 22 = 253 times
+        calls = []
+
+        def counting(last, k):
+            calls.append(last.size)
+            return sorted_children(last, k)
+
+        sorted_children = distributions._sorted_children
+        monkeypatch.setattr(distributions, "_sorted_children", counting)
+        run_experiment(ExperimentConfig(BERN_6, BERN_5, range(1, 24), 1))
+        assert len(calls) == 43
+
+    def test_rows_past_the_budget_raise_no_budget_error(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a BudgetError was constructed")
+
+        monkeypatch.setattr(BudgetError, "__init__", refuse)
+        rows = run_experiment(ExperimentConfig(BERN_6, BERN_5, [1, 23, 24, 20_000], 1))
+        assert [row.auroc_upper_exact is None for row in rows] == [False, False, True, True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_chernoff_column_is_a_floor_on_the_exact_ceiling(self, data):
+        # 1 - tv_n = sum min(P^n, Q^n) <= exp(-n C) (Chernoff 1952), and the
+        # golden-section C is at most the true C.  Equality holds where one
+        # mass dominates the other on their common support (p == q, say), so
+        # the two columns may cross there by rounding in C: 1e-12 allows it.
+        k = data.draw(st.integers(1, 4))
+        weights = st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k
+        ).filter(any)
+        m, h = (Categorical(np.array(w) / sum(w)) for w in (data.draw(weights), data.draw(weights)))
+        ns = sorted(data.draw(st.sets(st.integers(1, 16), min_size=1, max_size=4)))
+        seed = data.draw(st.integers(0, 3))
+        for row in run_experiment(ExperimentConfig(m, h, ns, 3, seed=seed)):
+            if row.auroc_upper_exact is not None:
+                assert row.auroc_upper_chernoff <= row.auroc_upper_exact + 1e-12
 
 
 W40 = Categorical(np.arange(1, 41) / 820)

@@ -44,6 +44,8 @@ NO_CALLER = {
     "pairwise_augment": "traced in BENCHMARK.json",
     "sample_noniid": "traced in BENCHMARK.json; run_experiment draws through its per-row form",
     "min_error_bruteforce": "acceptance criterion 2 and demos/01 use it",
+    "product_tv_exact": "traced in BENCHMARK.json; acceptance criterion 3's oracle; "
+    "run_experiment sums through its sweep form",
 }
 
 
