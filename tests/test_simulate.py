@@ -560,12 +560,11 @@ class TestRunExperiment:
         assert tv_distance(BERN_6, BERN_5) == pytest.approx(0.1)
 
     def test_one_growth_of_the_types_per_run(self, monkeypatch):
-        # 21 levels grown once and 22 final sums; one enumeration per row
-        # grew 1 + 2 + ... + 22 = 253 times
+        # levels 2..22 grown once, plus one final sum at each n = 2..23
         calls = []
 
         def counting(last, k):
-            calls.append(last.size)
+            calls.append(k)
             return sorted_children(last, k)
 
         sorted_children = distributions._sorted_children
