@@ -386,8 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
             p_mode.add_argument("--train-frac", type=float, default=0.7)
             p_mode.add_argument("--space", choices=("counts", "tfidf"), default="tfidf")
             p_mode.add_argument("--min-df", type=int, default=2)
-            p_mode.add_argument("--lr", type=float, default=0.1, help="learning rate")
-            p_mode.add_argument("--epochs", type=int, default=500)
+            p_mode.add_argument("--lr", type=float, default=0.1, help="first step size")
+            p_mode.add_argument(
+                "--epochs", type=int, default=500, help="cap on training iterations"
+            )
             p_mode.add_argument("--l2", type=float, default=1e-4)
         strictness = p_mode.add_mutually_exclusive_group()
         strictness.add_argument(

@@ -240,6 +240,9 @@ def chernoff_information(p: Categorical, q: Categorical) -> float:
         If the distributions do not share a support size.
     """
     _check_same_support(p, q)
+    # the log-space coefficient of equal masses can round an ulp below 0
+    if np.array_equal(p.probs, q.probs):
+        return 0.0
     common = (p.probs > 0.0) & (q.probs > 0.0)
     if not common.any():
         return math.inf

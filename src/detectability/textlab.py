@@ -1,17 +1,18 @@
 """Classifier-side text experiments: features, training, ablations.
 
-A deliberately small stack -- bag-of-words features, full-batch gradient
-descent on L2-regularized logistic loss -- because the point of these
-experiments is not classifier quality but how detection accuracy moves with
-the amount of text: longer prefixes per document, or several same-class
-documents pooled into one decision.  Pooling trains no new model: one model
-scores each held-out document, and a k-tuple's score is the sum of its
-members' decision values, the multi-sample log-likelihood-ratio rule.
+A deliberately small stack -- bag-of-words features, L2-regularized logistic
+loss minimized by L-BFGS -- because the point of these experiments is not
+classifier quality but how detection accuracy moves with the amount of text:
+longer prefixes per document, or several same-class documents pooled into
+one decision.  Pooling trains no new model: one model scores each held-out
+document, and a k-tuple's score is the sum of its members' decision values,
+the multi-sample log-likelihood-ratio rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,8 +45,14 @@ __all__ = [
 
 FEATURE_SPACES = ("counts", "tfidf")
 
-# Consecutive epoch losses may regress by at most this much (float noise).
-_LOSS_SLACK = 1e-12
+# L-BFGS keeps this many curvature pairs.
+_MEMORY = 10
+# Training stops once the largest gradient entry is this fraction of its start.
+_RTOL = 1e-6
+# Armijo rule: a step must lower the loss by this fraction of its first-order
+# prediction.
+_ARMIJO = 1e-4
+_EPS = np.finfo(np.float64).eps
 
 # Salts separating the internal RNG streams.
 _SPLIT_SALT = 101
@@ -148,8 +155,12 @@ def featurize(
 class TrainConfig:
     """Hyperparameters for :func:`train_logreg`.
 
-    Full-batch descent from zero weights has nothing to shuffle, so training
-    takes no seed: the same data and hyperparameters give the same model.
+    ``learning_rate`` is the size of the first step, a plain gradient step;
+    later steps take their scale from the curvature seen so far.  ``epochs``
+    caps the number of iterations, and training usually stops well before it,
+    at the optimum.  Full-batch training from zero weights has nothing to
+    shuffle, so it takes no seed: the same data and hyperparameters give the
+    same model.
     """
 
     learning_rate: float = 0.1
@@ -181,15 +192,27 @@ class LinearModel:
         return np.asarray(features @ self.weights).ravel() + self.bias
 
 
-def _logreg_loss(
-    z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float, out=(None, None)
-) -> float:
-    # mean log-loss, numerically stable, plus ridge penalty (bias excluded);
-    # ``out`` may name two arrays shaped like ``z`` to compute in
-    loss = np.logaddexp(0.0, z, out=out[0])
-    loss -= np.multiply(y, z, out=out[1])
-    # the sum over the count is np.mean's own arithmetic
-    return float(np.add.reduce(loss) / loss.size + 0.5 * l2 * (w @ w))
+def _logreg_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
+    # mean log-loss, numerically stable, plus ridge penalty (bias excluded)
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * (w @ w))
+
+
+def _lbfgs_direction(
+    grad: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]], scale: float
+) -> np.ndarray:
+    """``-H grad`` by the L-BFGS two-loop recursion over ``(s, y, 1 / s.y)`` pairs.
+
+    ``H`` starts from ``scale * I`` and takes the pairs oldest first.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    q *= scale
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
 
 
 def train_logreg(
@@ -197,12 +220,22 @@ def train_logreg(
     labels: Sequence[int],
     config: TrainConfig | None = None,
 ) -> tuple[LinearModel, np.ndarray]:
-    """Full-batch gradient descent on L2-regularized logistic loss.
+    """Minimize L2-regularized logistic loss by L-BFGS.
 
-    Weights start at zero, so training is deterministic.  The loss is
-    recorded before the first step and after every epoch; it must never
-    increase (beyond float noise) or become NaN, and a step that does either
-    raises ``RuntimeError`` naming the epoch -- lower the learning rate.
+    The objective is the mean log-loss plus ``l2 / 2 * ||weights||^2``; the
+    bias is not penalized.  Weights start at zero, so training is
+    deterministic.  Each iteration steps along the limited-memory BFGS
+    direction (Liu & Nocedal 1989) over the last few curvature pairs,
+    trying the full step first and halving it until the loss falls by the
+    Armijo rule.  Before any pair exists the inverse Hessian is
+    ``learning_rate * I``, so one iteration is one gradient step of that size
+    whenever the step lowers the loss enough.
+
+    Training stops once the gradient's largest entry is at most a fixed
+    fraction (1e-6) of its value at zero weights, once no step can lower the
+    loss at float precision, or after ``epochs`` iterations.  A trial step
+    whose loss is NaN or infinite raises ``RuntimeError`` naming the
+    iteration -- lower the learning rate.
 
     Parameters
     ----------
@@ -213,8 +246,9 @@ def train_logreg(
     Returns
     -------
     (model, losses)
-        ``losses`` has ``epochs + 1`` entries; ``losses[-1]`` is the final
-        training loss.
+        ``losses`` holds the loss at zero weights and after each iteration,
+        at most ``epochs + 1`` entries, never increasing; ``losses[-1]`` is
+        the final training loss.
     """
     global sp
     import scipy.sparse as sp
@@ -230,54 +264,83 @@ def train_logreg(
         raise ValueError("labels must be 0 or 1")
     if y.min() == y.max():
         raise ValueError("both classes must be present")
+    if not np.isfinite(x.data if sp.issparse(x) else x).all():
+        raise ValueError("features must be finite")
 
-    lr, l2 = cfg.learning_rate, cfg.l2
-    w = np.zeros(d)
-    b = 0.0
-    losses = np.empty(cfg.epochs + 1)
-    z = np.asarray(x @ w).ravel() + b
-    # each epoch computes in these buffers, with the float operations of
-    # resid = expit(z) - y; w -= lr * (x.T @ resid / n + l2 * w)
-    resid, penalty, scratch = np.empty(n), np.empty(d), (np.empty(n), np.empty(n))
-    losses[0] = _logreg_loss(z, y, w, l2, scratch)
-    xt = x.T
-    for epoch in range(1, cfg.epochs + 1):
-        expit(z, out=resid)
-        resid -= y
-        grad_w = np.asarray(xt @ resid).ravel()
-        grad_w /= n
-        grad_w += np.multiply(w, l2, out=penalty)
-        grad_b = float(np.add.reduce(resid) / n)
-        grad_w *= lr
-        w -= grad_w
-        b = b - lr * grad_b
-        z = np.asarray(x @ w).ravel()
-        z += b
-        losses[epoch] = _logreg_loss(z, y, w, l2, scratch)
-        # written so that a NaN loss fails the check too
-        if not losses[epoch] <= losses[epoch - 1] + _LOSS_SLACK:
-            raise RuntimeError(
-                f"training loss increased at epoch {epoch} "
-                f"({float(losses[epoch - 1])!r} -> {float(losses[epoch])!r}); "
-                "reduce learning_rate"
-            )
-    return LinearModel(weights=w, bias=float(b)), losses
+    l2, xt = cfg.l2, x.T
+
+    def loss_at(theta: np.ndarray) -> tuple[np.ndarray, float]:
+        # theta is the weights followed by the bias
+        z = np.asarray(x @ theta[:-1]).ravel() + theta[-1]
+        return z, _logreg_loss(z, y, theta[:-1], l2)
+
+    def gradient(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        resid = expit(z) - y
+        grad_w = np.asarray(xt @ resid).ravel() / n + l2 * theta[:-1]
+        return np.append(grad_w, np.mean(resid))
+
+    theta = np.zeros(d + 1)
+    z, loss = loss_at(theta)
+    grad = gradient(z, theta)
+    tol = _RTOL * np.abs(grad).max()
+    losses = [loss]
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
+    scale = cfg.learning_rate
+    while len(losses) <= cfg.epochs and np.abs(grad).max() > tol:
+        direction = _lbfgs_direction(grad, pairs, scale)
+        slope = float(grad @ direction)
+        step = 1.0
+        # the Armijo decrease step * -slope must show in the loss's last bits
+        while step * -slope > _EPS * abs(loss):
+            trial = theta + step * direction
+            z, trial_loss = loss_at(trial)
+            if not math.isfinite(trial_loss):
+                raise RuntimeError(
+                    f"training loss is not finite at epoch {len(losses)} "
+                    f"({loss!r} -> {trial_loss!r}); reduce learning_rate"
+                )
+            if trial_loss <= loss + _ARMIJO * step * slope:
+                break
+            step /= 2
+        else:
+            break  # no step lowers the loss at float precision
+        trial_grad = gradient(z, trial)
+        s, g_change = trial - theta, trial_grad - grad
+        curvature = float(s @ g_change)
+        if curvature > _EPS * (g_change @ g_change):
+            pairs.append((s, g_change, 1.0 / curvature))
+            scale = curvature / float(g_change @ g_change)
+        theta, loss, grad = trial, trial_loss, trial_grad
+        losses.append(loss)
+    return LinearModel(weights=theta[:-1], bias=float(theta[-1])), np.array(losses)
 
 
 @dataclass(frozen=True)
 class PrefixRow:
-    """Test AUROC when documents are truncated to a fixed token length."""
+    """Test AUROC when documents are truncated to a fixed token length.
+
+    ``epochs`` and ``final_loss`` are the iterations the length's model
+    trained for and its final training loss.
+    """
 
     length: int
     test_auroc: float
+    epochs: int
+    final_loss: float
 
 
 @dataclass(frozen=True)
 class PairwiseRow:
-    """Test AUROC when decisions pool k same-class documents."""
+    """Test AUROC when decisions pool k same-class documents.
+
+    ``epochs`` and ``final_loss`` describe the one model every k shares, as
+    in :class:`PrefixRow`.
+    """
 
     k: int
     test_auroc: float
+    epochs: int
+    final_loss: float
 
 
 def _stratified_split(
@@ -359,9 +422,10 @@ def auroc_vs_prefix_length(
         x_train, x_test = _heldout_features(
             len(tokens), ids, train_l, test_l, train.size, test.size, space, min_df
         )
-        model, _ = train_logreg(x_train, y[train], config)
+        model, losses = train_logreg(x_train, y[train], config)
         scores = model.decision_function(x_test)
-        rows.append(PrefixRow(length=length, test_auroc=_auroc(scores, y[test])))
+        auroc = _auroc(scores, y[test])
+        rows.append(PrefixRow(length, auroc, losses.size - 1, float(losses[-1])))
     return rows
 
 
@@ -438,8 +502,9 @@ def pairwise_auroc(
     x_train, x_test = _heldout_features(
         len(tokens), ids, train_rows, test_rows, train.size, test.size, space, min_df
     )
-    model, _ = train_logreg(x_train, y[train], config)
+    model, losses = train_logreg(x_train, y[train], config)
     scores = model.decision_function(x_test)
+    epochs, final_loss = losses.size - 1, float(losses[-1])
     # the model was trained on roles, so the tuples pool by role too
     roles = [Label.MACHINE if label else Label.HUMAN for label in y[test]]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;
@@ -454,5 +519,5 @@ def pairwise_auroc(
         # another order for k >= 9, and the scores would change in the last bit
         pooled = sum(scores[member] for member in index.T)
         # tuple t is anchored on test document t, so it carries that label
-        rows.append(PairwiseRow(k=k, test_auroc=_auroc(pooled, y[test])))
+        rows.append(PairwiseRow(k, _auroc(pooled, y[test]), epochs, final_loss))
     return rows

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -300,6 +301,13 @@ class TestSimulateCommand:
             assert r["auroc_upper_exact"] != ""
             assert float(r["wall_time_seconds"]) >= 0.0
 
+    def test_equal_masses_print_a_chance_chernoff_ceiling(self, capsys, tmp_path):
+        pair = [4 / 7, 3 / 7]
+        code, out, _ = run(capsys, "simulate", self.write_config(tmp_path, m=pair, h=pair))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["n"], r["auroc_upper_chernoff"]) for r in rows] == [("1", "0.5"), ("4", "0.5")]
+
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
         _, out_a, _ = run(capsys, "simulate", cfg, "--seed", "11")
@@ -506,6 +514,27 @@ class TestCorpusCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert [int(r["k"]) for r in rows] == [1, 2]
+
+    @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
+    def test_counts_space_trains_at_the_default_flags(self, capsys, tmp_path, mode):
+        # 40 documents of 30 tokens a side over 20 Zipf words: plain gradient
+        # steps of 0.1 diverged on these raw counts in both modes (exit 1)
+        rng = np.random.default_rng(0)
+        zipf = 1.0 / np.arange(1, 21) ** 1.05
+        zipf /= zipf.sum()
+        machine = 0.8 * zipf + 0.2 * zipf[rng.permutation(20)]
+        hp, mp = tmp_path / "h.jsonl", tmp_path / "m.jsonl"
+        write_jsonl(hp, unigram_docs(rng, zipf, Label.HUMAN, 40, 30, "h"))
+        write_jsonl(mp, unigram_docs(rng, machine, Label.MACHINE, 40, 30, "m"))
+        code, out, err = run(
+            capsys, "corpus", mode, "--human", str(hp), "--machine", str(mp),
+            "--space", "counts",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        for r in rows:
+            assert 0 < int(r["epochs"]) < 500
+            assert 0.0 < float(r["final_loss"]) < math.log(2)
 
     def test_strict_parse_error_names_line(self, capsys, corpus_files, tmp_path):
         _, mp = corpus_files
@@ -914,12 +943,12 @@ COLUMN_CONTRACT = [
     (
         ["corpus", "train-ablate", "--human", "{human}", "--machine", "{machine}",
          "--lengths", "5", "--epochs", "20"],
-        ["length", "test_auroc"],
+        ["length", "test_auroc", "epochs", "final_loss"],
     ),
     (
         ["corpus", "pairwise", "--human", "{human}", "--machine", "{machine}",
          "--epochs", "20"],
-        ["k", "test_auroc"],
+        ["k", "test_auroc", "epochs", "final_loss"],
     ),
 ]
 

@@ -163,6 +163,11 @@ class TestChernoffInformation:
     def test_identical_is_zero(self):
         assert chernoff_information(BERN_5, BERN_5) == pytest.approx(0.0, abs=1e-12)
 
+    def test_identical_is_exactly_zero(self):
+        # the log-space coefficient of this pair rounds an ulp below 0
+        p = Categorical([4 / 7, 3 / 7])
+        assert chernoff_information(p, p) == 0.0
+
     def test_disjoint_supports_is_inf(self):
         got = chernoff_information(Categorical([1.0, 0.0]), Categorical([0.0, 1.0]))
         assert got == math.inf
