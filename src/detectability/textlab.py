@@ -306,10 +306,10 @@ def train_logreg(
             break  # no step lowers the loss at float precision
         trial_grad = gradient(z, trial)
         s, g_change = trial - theta, trial_grad - grad
-        curvature = float(s @ g_change)
-        if curvature > _EPS * (g_change @ g_change):
+        curvature, g_norm2 = float(s @ g_change), float(g_change @ g_change)
+        if curvature > _EPS * g_norm2:
             pairs.append((s, g_change, 1.0 / curvature))
-            scale = curvature / float(g_change @ g_change)
+            scale = curvature / g_norm2
         theta, loss, grad = trial, trial_loss, trial_grad
         losses.append(loss)
     return LinearModel(weights=theta[:-1], bias=float(theta[-1])), np.array(losses)
