@@ -60,9 +60,11 @@ def log_likelihood_ratio(
 
     ``samples`` is either a 1-d list of sample indices, scored as one float,
     or a 2-d ``(sets, support_size)`` matrix of per-index sample counts,
-    scored as one float per row.  Both are scored from counts: the score is
-    ``sum_j counts[j] * (log m(j) - log h(j))``, reduced along each row in
-    index order, so equal count vectors always get bit-equal scores.
+    scored as one float per row.  Both are scored from counts: a row's score
+    is ``sum_j counts[j] * (log m(j) - log h(j))``, numpy's ``sum(axis=1)``
+    of the products.  That sum runs in index order only up to 8 entries and
+    pairwise past them, but it reads nothing outside the row, so equal count
+    vectors get bit-equal scores, alone or in a matrix of any height.
 
     Zero-mass conventions: a sample with mass under exactly one distribution
     contributes ``+inf`` (only ``m``) or ``-inf`` (only ``h``); a sample with
@@ -99,9 +101,13 @@ def log_likelihood_ratio(
 
     with np.errstate(invalid="ignore"):
         table = m.log_probs() - h.log_probs()  # -inf - -inf -> nan where both zero
-    total = counts.sum(axis=1)
-    if (total == 0).any():
+    total = counts @ np.ones(k, dtype=np.int64)  # exact, where sum(axis=1) is slow
+    if not total.all():
         raise ValueError("every sample set must be nonempty")
+    finite = np.isfinite(table)
+    if finite.all():  # no zero masses: none of the bookkeeping below
+        scores = (counts * table).sum(axis=1)
+        return float(scores[0]) if arr.ndim == 1 else scores
     both_zero = np.isnan(table)
     if both_zero.any():
         skipped = counts[:, both_zero].sum(axis=1)
@@ -114,22 +120,20 @@ def log_likelihood_ratio(
             )
             if (skipped == total).any():
                 raise ValueError("every sample had zero mass under both distributions")
-    finite = np.isfinite(table)
     scores = (counts * np.where(finite, table, 0.0)).sum(axis=1)
-    if not finite.all():
-        has_pos = counts[:, np.isposinf(table)].any(axis=1)
-        has_neg = counts[:, np.isneginf(table)].any(axis=1)
-        scores[has_pos] = np.inf
-        scores[has_neg] = -np.inf
-        tie = has_pos & has_neg
-        if tie.any():
-            warnings.warn(
-                "evidence certain for both sides (joint mass zero under both "
-                "models); treating as a tie",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            scores[tie] = 0.0
+    has_pos = counts[:, np.isposinf(table)].any(axis=1)
+    has_neg = counts[:, np.isneginf(table)].any(axis=1)
+    scores[has_pos] = np.inf
+    scores[has_neg] = -np.inf
+    tie = has_pos & has_neg
+    if tie.any():
+        warnings.warn(
+            "evidence certain for both sides (joint mass zero under both "
+            "models); treating as a tie",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        scores[tie] = 0.0
     return float(scores[0]) if arr.ndim == 1 else scores
 
 
@@ -147,29 +151,28 @@ def roc_from_scores(
 
     Scores may include ``+-inf`` (certain evidence); NaN is rejected.
     """
-    ms = np.asarray(machine_scores, dtype=np.float64)
-    hs = np.asarray(human_scores, dtype=np.float64)
+    ms = np.sort(np.asarray(machine_scores, dtype=np.float64))
+    hs = np.sort(np.asarray(human_scores, dtype=np.float64))
     if ms.size == 0 or hs.size == 0:
         raise ValueError("both score lists must be nonempty")
-    if np.isnan(ms).any() or np.isnan(hs).any():
+    if np.isnan(ms[-1]) or np.isnan(hs[-1]):  # NaN sorts last
         raise ValueError("scores must not contain NaN")
 
-    # One sort groups equal scores; group i's average rank is the exact
-    # half-integer cumsum_i - (count_i - 1)/2, and its below-threshold counts
-    # are the cumulative per-group counts of the groups before it.
-    _, group, count = np.unique(
-        np.concatenate([ms, hs]), return_inverse=True, return_counts=True
-    )
-    m_count = np.bincount(group[: ms.size], minlength=count.size)
-    h_count = count - m_count
-    rank = np.cumsum(count) - (count - 1) / 2.0
-    r_m = float((m_count * rank).sum())  # half-integers below 2**52: exact
-    u = r_m - ms.size * (ms.size + 1) / 2.0
-    auroc = u / (ms.size * hs.size)
+    # Thresholds: the distinct scores of either side, ascending.  The scores
+    # of a side below, or at most at, each are read off its sorted copy.
+    distinct = np.unique(np.concatenate([_distinct(ms), _distinct(hs)]))
+    m_below = np.searchsorted(ms, distinct)
+    h_below = np.searchsorted(hs, distinct)
+    m_count = np.searchsorted(ms, distinct, side="right") - m_below
+    h_upto = np.searchsorted(hs, distinct, side="right")
+    # 2U: each machine score counts the human scores below it twice and the
+    # ties once; int64, exact while |A| |B| < 2**62
+    u2 = int(m_count @ (h_below + h_upto))
+    auroc = u2 / (2 * ms.size * hs.size)
 
     # Threshold sweep, descending; prepend the empty decision rule (0, 0).
-    tpr = 1.0 - (np.cumsum(m_count) - m_count)[::-1] / ms.size
-    fpr = 1.0 - (np.cumsum(h_count) - h_count)[::-1] / hs.size
+    tpr = 1.0 - m_below[::-1] / ms.size
+    fpr = 1.0 - h_below[::-1] / hs.size
     fprs = np.concatenate([[0.0], fpr])
     tprs = np.concatenate([[0.0], tpr])
 
@@ -179,4 +182,9 @@ def roc_from_scores(
             f"trapezoid area {area!r} and rank AUROC {auroc!r} disagree"
         )
     points = tuple(zip(fprs.tolist(), tprs.tolist()))
-    return RocCurve(points=points, auroc=float(auroc))
+    return RocCurve(points=points, auroc=auroc)
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, without sorting it again."""
+    return ascending[np.concatenate([[True], ascending[1:] != ascending[:-1]])]

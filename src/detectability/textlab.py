@@ -233,9 +233,11 @@ def train_logreg(
 
     Training stops once the gradient's largest entry is at most a fixed
     fraction (1e-6) of its value at zero weights, once no step can lower the
-    loss at float precision, or after ``epochs`` iterations.  A trial step
-    whose loss is NaN or infinite raises ``RuntimeError`` naming the
-    iteration -- lower the learning rate.
+    loss at float precision, or after ``epochs`` iterations.  Only the count
+    shows the last case: ``len(losses) - 1 == epochs`` means no stop rule was
+    met before the cap, as happens on some small dense count matrices.  A
+    trial step whose loss is NaN or infinite raises ``RuntimeError`` naming
+    the iteration -- lower the learning rate.
 
     Parameters
     ----------
@@ -320,7 +322,8 @@ class PrefixRow:
     """Test AUROC when documents are truncated to a fixed token length.
 
     ``epochs`` and ``final_loss`` are the iterations the length's model
-    trained for and its final training loss.
+    trained for and its final training loss; ``epochs`` equal to the cap
+    means the cap, not a stop rule, ended training (:func:`train_logreg`).
     """
 
     length: int
@@ -334,7 +337,8 @@ class PairwiseRow:
     """Test AUROC when decisions pool k same-class documents.
 
     ``epochs`` and ``final_loss`` describe the one model every k shares, as
-    in :class:`PrefixRow`.
+    in :class:`PrefixRow`; ``epochs`` equal to the configured cap means the
+    cap, not a stop rule, ended training.
     """
 
     k: int

@@ -146,6 +146,27 @@ class TestCountScoring:
         want = [log_likelihood_ratio(m, h, rng.permutation(expand(row))) for row in counts]
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("k", [3, 9, 40, 5000])
+    def test_row_scores_bit_equal_in_any_matrix(self, k):
+        # numpy sums a row pairwise past 8 entries, not in index order, but
+        # reads nothing outside it: a count vector scores the same as an
+        # index list, as a one-row matrix, and at the top, middle or bottom
+        # of a matrix of any height
+        rng = np.random.default_rng(k)
+        m, h = (Categorical(rng.dirichlet(np.ones(k))) for _ in range(2))
+        vectors = rng.integers(1, 30, size=(3, k))
+        alone = [log_likelihood_ratio(m, h, v[None, :])[0] for v in vectors]
+        assert [log_likelihood_ratio(m, h, expand(v)) for v in vectors] == alone
+        filler = rng.integers(0, 30, size=(50, k))
+        for rows in (2, 218, 2000, 40000):
+            if rows * k > 10**7:  # 40,000 rows of 5,000 would hold 1.6 GB
+                continue
+            counts = np.resize(filler, (rows, k))
+            at = list(dict.fromkeys([0, rows // 2, rows - 1]))
+            counts[at] = vectors[: len(at)]
+            got = log_likelihood_ratio(m, h, counts)
+            assert got[at].tolist() == alone[: len(at)]
+
     def test_zero_mass_conventions_match_index_lists(self):
         # index 0: both positive; 1: only m; 2: only h; 3: neither
         m = Categorical([0.5, 0.5, 0.0, 0.0])

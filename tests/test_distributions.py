@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -31,8 +32,8 @@ BERN_6 = Categorical.bernoulli(0.6)
 BERN_5 = Categorical.bernoulli(0.5)
 
 # Oracle: brute-force grid search over alpha in {0, 1e-6, ..., 1} for the
-# coefficient sum 0.4^a 0.5^(1-a) + 0.6^a 0.5^(1-a), frozen before the
-# golden-section implementation existed.
+# coefficient sum 0.4^a 0.5^(1-a) + 0.6^a 0.5^(1-a), frozen before any
+# iterative minimizer existed.
 CHERNOFF_BERN_6_VS_5 = 0.0050767704853432695
 
 
@@ -66,6 +67,44 @@ def chernoff_grid_oracle(p: Categorical, q: Categorical, step: float = 1e-6) -> 
         coeff = np.exp(chunk[:, None] * lp + (1 - chunk[:, None]) * lq).sum(axis=1)
         best = min(best, float(coeff.min()))
     return -math.log(best)
+
+
+def chernoff_decimal(p: Categorical, q: Categorical) -> Decimal:
+    """Chernoff information of the stored masses, converted exactly, in 50 digits.
+
+    Bisection on the sign of f'(a) = sum p^a q^(1-a) (log p - log q), whose
+    100 halvings leave the bracket far under 1e-30; infinite when the
+    supports are disjoint.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        logs = [
+            (Decimal(a).ln(), Decimal(b).ln())
+            for a, b in zip(p.probs.tolist(), q.probs.tolist())
+            if a > 0 and b > 0
+        ]
+        if not logs:
+            return Decimal("Infinity")
+
+        def terms(a):
+            return [(a * lp + (1 - a) * lq).exp() for lp, lq in logs]
+
+        def slope(a):
+            return sum(t * (lp - lq) for t, (lp, lq) in zip(terms(a), logs))
+
+        lo, hi = Decimal(0), Decimal(1)
+        if slope(lo) >= 0:
+            hi = lo
+        elif slope(hi) <= 0:
+            lo = hi
+        else:
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                if slope(mid) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+        return -sum(terms((lo + hi) / 2)).ln()
 
 
 class TestCategorical:
@@ -146,9 +185,11 @@ class TestChernoffInformation:
         )
 
     def test_pinned_to_scipy_logsumexp_value(self):
-        # the exact float the search returned with scipy.special.logsumexp;
-        # the tv command's pinned cell covers the same pair read from files
-        assert chernoff_information(BERN_6, BERN_5) == 0.005076770485344606
+        # the Newton minimum, evaluated in extended precision and rounded
+        # down: two float64 steps under the 50-digit value of the stored
+        # masses, 0.00507677048534470852...; the tv command's pinned cell
+        # covers the same pair read from files
+        assert chernoff_information(BERN_6, BERN_5) == 0.005076770485344707
 
     def test_oracle_reproduces_frozen_constant(self):
         assert chernoff_grid_oracle(BERN_6, BERN_5) == pytest.approx(
@@ -171,6 +212,21 @@ class TestChernoffInformation:
     def test_disjoint_supports_is_inf(self):
         got = chernoff_information(Categorical([1.0, 0.0]), Categorical([0.0, 1.0]))
         assert got == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_pairs())
+    @example((BERN_6, BERN_5, 1))  # a float64 Newton minimum lands 8.5e-18 above
+    def test_floor_on_50_digit_value(self, case):
+        p, q, _ = case
+        got = chernoff_information(p, q)
+        # stored masses can sum an ulp past 1, putting an equal pair's exact
+        # value a hair below the 0 that C cannot go under
+        want = max(chernoff_decimal(p, q), Decimal(0))
+        if want.is_infinite():
+            assert got == math.inf
+            return
+        assert Decimal(got) <= want
+        assert want - Decimal(got) <= Decimal("1e-12")
 
     def test_symmetry_and_grid_agreement(self):
         rng = np.random.default_rng(1)

@@ -32,11 +32,11 @@ from detectability.simulate import (
     _block_law,
     _chunk_trials,
     _copy_positions,
+    _copy_sampler,
+    _law_sampler,
     _law_selected,
     _noniid_sampler,
     _rescale,
-    _sample_copy,
-    _sample_law,
 )
 
 from _synth import (
@@ -153,6 +153,16 @@ class TestRescaleBlocks:
         kinds = _block_kinds(dep, n)
         cycles = n // 5
         assert list(kinds.items()) == [((3, 0.2), cycles), ((2, 0.9), cycles), ((2, 0.2), 1)]
+
+
+def _sample_law(dist, dep, n, trials, rng):
+    """One draw from ``_law_sampler``, whatever ``_law_selected`` picks."""
+    return _law_sampler(dist, dep, n)(trials, rng)
+
+
+def _sample_copy(dist, dep, n, trials, rng):
+    """One draw from ``_copy_sampler``, whatever ``_law_selected`` picks."""
+    return _copy_sampler(dist, dep, n)(trials, rng)
 
 
 # The law sampler and the copy process draw from one law; sample_noniid
@@ -572,6 +582,24 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(BERN_6, BERN_5, range(1, 24), 1))
         assert len(calls) == 43
 
+    def test_criterion_06_grid_calls_each_public_stage(self, monkeypatch):
+        # the benchmark's tracer times these three by patching exactly these
+        # bindings; work moved into a private routine would read 0 calls.
+        # 2,000 trials a class: n = 300 takes ten 218-trial chunks a class,
+        # every smaller n one chunk
+        calls = Counter()
+        for name in ("log_likelihood_ratio", "roc_from_scores", "chernoff_information"):
+            fn = getattr(simulate, name)
+
+            def counting(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(simulate, name, counting)
+        run_experiment(ExperimentConfig(BERN_6, BERN_5, [1, 2, 4, 8, 16, 300], 2000, seed=106))
+        want = {"log_likelihood_ratio": 30, "roc_from_scores": 6, "chernoff_information": 1}
+        assert calls == want
+
     def test_rows_past_the_budget_raise_no_budget_error(self, monkeypatch):
         def refuse(self, *args):
             raise AssertionError("a BudgetError was constructed")
@@ -584,9 +612,10 @@ class TestRunExperiment:
     @given(st.data())
     def test_chernoff_column_is_a_floor_on_the_exact_ceiling(self, data):
         # 1 - tv_n = sum min(P^n, Q^n) <= exp(-n C) (Chernoff 1952), and the
-        # golden-section C is at most the true C.  Equality holds where one
-        # mass dominates the other on their common support (p == q, say), so
-        # the two columns may cross there by rounding in C: 1e-12 allows it.
+        # computed C, a Newton minimum stepped down for rounding, is at most
+        # the true C.  Equality holds where one mass dominates the other on
+        # their common support (p == q, say), so the two columns may cross
+        # there by rounding in the ceiling: 1e-12 allows it.
         k = data.draw(st.integers(1, 4))
         weights = st.lists(
             st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k

@@ -245,6 +245,18 @@ class TestTrainLogreg:
         assert longer.bias == model.bias
         np.testing.assert_array_equal(longer_losses, losses)
 
+    def test_epochs_at_the_cap_means_the_stop_rule_was_not_met(self):
+        # dense counts like this one (n 8-40, d 10-30, counts up to 50) can
+        # need more than the default 500 iterations; training then stops at
+        # the cap, with nothing but ``epochs`` to show it
+        rng = np.random.default_rng(8)
+        n, d = int(rng.integers(8, 41)), int(rng.integers(10, 31))
+        x = rng.integers(0, 51, size=(n, d)).astype(float)
+        y = rng.integers(0, 2, size=n)
+        model, losses = train_logreg(x, y)
+        assert len(losses) - 1 == TrainConfig.epochs
+        assert not meets_gradient_stop(x, y, model)  # the gradient is above 1e-6 of its start
+
     def test_separable_pair_classifies_correctly(self):
         x = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         y = np.array([0, 1])
