@@ -158,9 +158,9 @@ def roc_from_scores(
     if np.isnan(ms[-1]) or np.isnan(hs[-1]):  # NaN sorts last
         raise ValueError("scores must not contain NaN")
 
-    # Thresholds: the distinct scores of either side, ascending.  The scores
-    # of a side below, or at most at, each are read off its sorted copy.
-    distinct = np.unique(np.concatenate([_distinct(ms), _distinct(hs)]))
+    # Thresholds: both sides' distinct scores, ascending (np.unique would map
+    # 1 MB more); each side's counts below and up to each come from its sort.
+    distinct = _distinct(np.sort(np.concatenate([_distinct(ms), _distinct(hs)])))
     m_below = np.searchsorted(ms, distinct)
     h_below = np.searchsorted(hs, distinct)
     m_count = np.searchsorted(ms, distinct, side="right") - m_below

@@ -229,7 +229,7 @@ def chernoff_information(p: Categorical, q: Categorical) -> float:
         If the distributions do not share a support size.
     """
     _check_same_support(p, q)
-    if np.array_equal(p.probs, q.probs):  # their stored sum may sit an ulp under 1
+    if np.array_equal(p.probs, q.probs):  # masses summing an ulp under 1 would give a hair > 0
         return 0.0
     common = (p.probs > 0.0) & (q.probs > 0.0)
     if not common.any():
