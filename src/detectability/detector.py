@@ -152,19 +152,21 @@ def roc_from_scores(
     Scores may include ``+-inf`` (certain evidence); NaN is rejected.
     """
     ms = np.sort(np.asarray(machine_scores, dtype=np.float64))
-    hs = np.sort(np.asarray(human_scores, dtype=np.float64))
+    hs = np.asarray(human_scores, dtype=np.float64)
     if ms.size == 0 or hs.size == 0:
         raise ValueError("both score lists must be nonempty")
-    if np.isnan(ms[-1]) or np.isnan(hs[-1]):  # NaN sorts last
+    both = np.sort(np.concatenate([ms, hs]))
+    if np.isnan(both[-1]):  # NaN sorts last
         raise ValueError("scores must not contain NaN")
 
-    # Thresholds: both sides' distinct scores, ascending (np.unique would map
-    # 1 MB more); each side's counts below and up to each come from its sort.
-    distinct = _distinct(np.sort(np.concatenate([_distinct(ms), _distinct(hs)])))
-    m_below = np.searchsorted(ms, distinct)
-    h_below = np.searchsorted(hs, distinct)
-    m_count = np.searchsorted(ms, distinct, side="right") - m_below
-    h_upto = np.searchsorted(hs, distinct, side="right")
+    # Thresholds: the distinct scores, ascending.  The scores below each are
+    # its first position in ``both``, the machine ones found in the sorted
+    # ``ms``; the scores up to each are those below the next.
+    first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
+    m_below = np.searchsorted(ms, both[first])
+    h_below = first - m_below
+    m_count = np.append(m_below[1:], ms.size) - m_below
+    h_upto = np.append(h_below[1:], hs.size)
     # 2U: each machine score counts the human scores below it twice and the
     # ties once; int64, exact while |A| |B| < 2**62
     u2 = int(m_count @ (h_below + h_upto))
@@ -183,8 +185,3 @@ def roc_from_scores(
         )
     points = tuple(zip(fprs.tolist(), tprs.tolist()))
     return RocCurve(points=points, auroc=auroc)
-
-
-def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array, without sorting it again."""
-    return ascending[np.concatenate([[True], ascending[1:] != ascending[:-1]])]
