@@ -60,11 +60,10 @@ def log_likelihood_ratio(
 
     ``samples`` is either a 1-d list of sample indices, scored as one float,
     or a 2-d ``(sets, support_size)`` matrix of per-index sample counts,
-    scored as one float per row.  Both are scored from counts: a row's score
-    is ``sum_j counts[j] * (log m(j) - log h(j))``, numpy's ``sum(axis=1)``
-    of the products.  That sum runs in index order only up to 8 entries and
-    pairwise past them, but it reads nothing outside the row, so equal count
-    vectors get bit-equal scores, alone or in a matrix of any height.
+    scored as one float per row.  Both are scored from counts, a row as
+    numpy's ``sum(axis=1)`` of ``counts[j] * (log m(j) - log h(j))``: in index
+    order to 8 entries, pairwise past them, and never reading outside the
+    row, so equal count vectors score bit-equal in a matrix of any height.
 
     Zero-mass conventions: a sample with mass under exactly one distribution
     contributes ``+inf`` (only ``m``) or ``-inf`` (only ``h``); a sample with
@@ -105,8 +104,8 @@ def log_likelihood_ratio(
     if not total.all():
         raise ValueError("every sample set must be nonempty")
     finite = np.isfinite(table)
+    scores = (counts * np.where(finite, table, 0.0)).sum(axis=1)
     if finite.all():  # no zero masses: none of the bookkeeping below
-        scores = (counts * table).sum(axis=1)
         return float(scores[0]) if arr.ndim == 1 else scores
     both_zero = np.isnan(table)
     if both_zero.any():
@@ -120,7 +119,6 @@ def log_likelihood_ratio(
             )
             if (skipped == total).any():
                 raise ValueError("every sample had zero mass under both distributions")
-    scores = (counts * np.where(finite, table, 0.0)).sum(axis=1)
     has_pos = counts[:, np.isposinf(table)].any(axis=1)
     has_neg = counts[:, np.isneginf(table)].any(axis=1)
     scores[has_pos] = np.inf
@@ -159,24 +157,19 @@ def roc_from_scores(
     if np.isnan(both[-1]):  # NaN sorts last
         raise ValueError("scores must not contain NaN")
 
-    # Thresholds: the distinct scores, ascending.  The scores below each are
-    # its first position in ``both``, the machine ones found in the sorted
-    # ``ms``; the scores up to each are those below the next.
+    # Thresholds: the distinct scores, ascending.  Below each lie its first
+    # position in ``both`` (machine: searchsorted in ``ms``); up to each, the next's.
     first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
     m_below = np.searchsorted(ms, both[first])
     h_below = first - m_below
     m_count = np.append(m_below[1:], ms.size) - m_below
-    h_upto = np.append(h_below[1:], hs.size)
-    # 2U: each machine score counts the human scores below it twice and the
-    # ties once; int64, exact while |A| |B| < 2**62
-    u2 = int(m_count @ (h_below + h_upto))
+    # 2U in int64, exact while |A| |B| < 2**62: 2 per human score below, 1 per tie
+    u2 = int(m_count @ (h_below + np.append(h_below[1:], hs.size)))
     auroc = u2 / (2 * ms.size * hs.size)
 
     # Threshold sweep, descending; prepend the empty decision rule (0, 0).
-    tpr = 1.0 - m_below[::-1] / ms.size
-    fpr = 1.0 - h_below[::-1] / hs.size
-    fprs = np.concatenate([[0.0], fpr])
-    tprs = np.concatenate([[0.0], tpr])
+    tprs = np.concatenate([[0.0], 1.0 - m_below[::-1] / ms.size])
+    fprs = np.concatenate([[0.0], 1.0 - h_below[::-1] / hs.size])
 
     area = float(np.trapezoid(tprs, fprs))
     if abs(area - auroc) > AUROC_CONSISTENCY_TOL:

@@ -233,11 +233,10 @@ def train_logreg(
 
     Training stops once the gradient's largest entry is at most a fixed
     fraction (1e-6) of its value at zero weights, once no step can lower the
-    loss at float precision, or after ``epochs`` iterations.  Only the count
-    shows the last case: ``len(losses) - 1 == epochs`` means no stop rule was
-    met before the cap, as happens on some small dense count matrices.  A
-    trial step whose loss is NaN or infinite raises ``RuntimeError`` naming
-    the iteration -- lower the learning rate.
+    loss at float precision, or after ``epochs`` iterations; ``len(losses) - 1
+    == epochs`` shows the last, no stop rule met (some small dense count
+    matrices reach it).  A trial step whose loss is NaN or infinite raises
+    ``RuntimeError`` naming the iteration -- lower the learning rate.
 
     Parameters
     ----------
@@ -336,9 +335,8 @@ class PrefixRow:
 class PairwiseRow:
     """Test AUROC when decisions pool k same-class documents.
 
-    ``epochs`` and ``final_loss`` describe the one model every k shares, as
-    in :class:`PrefixRow`; ``epochs`` equal to the configured cap means the
-    cap, not a stop rule, ended training.
+    ``epochs`` and ``final_loss`` describe the one model every k shares, read
+    as in :class:`PrefixRow` (``epochs`` at the cap: no stop rule was met).
     """
 
     k: int

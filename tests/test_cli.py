@@ -87,7 +87,8 @@ class TestTvCommand:
         assert float(rows[0]["auroc_upper"]) == pytest.approx(0.595, abs=1e-12)
 
     def test_chernoff_cell_is_pinned(self, capsys, bern_pair):
-        # the float chernoff_information returns for this pair, as printed
+        # the float chernoff_information returns for this pair, as printed,
+        # with x87 80-bit np.longdouble (its eps sets the step down)
         _, out, _ = run(capsys, "tv", *bern_pair)
         assert parse_csv(out)[1][0]["chernoff_information"] == "0.005076770485344707"
 

@@ -188,7 +188,8 @@ class TestChernoffInformation:
         # the Newton minimum, evaluated in extended precision and rounded
         # down: two float64 steps under the 50-digit value of the stored
         # masses, 0.00507677048534470852...; the tv command's pinned cell
-        # covers the same pair read from files
+        # covers the same pair read from files.  Both pins assume x87 80-bit
+        # np.longdouble, whose eps sets the step down
         assert chernoff_information(BERN_6, BERN_5) == 0.005076770485344707
 
     def test_oracle_reproduces_frozen_constant(self):
@@ -216,6 +217,9 @@ class TestChernoffInformation:
     @settings(max_examples=200, deadline=None)
     @given(small_pairs())
     @example((BERN_6, BERN_5, 1))  # a float64 Newton minimum lands 8.5e-18 above
+    # one mass under ~1e-22: E[d^2] - mean^2 cancels to 0 at the secant start
+    @example((Categorical([0.5, 0.5]), Categorical([1e-30, 1.0 - 1e-30]), 1))
+    @example((Categorical([0.5, 0.5]), Categorical([1e-300, 1.0]), 1))
     def test_floor_on_50_digit_value(self, case):
         p, q, _ = case
         got = chernoff_information(p, q)

@@ -32,11 +32,11 @@ from detectability.simulate import (
     _block_law,
     _chunk_trials,
     _copy_positions,
-    _copy_sampler,
-    _law_sampler,
     _law_selected,
     _noniid_sampler,
     _rescale,
+    _sample_copy,
+    _sample_law,
 )
 
 from _synth import (
@@ -153,16 +153,6 @@ class TestRescaleBlocks:
         kinds = _block_kinds(dep, n)
         cycles = n // 5
         assert list(kinds.items()) == [((3, 0.2), cycles), ((2, 0.9), cycles), ((2, 0.2), 1)]
-
-
-def _sample_law(dist, dep, n, trials, rng):
-    """One draw from ``_law_sampler``, whatever ``_law_selected`` picks."""
-    return _law_sampler(dist, dep, n)(trials, rng)
-
-
-def _sample_copy(dist, dep, n, trials, rng):
-    """One draw from ``_copy_sampler``, whatever ``_law_selected`` picks."""
-    return _copy_sampler(dist, dep, n)(trials, rng)
 
 
 # The law sampler and the copy process draw from one law; sample_noniid
