@@ -107,10 +107,7 @@ def _jsonable(v: Any) -> Any:
 
 
 def _cell(v: Any) -> str:
-    v = _jsonable(v)
-    if v is None:
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 def _table(rows: Sequence[Any]) -> list[dict]:

@@ -16,8 +16,8 @@ trials (at least one).  Each chunk is sampled as a matrix of per-trial count
 vectors and scored in one call: iid chunks by one multinomial draw,
 block-dependent ones as :func:`sample_noniid` describes, by a rule that
 depends only on the support size, the block pattern and ``n``, so every
-chunk of a row uses the same sampler.  A row's block laws or copy positions
-are built once, from that class's masses, and each chunk only draws.
+chunk of a row uses the same sampler.  Block laws are built once per run,
+per class and kind, and copy positions once per row; each chunk only draws.
 Results are therefore bit-identical across runs; wall-clock columns are the
 only nondeterministic output.
 """
@@ -183,7 +183,7 @@ def _law_selected(dep: DependenceSpec, n: int, k: int) -> bool:
     kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
     fit in int64.
 
-    The count charges the law build to every chunk although a row builds
+    The count charges the law build to every chunk although a run builds
     its laws once, and near the crossover it can pick the slower sampler.
     It is kept on purpose: the rule picks the sampler, so it is part of the
     stream contract, and any other count would change some rows' streams.
@@ -221,16 +221,17 @@ def _block_law(probs: np.ndarray, c: int, rho: float) -> tuple[np.ndarray, np.nd
     return keys[:, None] // radix % (c + 1), mass
 
 
-def _law_sampler(dist: Categorical, dep: DependenceSpec, n: int):
+def _law_sampler(dist: Categorical, dep: DependenceSpec, n: int, law):
     """``draw(trials, rng)``: block-dependent count vectors from the exact block laws.
 
-    Each distinct block kind's law is built once, from ``dist``'s masses.
-    Each draw then takes, for every kind in first-appearance order, one
-    ``multinomial(multiplicity, law, size=trials)`` that counts how many of
-    its blocks take each count type; the types' counts add up.
+    ``law(c, rho)`` gives each distinct kind's law under ``dist``'s masses,
+    perhaps one built for an earlier row.  Each draw then takes, for every
+    kind in first-appearance order, one ``multinomial(multiplicity, law,
+    size=trials)`` that counts how many of its blocks take each count type;
+    the types' counts add up.
     """
     k = dist.support_size
-    kinds = [(m, *_block_law(dist.probs, c, rho)) for (c, rho), m in _block_kinds(dep, n).items()]
+    kinds = [(m, *law(c, rho)) for (c, rho), m in _block_kinds(dep, n).items()]
 
     def draw(trials: int, rng: np.random.Generator) -> np.ndarray:
         counts = np.zeros((trials, k), dtype=np.int64)
@@ -245,7 +246,7 @@ def _sample_law(
     dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One draw from :func:`_law_sampler`, whatever :func:`_law_selected` picks."""
-    return _law_sampler(dist, dep, n)(trials, rng)
+    return _law_sampler(dist, dep, n, functools.partial(_block_law, dist.probs))(trials, rng)
 
 
 def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
@@ -330,18 +331,20 @@ def sample_noniid(
     size=trials)`` is drawn per kind, in first-appearance order.  Otherwise
     the copy process runs position by position on one ``(3, trials, n)``
     array of uniforms: fresh draws, copy coins and copy-target picks.
-    Either way the result is a pure function of the generator state.  The
-    laws or the copy positions depend only on ``dist``, ``dep`` and ``n``:
-    :func:`run_experiment` builds them once per ``(n, class)`` row and then
-    draws each chunk from them.
+    Either way the result is a pure function of the generator state.  A
+    kind's law depends only on ``dist`` and the kind: :func:`run_experiment`
+    builds it once per run and class, the copy positions once per row, and
+    then draws each chunk from them.
     """
-    return _noniid_sampler(dist, dep, _check_int("n", n))(trials, rng)
+    law = functools.partial(_block_law, dist.probs)
+    return _noniid_sampler(dist, dep, _check_int("n", n), law)(trials, rng)
 
 
-def _noniid_sampler(dist: Categorical, dep: DependenceSpec, n: int):
-    """``draw(trials, rng)`` for :func:`sample_noniid` at ``n``, its setup done once."""
-    builder = _law_sampler if _law_selected(dep, n, dist.support_size) else _copy_sampler
-    return builder(dist, dep, n)
+def _noniid_sampler(dist: Categorical, dep: DependenceSpec, n: int, law):
+    """``draw(trials, rng)`` for :func:`sample_noniid` at ``n``, laws from ``law(c, rho)``."""
+    if _law_selected(dep, n, dist.support_size):
+        return _law_sampler(dist, dep, n, law)
+    return _copy_sampler(dist, dep, n)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
@@ -366,6 +369,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     # the in-budget sizes are a prefix of the ascending n_values, so the
     # sweep runs dry exactly where the exact column turns blank
     exact = _product_tvs(config.m, config.h, [n for n in config.n_values if _within_budget(k, n)])
+    # each class's law of a kind is built by the first row that needs it
+    laws = [functools.cache(functools.partial(_block_law, d.probs)) for d in (config.m, config.h)]
     rows = []
     for n in config.n_values:
         t0 = time.perf_counter()
@@ -375,7 +380,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
             if config.dependence is None:
                 draw = functools.partial(sample_iid, dist, n)
             else:
-                draw = _noniid_sampler(dist, config.dependence, n)
+                draw = _noniid_sampler(dist, config.dependence, n, laws[class_index])
             scores = np.empty(trials)
             for chunk, lo in enumerate(range(0, trials, step)):
                 size = min(step, trials - lo)

@@ -102,6 +102,13 @@ class TestTvCommand:
         assert payload["rows"][0]["tv"] == 1.0
         assert payload["rows"][0]["chernoff_information"] == "inf"
 
+    def test_csv_output_with_infinity(self, capsys, tmp_path):
+        mp = dist_file(tmp_path, "m.json", [0.5, 0.5, 0])
+        hp = dist_file(tmp_path, "h.json", [0, 0, 1])
+        code, out, _ = run(capsys, "tv", mp, hp)
+        assert code == 0
+        assert out.splitlines()[2] == "1.0,inf,1.0"
+
     def test_bad_distribution_is_usage_error(self, capsys, tmp_path):
         mp = dist_file(tmp_path, "m.json", [0.4, 0.9])
         hp = dist_file(tmp_path, "h.json", [0.5, 0.5])

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: samplers, block dependence, experiment driver."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from detectability import (
     Categorical,
     DependenceSpec,
     ExperimentConfig,
+    ExperimentRow,
     run_experiment,
     log_likelihood_ratio,
     roc_from_scores,
@@ -386,7 +388,8 @@ class TestTrialRng:
         per_class = []
         for class_index, dist in ((0, cfg.m), (1, cfg.h)):
             if dependence is not None:
-                draw = _noniid_sampler(dist, dependence, n)
+                law = functools.partial(_block_law, dist.probs)
+                draw = _noniid_sampler(dist, dependence, n, law)
             parts = []
             for chunk, lo in enumerate(range(0, trials, step)):
                 size = min(step, trials - lo)
@@ -402,13 +405,65 @@ class TestTrialRng:
         want = roc_from_scores(*per_class).auroc
         assert run_experiment(cfg)[0].empirical_auroc == want
 
-    def test_each_row_builds_its_block_laws_once(self, monkeypatch):
-        # the sim-block workload: 1 + 2 + 5 chunks per class at n = 50, 100,
-        # 300, but one law per (n, class), each from that class's masses
+    def test_rows_sharing_laws_follow_the_chunk_stream_contract(self):
+        # n = 35 and 50 take the copy path, n = 100 and 300 draw from one
+        # (10, 0.5) law per class built for the run; rebuilding every chunk of
+        # every row by hand with sample_noniid, which builds its own laws on
+        # each call, must reproduce each row's AUROC exactly
+        dep = DependenceSpec([(10, 0.5)])
+        n_values, trials, seed = [35, 50, 100, 300], 700, 4
+        assert [_law_selected(dep, n, 3) for n in n_values] == [False, False, True, True]
         cfg = ExperimentConfig(
-            BERN_6, BERN_5, [50, 100, 300], 1000, dependence=DependenceSpec([(10, 0.5)])
+            TRI, Categorical(np.full(3, 1 / 3)), n_values, trials, dependence=dep, seed=seed
         )
-        want = run_experiment(cfg)
+        want = []
+        for n in n_values:
+            step = _chunk_trials(n, 3)
+            per_class = []
+            for class_index, dist in ((0, cfg.m), (1, cfg.h)):
+                parts = []
+                for chunk, lo in enumerate(range(0, trials, step)):
+                    rng = trial_rng(seed, n, class_index, chunk)
+                    counts = sample_noniid(dist, dep, n, min(step, trials - lo), rng)
+                    parts.append(log_likelihood_ratio(cfg.m, cfg.h, counts))
+                per_class.append(np.concatenate(parts))
+            want.append(roc_from_scores(*per_class).auroc)
+        assert [row.empirical_auroc for row in run_experiment(cfg)] == want
+
+    @pytest.mark.parametrize(
+        "n_values, kinds, want",
+        [
+            # the sim-block workload: 1 + 2 + 5 chunks per class at n = 50,
+            # 100, 300, all of the one kind (10, 0.5)
+            (
+                [50, 100, 300],
+                [(10, 0.5)],
+                [
+                    (50, 0.7234065, 0.6990539388397423),
+                    (100, 0.801736, 0.8188629365442529),
+                    (300, 0.9159545, 0.9762271111551745),
+                ],
+            ),
+            # n = 55 adds the truncated kind (5, 0.5); n = 100 reuses (10, 0.5)
+            (
+                [50, 55, 100],
+                [(10, 0.5), (5, 0.5)],
+                [
+                    (50, 0.7234065, 0.6990539388397423),
+                    (55, 0.7354795, 0.7139509370068048),
+                    (100, 0.801736, 0.8188629365442529),
+                ],
+            ),
+        ],
+        ids=["sim-block", "truncated-kind"],
+    )
+    def test_each_run_builds_a_class_law_once_per_kind(self, monkeypatch, n_values, kinds, want):
+        # one law per (class, kind) for the whole run, each from that class's
+        # masses, built by the first row that meets the kind; the rows are
+        # those of the per-row builds they replace (wall time aside)
+        cfg = ExperimentConfig(
+            BERN_6, BERN_5, n_values, 1000, dependence=DependenceSpec([(10, 0.5)])
+        )
         built = []
 
         def counting(probs, c, rho):
@@ -416,10 +471,11 @@ class TestTrialRng:
             return _block_law(probs, c, rho)
 
         monkeypatch.setattr(simulate, "_block_law", counting)
-        got = run_experiment(cfg)
-        assert built == [(tuple(BERN_6.probs), 10, 0.5), (tuple(BERN_5.probs), 10, 0.5)] * 3
-        no_time = [dataclasses.replace(row, wall_time_seconds=0.0) for row in (*got, *want)]
-        assert no_time[:3] == no_time[3:]
+        rows = run_experiment(cfg)
+        assert built == [(tuple(d.probs), *kind) for kind in kinds for d in (BERN_6, BERN_5)]
+        assert [dataclasses.replace(row, wall_time_seconds=0.0) for row in rows] == [
+            ExperimentRow(n, auroc, None, chernoff, 0.0) for n, auroc, chernoff in want
+        ]
 
 
 class TestExperimentConfig:
@@ -531,6 +587,21 @@ class TestRunExperiment:
         assert peak < 4 * 2**20
         assert 0.0 <= row.empirical_auroc <= 1.0
 
+    def test_run_scoped_laws_do_not_pile_up(self):
+        # law-path rows at n = 10**3 .. 10**9 share one law per class
+        n_values = [10**e for e in range(3, 10)]
+        dep = DependenceSpec([(10, 0.5)])
+        assert all(_law_selected(dep, n, 2) for n in n_values)
+        cfg = ExperimentConfig(BERN_6, BERN_5, n_values, 20, dependence=dep, seed=3)
+        tracemalloc.start()
+        try:
+            rows = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert all(0.0 <= row.empirical_auroc <= 1.0 for row in rows)
+
     def test_auroc_grows_with_n(self):
         cfg = ExperimentConfig(BERN_6, BERN_5, [1, 2, 4, 8, 16, 32, 64], 10_000, seed=2)
         rows = run_experiment(cfg)
@@ -638,6 +709,13 @@ class TestStreamPin:
                 [(3, 0.2), (2, 0.9), (1, 0.0)],
                 {7: 0.74778125, 31: 0.90994375},
             ),
+            # copy rows, then two law rows sharing the run's (10, 0.5) laws
+            (
+                TRI,
+                Categorical(np.full(3, 1 / 3)),
+                [(10, 0.5)],
+                {35: 0.802434375, 50: 0.869903125, 100: 0.927003125, 300: 0.997359375},
+            ),
             # copy path: long blocks, n below and above the pattern length
             (
                 BERN_6,
@@ -651,7 +729,7 @@ class TestStreamPin:
             (BERN_6, BERN_5, [(10**12, 0.5)], {5: 0.6080125, 64: 0.6910625}),
             (BERN_6, BERN_5, None, {20: 0.73886875}),
         ],
-        ids=["law", "mixed", "long", "wide", "huge-pattern", "iid"],
+        ids=["law", "mixed", "shared-law", "long", "wide", "huge-pattern", "iid"],
     )
     def test_empirical_auroc_is_pinned(self, m, h, blocks, want):
         dep = DependenceSpec(blocks) if blocks else None
