@@ -573,6 +573,19 @@ class TestPairwiseStudy:
             )
             assert row.test_auroc == ref.test_auroc
 
+    @pytest.mark.parametrize("space", ["tfidf", "counts"])
+    def test_k1_row_trains_the_full_length_prefix_model(self, space):
+        # default config, trained to its stop rule: the two studies must run
+        # the same split, features and training, iteration for iteration
+        h, m = drifted_corpora(seed=41, n_docs=120, doc_len=40)
+        longest = max(len(tokenize(d.text)) for d in h + m)
+        (row,) = pairwise_auroc(h, m, k_values=(1,), seed=0, space=space)
+        assert row.epochs < TrainConfig().epochs
+        for ref in auroc_vs_prefix_length(h, m, [longest, 3 * longest], seed=0, space=space):
+            assert row.test_auroc == ref.test_auroc
+            assert row.epochs == ref.epochs
+            assert row.final_loss == ref.final_loss
+
     def test_rows_pool_summed_member_scores(self):
         # reference: the public pipeline on the same split, each test
         # document scored once, a tuple scored by its members' sum
