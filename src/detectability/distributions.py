@@ -161,13 +161,6 @@ def _within_budget(k: int, n: int) -> bool:
     return k == 1 or (n <= ENUMERATION_BUDGET.bit_length() and k**n <= ENUMERATION_BUDGET)
 
 
-def _check_budget(k: int, n: int) -> None:
-    if not _within_budget(k, n):
-        raise BudgetError(
-            f"enumeration of {k}**{n} outcomes exceeds budget {ENUMERATION_BUDGET}"
-        )
-
-
 def tv_distance(p: Categorical, q: Categorical) -> float:
     """Total variation distance between two aligned categoricals.
 
@@ -280,7 +273,10 @@ def product_tv_exact(p: Categorical, q: Categorical, n: int) -> float:
     """
     _check_same_support(p, q)
     n = _check_int("n", n)
-    _check_budget(p.support_size, n)
+    if not _within_budget(p.support_size, n):
+        raise BudgetError(
+            f"enumeration of {p.support_size}**{n} outcomes exceeds budget {ENUMERATION_BUDGET}"
+        )
     return next(_product_tvs(p, q, (n,)))
 
 

@@ -242,13 +242,6 @@ def _law_sampler(dist: Categorical, dep: DependenceSpec, n: int, law):
     return draw
 
 
-def _sample_law(
-    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from :func:`_law_sampler`, whatever :func:`_law_selected` picks."""
-    return _law_sampler(dist, dep, n, functools.partial(_block_law, dist.probs))(trials, rng)
-
-
 def _copy_positions(dep: DependenceSpec, n: int) -> tuple[np.ndarray, ...]:
     """Each of ``n`` positions' offset in its block, and its block's ``rho``.
 
@@ -301,13 +294,6 @@ def _copy_sampler(dist: Categorical, dep: DependenceSpec, n: int):
         return np.bincount((rows + vals).ravel(), minlength=trials * k).reshape(trials, k)
 
     return draw
-
-
-def _sample_copy(
-    dist: Categorical, dep: DependenceSpec, n: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from :func:`_copy_sampler`, whatever :func:`_law_selected` picks."""
-    return _copy_sampler(dist, dep, n)(trials, rng)
 
 
 def sample_noniid(

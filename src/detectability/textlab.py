@@ -391,6 +391,31 @@ def _auroc(scores: np.ndarray, y: np.ndarray) -> float:
     return roc_from_scores(scores[y == 1.0], scores[y == 0.0]).auroc
 
 
+def _heldout_runs(
+    human_docs: Sequence[Document], machine_docs: Sequence[Document], lengths,
+    train_frac: float, seed: int, space: str, min_df: int, config: TrainConfig | None,
+):
+    """Yield ``(test_labels, test_scores, epochs, final_loss)`` for each length.
+
+    The study :func:`auroc_vs_prefix_length` describes; a length of ``math.inf``
+    keeps every document whole.  Labels are 0 for human and 1 for machine.
+    """
+    train_frac, min_df = _check_study_options(train_frac, min_df)
+    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
+    tokens, ids, lens = _encode([*human_docs, *machine_docs])
+    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
+    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
+    for length in lengths:
+        kept = offset < length
+        x_train, x_test = _heldout_features(
+            len(tokens), ids, np.where(kept, train_rows, -1), np.where(kept, test_rows, -1),
+            train.size, test.size, space, min_df,
+        )
+        model, losses = train_logreg(x_train, y[train], config)
+        yield y[test], model.decision_function(x_test), losses.size - 1, float(losses[-1])
+
+
 def auroc_vs_prefix_length(
     human_docs: Sequence[Document],
     machine_docs: Sequence[Document],
@@ -410,25 +435,10 @@ def auroc_vs_prefix_length(
     a logistic model is trained, and the test AUROC recorded.
     """
     lengths = _check_ints("lengths", lengths)
-    train_frac, min_df = _check_study_options(train_frac, min_df)
-    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
-    tokens, ids, lens = _encode([*human_docs, *machine_docs])
-    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
-    rows = []
-    for length in lengths:
-        # a document's first ``length`` tokens
-        train_l = np.where(offset < length, train_rows, -1)
-        test_l = np.where(offset < length, test_rows, -1)
-        x_train, x_test = _heldout_features(
-            len(tokens), ids, train_l, test_l, train.size, test.size, space, min_df
-        )
-        model, losses = train_logreg(x_train, y[train], config)
-        scores = model.decision_function(x_test)
-        auroc = _auroc(scores, y[test])
-        rows.append(PrefixRow(length, auroc, losses.size - 1, float(losses[-1])))
-    return rows
+    runs = _heldout_runs(
+        human_docs, machine_docs, lengths, train_frac, seed, space, min_df, config
+    )
+    return [PrefixRow(n, _auroc(scores, y), *fit) for n, (y, scores, *fit) in zip(lengths, runs)]
 
 
 def _pool_indices(labels: Sequence[Label], k: int, seed: int) -> np.ndarray:
@@ -488,27 +498,20 @@ def pairwise_auroc(
 
     One model is trained on the split's training documents, exactly as for
     the full-length :func:`auroc_vs_prefix_length` row, and scores every test
-    document once.  For each k the test documents are pooled into the tuples
-    :func:`pairwise_augment` draws, by role (human or machine, whatever label
-    a document carries), so tuples never cross the split or the roles, and
-    a tuple's score is the sum of its members' decision values: the
+    document once.  For each ``k_values[j]`` the test documents are pooled
+    into the tuples :func:`_pool_indices` draws on seed ``2j + 1`` of the
+    study's augment stream, by role (human or machine, whatever label a
+    document carries), so tuples never cross the split or the roles, and a
+    tuple's score is the sum of its members' decision values: the
     multi-sample log-likelihood-ratio rule.  The k = 1 row is the unpooled
     test AUROC.
     """
     ks = _check_ints("k_values", k_values)
-    train_frac, min_df = _check_study_options(train_frac, min_df)
-    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
-    tokens, ids, lens = _encode([*human_docs, *machine_docs])
-    y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
-    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    x_train, x_test = _heldout_features(
-        len(tokens), ids, train_rows, test_rows, train.size, test.size, space, min_df
+    ((y, scores, epochs, final_loss),) = _heldout_runs(
+        human_docs, machine_docs, (math.inf,), train_frac, seed, space, min_df, config
     )
-    model, losses = train_logreg(x_train, y[train], config)
-    scores = model.decision_function(x_test)
-    epochs, final_loss = losses.size - 1, float(losses[-1])
     # the model was trained on roles, so the tuples pool by role too
-    roles = [Label.MACHINE if label else Label.HUMAN for label in y[test]]
+    roles = [Label.MACHINE if label else Label.HUMAN for label in y]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;
     # the even seeds go unused, which keeps each k's tuples fixed
     aug_seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
@@ -521,5 +524,5 @@ def pairwise_auroc(
         # another order for k >= 9, and the scores would change in the last bit
         pooled = sum(scores[member] for member in index.T)
         # tuple t is anchored on test document t, so it carries that label
-        rows.append(PairwiseRow(k, _auroc(pooled, y[test]), epochs, final_loss))
+        rows.append(PairwiseRow(k, _auroc(pooled, y), epochs, final_loss))
     return rows

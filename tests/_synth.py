@@ -78,9 +78,9 @@ def copy_counts_by_scan(
 ) -> np.ndarray:
     """Reference copy sampler: finds each block offset's positions by a full scan.
 
-    Draws the same ``(3, trials, dep.n)`` uniforms as ``simulate._sample_copy``
-    and resolves the copies one block offset at a time, so the two agree bit
-    for bit; this one costs O(c * n) per call for blocks of length c.
+    Draws the same ``(3, trials, dep.n)`` uniforms as ``simulate._copy_sampler``'s
+    draw and resolves the copies one block offset at a time, so the two agree
+    bit for bit; this one costs O(c * n) per call for blocks of length c.
     """
     c = np.array([b[0] for b in dep.blocks], dtype=np.int64)
     rho = np.array([b[1] for b in dep.blocks], dtype=np.float64)

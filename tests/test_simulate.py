@@ -34,11 +34,11 @@ from detectability.simulate import (
     _block_law,
     _chunk_trials,
     _copy_positions,
+    _copy_sampler,
+    _law_sampler,
     _law_selected,
     _noniid_sampler,
     _rescale,
-    _sample_copy,
-    _sample_law,
 )
 
 from _synth import (
@@ -157,9 +157,19 @@ class TestRescaleBlocks:
         assert list(kinds.items()) == [((3, 0.2), cycles), ((2, 0.9), cycles), ((2, 0.2), 1)]
 
 
+def sample_law(dist, dep, n, trials, rng):
+    """One draw from the block laws, whatever ``_law_selected`` picks."""
+    return _law_sampler(dist, dep, n, functools.partial(_block_law, dist.probs))(trials, rng)
+
+
+def sample_copy(dist, dep, n, trials, rng):
+    """One draw from the copy process, whatever ``_law_selected`` picks."""
+    return _copy_sampler(dist, dep, n)(trials, rng)
+
+
 # The law sampler and the copy process draw from one law; sample_noniid
 # picks between them by input size, so the structural tests run on both.
-SAMPLERS = (_sample_law, _sample_copy)
+SAMPLERS = (sample_law, sample_copy)
 
 
 class TestSampleNoniid:
@@ -220,7 +230,7 @@ class TestSampleNoniid:
         # uniforms per position) one set and one position at a time
         dep = DependenceSpec([(4, 0.6), (1, 0.3), (3, 0.9), (2, 0.0)])
         sets = 50
-        got = _sample_copy(TRI, dep, dep.n, sets, np.random.default_rng(9))
+        got = sample_copy(TRI, dep, dep.n, sets, np.random.default_rng(9))
         fresh_u, coin_u, pick_u = np.random.default_rng(9).random((3, sets, dep.n))
         cdf = np.cumsum(TRI.probs)
         for t in range(sets):
@@ -247,7 +257,7 @@ class TestSampleNoniid:
     def test_matches_the_scan_reference_on_mixed_blocks(self, blocks):
         dep = DependenceSpec(blocks)
         for n in (1, dep.n, 2 * dep.n + 3):
-            got = _sample_copy(TRI, dep, n, 64, np.random.default_rng(13))
+            got = sample_copy(TRI, dep, n, 64, np.random.default_rng(13))
             listing = rescale_blocks(dep, n)
             want = copy_counts_by_scan(TRI, listing, 64, np.random.default_rng(13))
             np.testing.assert_array_equal(got, want)
@@ -288,8 +298,8 @@ class TestSampleNoniid:
         assert not _law_selected(DependenceSpec([(2, 0.5)]), 1000, 41)
         # sample_noniid follows the selection on the same generator state
         for dist, dep, n, sampler in (
-            (BERN_6, tens, 50, _sample_law),
-            (TRI, tri_pair, 2, _sample_copy),
+            (BERN_6, tens, 50, sample_law),
+            (TRI, tri_pair, 2, sample_copy),
         ):
             np.testing.assert_array_equal(
                 sample_noniid(dist, dep, n, 40, np.random.default_rng(11)),

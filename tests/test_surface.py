@@ -83,18 +83,32 @@ def test_every_exported_name_exists(module):
     assert missing == []
 
 
-def test_every_public_name_has_a_caller():
-    # a name counts as used when a package module imports it by name or
-    # loads it as a name or an attribute anywhere under src/
+def src_trees():
+    """The parsed modules of the package."""
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "detectability").glob("*.py")
+    ]
+
+
+def used_names(trees):
+    """Names a module imports by name or loads as a name or an attribute."""
     used = set()
-    for path in (ROOT / "src" / "detectability").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a name counts as used when a package module imports it by name or
+    # loads it as a name or an attribute anywhere under src/
+    used = used_names(src_trees())
     public = {
         name
         for module in MODULES
@@ -102,6 +116,22 @@ def test_every_public_name_has_a_caller():
     }
     assert set(NO_CALLER) <= public
     assert sorted(public - used - set(NO_CALLER)) == []
+
+
+def test_every_private_function_has_a_caller():
+    # a module-level ``def _name`` that nothing under src/ loads or imports
+    # serves only the tests, and belongs with them
+    trees = src_trees()
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = used_names(trees)
+    assert sorted(defined - used) == []
 
 
 def test_cli_import_does_not_load_scipy_stats():
