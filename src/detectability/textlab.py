@@ -397,8 +397,8 @@ def _heldout_runs(
 ):
     """Yield ``(test_labels, test_scores, epochs, final_loss)`` for each length.
 
-    The study :func:`auroc_vs_prefix_length` describes; a length of ``math.inf``
-    keeps every document whole.  Labels are 0 for human and 1 for machine.
+    Each run follows :func:`auroc_vs_prefix_length`'s study; ``math.inf`` keeps
+    documents whole.  Labels are 0 for human and 1 for machine.
     """
     train_frac, min_df = _check_study_options(train_frac, min_df)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
