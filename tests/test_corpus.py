@@ -234,6 +234,34 @@ class TestLoadJsonl:
         with pytest.raises(CorpusParseError):
             load_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("", "blank line"),
+            (" \t", "blank line"),
+            (
+                "{nope",
+                "malformed JSON at column 2: Expecting property name enclosed in double quotes",
+            ),
+            ("[1, 2]", "record must be a JSON object"),
+            ('{"id": "b", "text": "y"}', "missing field 'label'"),
+            (
+                '{"id": "b", "text": "y", "label": ["human"]}',
+                "field 'label' must be 'human' or 'machine'",
+            ),
+            ('{"id": "a", "text": "y", "label": "human"}', "duplicate id 'a'"),
+        ],
+    )
+    def test_each_bad_line_kind_has_one_text_and_one_skip(self, tmp_path, line, message):
+        good = '{"id": "a", "text": "x", "label": "human"}'
+        path = self.write(tmp_path, [good, line, '{"id": "c", "text": "z", "label": "machine"}'])
+        with pytest.raises(CorpusParseError) as exc:
+            load_jsonl(path)
+        assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
+        docs, skipped = load_jsonl(path, strict=False)
+        assert skipped == 1
+        assert [d.id for d in docs] == ["a", "c"]
+
     def test_lenient_skips_and_counts(self, tmp_path):
         good = '{"id": "a", "text": "x", "label": "human"}'
         path = self.write(tmp_path, [good, "{broken", '{"id": "b", "text": "y", "label": "machine"}'])
