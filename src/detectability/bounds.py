@@ -259,7 +259,7 @@ def sample_complexity_noniid(
     delta = _check_real("delta", delta, 0, 1, "(]")
     epsilon = _check_real("epsilon", epsilon, 0.5, 1, "[)")
     if not isinstance(dep, DependenceSpec):
-        raise TypeError("dep must be a DependenceSpec")
+        raise ValueError("dep must be a DependenceSpec")
     gamma = math.log(8.0 / (1.0 - epsilon))
     alpha = dep.alpha
     return _ceil_samples(

@@ -33,7 +33,6 @@ from typing import Any, Sequence
 from . import __version__
 from .bounds import (
     DependenceSpec,
-    _check_int,
     _check_ints,
     auroc_upper,
     auroc_vs_n_curve,
@@ -44,7 +43,13 @@ from .bounds import (
 from .corpus import CorpusParseError, load_jsonl, best_auroc_by_order
 from .distributions import Categorical, chernoff_information, tv_distance
 from .simulate import ExperimentConfig, run_experiment
-from .textlab import TrainConfig, _check_study_options, auroc_vs_prefix_length, pairwise_auroc
+from .textlab import (
+    FEATURE_SPACES,
+    TrainConfig,
+    _check_study_options,
+    auroc_vs_prefix_length,
+    pairwise_auroc,
+)
 
 PROG = "detectability"
 
@@ -294,8 +299,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     if trained:
         # by the library's own checks, before loading and so ahead of a bad list
         try:
-            _check_int("seed", args.seed, low=0)
-            _check_study_options(args.train_frac, args.min_df)
+            _check_study_options(args.train_frac, args.min_df, args.seed)
             train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
         except ValueError as exc:
             field, rest = str(exc).split(" ", 1)
@@ -381,21 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed", type=int, default=0, help="train/test split and pooling seed"
             )
             p_mode.add_argument("--train-frac", type=float, default=0.7)
-            p_mode.add_argument("--space", choices=("counts", "tfidf"), default="tfidf")
+            p_mode.add_argument("--space", choices=FEATURE_SPACES, default="tfidf")
             p_mode.add_argument("--min-df", type=int, default=2)
             p_mode.add_argument("--lr", type=float, default=0.1, help="first step size")
             p_mode.add_argument(
                 "--epochs", type=int, default=500, help="cap on training iterations"
             )
             p_mode.add_argument("--l2", type=float, default=1e-4)
-        strictness = p_mode.add_mutually_exclusive_group()
-        strictness.add_argument(
-            "--strict",
-            action="store_true",
-            default=True,
-            help="reject malformed corpus lines (default)",
-        )
-        strictness.add_argument(
+        p_mode.add_argument(
             "--lenient",
             dest="strict",
             action="store_false",

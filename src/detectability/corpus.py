@@ -222,7 +222,22 @@ def best_auroc_by_order(
 _LABELS = {lab.value: lab for lab in Label}
 
 
-def _parse_line(obj: object, line_no: int, seen_ids: set[str]) -> Document:
+def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
+    """The document on one raw line; every kind of bad line raises :class:`CorpusParseError`."""
+    if not line.strip():
+        raise CorpusParseError("blank line", line=line_no)
+    try:
+        line.encode("utf-8")
+        obj = json.loads(line)
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise CorpusParseError(
+            f"byte {byte:#04x} at column {exc.start + 1} is not UTF-8", line=line_no
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise CorpusParseError(
+            f"malformed JSON at column {exc.colno}: {exc.msg}", line=line_no
+        ) from None
     if not isinstance(obj, dict):
         raise CorpusParseError("record must be a JSON object", line=line_no)
     for fieldname in ("id", "text", "label"):
@@ -264,26 +279,8 @@ def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document]
     # surrogateescape keeps each undecodable byte, as a lone surrogate, on its line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                if strict:
-                    raise CorpusParseError("blank line", line=line_no)
-                skipped += 1
-                continue
             try:
-                try:
-                    line.encode("utf-8")
-                    obj = json.loads(line)
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise CorpusParseError(
-                        f"byte {byte:#04x} at column {exc.start + 1} is not UTF-8", line=line_no
-                    ) from None
-                except json.JSONDecodeError as exc:
-                    raise CorpusParseError(
-                        f"malformed JSON at column {exc.colno}: {exc.msg}",
-                        line=line_no,
-                    ) from None
-                doc = _parse_line(obj, line_no, seen_ids)
+                doc = _parse_line(line, line_no, seen_ids)
             except CorpusParseError:
                 if strict:
                     raise

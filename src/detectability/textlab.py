@@ -361,9 +361,10 @@ def _stratified_split(
     return np.concatenate(train), np.concatenate(test)
 
 
-def _check_study_options(train_frac: float, min_df: int) -> tuple[float, int]:
-    """The split fraction and document-frequency floor the two studies take."""
-    return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df)
+def _check_study_options(train_frac: float, min_df: int, seed: int) -> tuple[float, int, int]:
+    """The split fraction, document-frequency floor and seed the two studies take."""
+    seed = _check_int("seed", seed, low=0)
+    return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df), seed
 
 
 def _heldout_features(
@@ -400,7 +401,7 @@ def _heldout_runs(
     Each run follows :func:`auroc_vs_prefix_length`'s study; ``math.inf`` keeps
     documents whole.  Labels are 0 for human and 1 for machine.
     """
-    train_frac, min_df = _check_study_options(train_frac, min_df)
+    train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)

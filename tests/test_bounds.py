@@ -272,6 +272,11 @@ class TestSampleComplexityNoniid:
         with pytest.raises(ValueError):
             sample_complexity_noniid(0.1, 0.3, dep)
 
+    @pytest.mark.parametrize("dep", [[(2, 0.5)], None], ids=["list", "none"])
+    def test_dep_must_be_a_dependence_spec(self, dep):
+        with pytest.raises(ValueError, match="^dep must be a DependenceSpec$"):
+            sample_complexity_noniid(0.1, 0.9, dep)
+
 
 class TestAurocVsNCurve:
     def test_n1_reports_delta_itself(self):

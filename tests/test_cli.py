@@ -116,6 +116,13 @@ class TestTvCommand:
         assert code == 2
         assert err
 
+    def test_object_file_is_usage_error(self, capsys, tmp_path):
+        mp = dist_file(tmp_path, "m.json", {"probs": [0.4, 0.6]})
+        hp = dist_file(tmp_path, "h.json", [0.5, 0.5])
+        code, out, err = run(capsys, "tv", mp, hp)
+        assert (code, out) == (2, "")
+        assert err == f"detectability: error: {mp}: expected a JSON array of probabilities\n"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         hp = dist_file(tmp_path, "h.json", [0.5, 0.5])
         code, _, err = run(capsys, "tv", str(tmp_path / "nope.json"), hp)
@@ -229,6 +236,18 @@ class TestBoundsCommand:
         )
         assert code == 2
 
+    def test_dependence_not_an_object_exit_two(self, capsys, tmp_path):
+        bad = dist_file(tmp_path, "dep.json", [[10, 0.5]])
+        code, out, err = run(
+            capsys,
+            "bounds", "--delta", "0.1", "--epsilon", "0.9",
+            "--dependence", bad,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"detectability: error: {bad}: dependence must be an object with field 'blocks'\n"
+        )
+
     @pytest.mark.parametrize(
         "rho, shown", [("0.5", '"0.5"'), (True, "true")], ids=["string", "bool"]
     )
@@ -339,6 +358,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "n_values" in err or "h" in err
 
+    def test_config_not_an_object_exit_two(self, capsys, tmp_path):
+        path = dist_file(tmp_path, "sim.json", [{"m": [0.4, 0.6]}])
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (2, "")
+        assert err == f"detectability: error: {path}: expected a JSON object\n"
+
     def test_invalid_distribution_in_config_exit_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", self.write_config(tmp_path, m=[0.4, 0.7])
@@ -415,8 +440,9 @@ class TestSimulateCommand:
                 "field 'dependence': field 'blocks': "
                 "block 1 of 1: rho must be a number, got true",
             ),
+            ("n_values", 4, "field 'n_values' must be a list"),
         ],
-        ids=["m-string", "h-bool", "rho-string", "rho-bool"],
+        ids=["m-string", "h-bool", "rho-string", "rho-bool", "n_values-number"],
     )
     def test_non_number_element_exit_two(self, capsys, tmp_path, field, value, message):
         cfg = self.write_config(tmp_path, **{field: value})
@@ -689,14 +715,17 @@ class TestFlagSurface:
             ("train-ablate", "--k-values", "1"),
             ("pairwise", "--orders", "1"),
             ("pairwise", "--lengths", "5"),
-        ],
+        ]
+        # strict is the default; --lenient is the one switch
+        + [(mode, "--strict", None) for mode in ("tv-by-order", "train-ablate", "pairwise")],
     )
     def test_corpus_mode_rejects_flags_it_does_not_read(
         self, capsys, corpus_files, mode, flag, value
     ):
         hp, mp = corpus_files
+        given = [flag] if value is None else [flag, value]
         code, out, err = run(
-            capsys, "corpus", mode, "--human", hp, "--machine", mp, flag, value
+            capsys, "corpus", mode, "--human", hp, "--machine", mp, *given
         )
         assert code == 2
         assert f"unrecognized arguments: {flag}" in err

@@ -125,6 +125,8 @@ class TestCategorical:
             Categorical([])
         with pytest.raises(ValueError):
             Categorical([np.nan, 1.0])
+        with pytest.raises(ValueError, match="^probs must be finite$"):
+            Categorical(np.array([np.inf, 0.0]))
 
     def test_support_size_and_readonly(self):
         c = Categorical([0.25] * 4)

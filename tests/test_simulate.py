@@ -502,6 +502,10 @@ class TestExperimentConfig:
             ExperimentConfig(BERN_6, BERN_5, [1], 0)
         with pytest.raises(ValueError):
             ExperimentConfig(BERN_6, BERN_5, [1], 10, seed=-1)
+        with pytest.raises(ValueError, match="^m and h must be Categorical distributions$"):
+            ExperimentConfig([0.4, 0.6], BERN_5, [1], 10)
+        with pytest.raises(ValueError, match="^dependence must be a DependenceSpec or None$"):
+            ExperimentConfig(BERN_6, BERN_5, [1], 10, dependence={"blocks": [[2, 0.5]]})
 
     @pytest.mark.parametrize(
         "field, kwargs",

@@ -290,6 +290,11 @@ class TestTrainLogreg:
             models.append(np.append(model.weights, model.bias))
         np.testing.assert_allclose(models[0], models[1], rtol=0, atol=1e-5)
 
+    def test_decision_function_checks_the_width(self):
+        model, _ = train_logreg(sp.csr_matrix(np.eye(2)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="^feature width 3 != weight count 2$"):
+            model.decision_function(sp.csr_matrix(np.eye(3)))
+
     def test_label_validation(self):
         x = sp.csr_matrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -533,6 +538,33 @@ class TestPrefixStudy:
             auroc_vs_prefix_length(h, m, [8, 4])
         with pytest.raises(ValueError):
             auroc_vs_prefix_length(h, m, [0, 4])
+
+
+STUDIES = [
+    lambda h, m, **kw: auroc_vs_prefix_length(h, m, [4], **kw),
+    lambda h, m, **kw: pairwise_auroc(h, m, (1,), **kw),
+]
+STUDY_IDS = ["prefix", "pairwise"]
+
+
+@pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+class TestStudyOptions:
+    @pytest.mark.parametrize(
+        "seed, shown", [(-1, "-1"), (True, "true"), (2.0, "2.0"), ("3", '"3"')]
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, study, seed, shown):
+        h, m = drifted_corpora(n_docs=8)
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {shown}$"):
+            study(h, m, seed=seed)
+
+    def test_numpy_seed_is_the_int_seed(self, study):
+        h, m = drifted_corpora(n_docs=20)
+        assert study(h, m, seed=np.int64(3)) == study(h, m, seed=3)
+
+    def test_one_document_on_a_side_cannot_split(self, study):
+        h, m = drifted_corpora(n_docs=8)
+        with pytest.raises(ValueError, match="^each class needs at least 2 documents to split$"):
+            study(h[:1], m)
 
 
 class TestPairwiseStudy:
