@@ -544,10 +544,9 @@ STUDIES = [
     lambda h, m, **kw: auroc_vs_prefix_length(h, m, [4], **kw),
     lambda h, m, **kw: pairwise_auroc(h, m, (1,), **kw),
 ]
-STUDY_IDS = ["prefix", "pairwise"]
 
 
-@pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+@pytest.mark.parametrize("study", STUDIES, ids=["prefix", "pairwise"])
 class TestStudyOptions:
     @pytest.mark.parametrize(
         "seed, shown", [(-1, "-1"), (True, "true"), (2.0, "2.0"), ("3", '"3"')]
