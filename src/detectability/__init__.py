@@ -12,24 +12,41 @@ text from human text:
 
 Everything exact lives on categorical distributions; everything empirical is
 seeded and reproducible.
+
+The namespace is lazy (PEP 562): ``import detectability`` loads no
+submodule.  A submodule, or a name in a submodule's ``__all__``, is imported
+the first time it is looked up here, so a process that only needs the
+closed-form bounds never compiles the Monte Carlo or text code.
 """
 
-from . import bounds, corpus, detector, distributions, simulate, textlab
-from .bounds import *
-from .corpus import *
-from .detector import *
-from .distributions import *
-from .simulate import *
-from .textlab import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *bounds.__all__,
-    *corpus.__all__,
-    *detector.__all__,
-    *distributions.__all__,
-    *simulate.__all__,
-    *textlab.__all__,
-    "__version__",
-]
+# The submodules whose ``__all__`` the package exports, in export order.
+_EXPORTING = ("bounds", "corpus", "detector", "distributions", "simulate", "textlab")
+
+
+def __getattr__(name: str):
+    # ``from detectability import cli`` looks here before importing the CLI
+    if name in _EXPORTING or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [n for sub in _EXPORTING for n in __getattr__(sub).__all__]
+        value.append("__version__")
+    elif name.startswith("_"):  # no submodule exports one: spare the search
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        for sub in _EXPORTING:
+            module = __getattr__(sub)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTING, *__getattr__("__all__")})

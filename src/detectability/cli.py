@@ -28,28 +28,16 @@ import sys
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import __version__
-from .bounds import (
-    DependenceSpec,
-    _check_ints,
-    auroc_upper,
-    auroc_vs_n_curve,
-    roc_upper_curve,
-    sample_complexity_iid,
-    sample_complexity_noniid,
-)
-from .corpus import CorpusParseError, load_jsonl, best_auroc_by_order
-from .distributions import Categorical, chernoff_information, tv_distance
-from .simulate import ExperimentConfig, run_experiment
-from .textlab import (
-    FEATURE_SPACES,
-    TrainConfig,
-    _check_study_options,
-    auroc_vs_prefix_length,
-    pairwise_auroc,
-)
+
+# Each subcommand imports the modules it runs when it is dispatched, so a
+# closed-form command never loads the Monte Carlo or text code.
+if TYPE_CHECKING:
+    from .bounds import DependenceSpec
+    from .distributions import Categorical
+    from .simulate import ExperimentConfig
 
 PROG = "detectability"
 
@@ -60,6 +48,8 @@ class UsageError(ValueError):
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """Comma-separated positive integers in increasing order; faults name ``flag``."""
+    from .bounds import _check_ints
+
     parts = text.split(",")
     for i, part in enumerate(parts, start=1):
         if not part.strip():
@@ -82,11 +72,15 @@ def _load_json_file(path: str) -> Any:
         raise UsageError(
             f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # say, bytes not UTF-8 or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # say, bytes not UTF-8, an int past the digit limit or nesting past
+        # the recursion limit
         raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_distribution(path: str) -> Categorical:
+    from .distributions import Categorical
+
     data = _load_json_file(path)
     if not isinstance(data, list):
         raise UsageError(f"{path}: expected a JSON array of probabilities")
@@ -97,6 +91,8 @@ def _load_distribution(path: str) -> Categorical:
 
 
 def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
+    from .bounds import DependenceSpec
+
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise UsageError(f"{where}: dependence must be an object with field 'blocks'")
     try:
@@ -167,17 +163,23 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-# Each corpus mode: its study, the list flag it sweeps, and that flag's
-# default.  A study is named, not held, so that the call goes through this
-# module's binding, which a tracer may have replaced.
+# Each corpus mode: its study, read off the package, the list flag it sweeps,
+# and that flag's default.  The study is read at each call, so a mode loads
+# only its own module, and the call reaches any replacement a tracer has
+# installed on that module.
 _CORPUS_MODES = {
-    "tv-by-order": ("best_auroc_by_order", "--orders", "1,2,3,4"),
-    "train-ablate": ("auroc_vs_prefix_length", "--lengths", "5,10,20,50,100"),
-    "pairwise": ("pairwise_auroc", "--k-values", "1,2"),
+    "tv-by-order": (lambda pkg: pkg.corpus.best_auroc_by_order, "--orders", "1,2,3,4"),
+    "train-ablate": (
+        lambda pkg: pkg.textlab.auroc_vs_prefix_length, "--lengths", "5,10,20,50,100"
+    ),
+    "pairwise": (lambda pkg: pkg.textlab.pairwise_auroc, "--k-values", "1,2"),
 }
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    from .bounds import auroc_upper
+    from .distributions import chernoff_information, tv_distance
+
     p = _load_distribution(args.dist_p)
     q = _load_distribution(args.dist_q)
     tv = tv_distance(p, q)
@@ -191,6 +193,8 @@ def _cmd_tv(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    from .bounds import auroc_vs_n_curve, sample_complexity_iid, sample_complexity_noniid
+
     config = {"command": "bounds", "delta": args.delta, "epsilon": args.epsilon}
     sizes = [("iid", 0.0, sample_complexity_iid(args.delta, args.epsilon))]
     if args.dependence is not None:
@@ -206,6 +210,8 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    from .bounds import auroc_vs_n_curve, roc_upper_curve
+
     n_values = _parse_int_list(args.n_list, "--n-list")
     config = {"command": "curve", "delta": args.delta, "n_values": n_values}
     points = auroc_vs_n_curve(args.delta, n_values)
@@ -219,6 +225,9 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
+    from .distributions import Categorical
+    from .simulate import ExperimentConfig
+
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
@@ -251,6 +260,8 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    from .simulate import run_experiment
+
     config = _simulate_config(args.config, args.seed)
     rows = _table(run_experiment(config))
     echo = {
@@ -270,6 +281,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _load_corpus(path: str, strict: bool):
+    from .corpus import CorpusParseError, load_jsonl
+
     try:
         docs, skipped = load_jsonl(path, strict=strict)
     except CorpusParseError as exc:
@@ -283,6 +296,7 @@ def _load_corpus(path: str, strict: bool):
 
 # Each library field a training flag sets, and that flag: an error names the flag.
 _TRAINING_FLAGS = {
+    "space": "--space",
     "seed": "--seed",
     "train_frac": "--train-frac",
     "min_df": "--min-df",
@@ -297,9 +311,11 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     trained = args.mode != "tv-by-order"
     options = {}
     if trained:
+        from .textlab import TrainConfig, _check_study_options
+
         # by the library's own checks, before loading and so ahead of a bad list
         try:
-            _check_study_options(args.train_frac, args.min_df, args.seed)
+            _check_study_options(args.train_frac, args.min_df, args.seed, args.space)
             train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
         except ValueError as exc:
             field, rest = str(exc).split(" ", 1)
@@ -318,7 +334,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
         options["config"] = train_cfg
     dest = flag[2:].replace("-", "_")
     config[dest] = _parse_int_list(getattr(args, dest), flag)
-    rows = globals()[study](human, machine, config[dest], **options)
+    rows = study(sys.modules[__package__])(human, machine, config[dest], **options)
     return _table(rows), config
 
 
@@ -385,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed", type=int, default=0, help="train/test split and pooling seed"
             )
             p_mode.add_argument("--train-frac", type=float, default=0.7)
-            p_mode.add_argument("--space", choices=FEATURE_SPACES, default="tfidf")
+            p_mode.add_argument("--space", default="tfidf", help="feature space (default: tfidf)")
             p_mode.add_argument("--min-df", type=int, default=2)
             p_mode.add_argument("--lr", type=float, default=0.1, help="first step size")
             p_mode.add_argument(

@@ -238,6 +238,8 @@ def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
         raise CorpusParseError(
             f"malformed JSON at column {exc.colno}: {exc.msg}", line=line_no
         ) from None
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, or deep nesting
+        raise CorpusParseError(f"unreadable JSON: {exc}", line=line_no) from None
     if not isinstance(obj, dict):
         raise CorpusParseError("record must be a JSON object", line=line_no)
     for fieldname in ("id", "text", "label"):

@@ -60,10 +60,11 @@ def log_likelihood_ratio(
 
     ``samples`` is either a 1-d list of sample indices, scored as one float,
     or a 2-d ``(sets, support_size)`` matrix of per-index sample counts,
-    scored as one float per row.  Both are scored from counts, a row as
-    numpy's ``sum(axis=1)`` of ``counts[j] * (log m(j) - log h(j))``: in index
-    order to 8 entries, pairwise past them, and never reading outside the
-    row, so equal count vectors score bit-equal in a matrix of any height.
+    scored as one float per row.  Both are scored from counts, a row as the
+    sum of ``counts[j] * (log m(j) - log h(j))`` that numpy's ``sum(axis=1)``
+    gives: in index order below 8 entries, pairwise from 8 on, and never
+    reading outside the row, so equal count vectors score bit-equal in a
+    matrix of any height.
 
     Zero-mass conventions: a sample with mass under exactly one distribution
     contributes ``+inf`` (only ``m``) or ``-inf`` (only ``h``); a sample with
@@ -104,7 +105,15 @@ def log_likelihood_ratio(
     if not total.all():
         raise ValueError("every sample set must be nonempty")
     finite = np.isfinite(table)
-    scores = (counts * np.where(finite, table, 0.0)).sum(axis=1)
+    weights = np.where(finite, table, 0.0)
+    if k < 8:
+        # numpy sums fewer than 8 entries in index order: a column sweep adds
+        # the same terms in the same order, without the slow per-row reduction
+        scores = counts[:, 0] * weights[0]
+        for j in range(1, k):
+            scores += counts[:, j] * weights[j]
+    else:
+        scores = (counts * weights).sum(axis=1)
     if finite.all():  # no zero masses: none of the bookkeeping below
         return float(scores[0]) if arr.ndim == 1 else scores
     both_zero = np.isnan(table)

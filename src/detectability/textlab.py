@@ -105,10 +105,13 @@ def _vocab_columns(counts: sp.csr_matrix, min_df: int) -> tuple[np.ndarray, np.n
     return columns, df[columns]
 
 
-def _weigh(counts: sp.csr_matrix, doc_freq: np.ndarray, n_docs: int, space: str) -> sp.csr_matrix:
-    """Features from vocabulary term counts, as :func:`featurize` describes."""
+def _check_space(space: str) -> None:
     if space not in FEATURE_SPACES:
         raise ValueError(f"space must be one of {FEATURE_SPACES}, got {space!r}")
+
+
+def _weigh(counts: sp.csr_matrix, doc_freq: np.ndarray, n_docs: int, space: str) -> sp.csr_matrix:
+    """Features from vocabulary term counts, as :func:`featurize` describes."""
     if counts.shape[1] == 0:
         raise ValueError("empty vocabulary")
     x = counts
@@ -141,6 +144,7 @@ def featurize(
     ``log((1 + N) / (1 + df)) + 1`` and per-document L2 normalization.
     Tokens outside the vocabulary are ignored.
     """
+    _check_space(space)
     tokens, ids, lens = _encode(docs)
     index = dict(zip(vocab.tokens, range(len(vocab))))
     column = np.fromiter(
@@ -361,8 +365,14 @@ def _stratified_split(
     return np.concatenate(train), np.concatenate(test)
 
 
-def _check_study_options(train_frac: float, min_df: int, seed: int) -> tuple[float, int, int]:
-    """The split fraction, document-frequency floor and seed the two studies take."""
+def _check_study_options(
+    train_frac: float, min_df: int, seed: int, space: str
+) -> tuple[float, int, int]:
+    """The split fraction, document-frequency floor and seed the two studies take.
+
+    The feature space is checked first, and has nothing to convert.
+    """
+    _check_space(space)
     seed = _check_int("seed", seed, low=0)
     return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df), seed
 
@@ -401,7 +411,7 @@ def _heldout_runs(
     Each run follows :func:`auroc_vs_prefix_length`'s study; ``math.inf`` keeps
     documents whole.  Labels are 0 for human and 1 for machine.
     """
-    train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed)
+    train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed, space)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)

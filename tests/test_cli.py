@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, atomic writes."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -741,6 +742,7 @@ class TestFlagSurface:
             ("--train-frac", "0", "must lie in (0, 1), got 0.0"),
             ("--train-frac", "1", "must lie in (0, 1), got 1.0"),
             ("--min-df", "0", "must be a positive integer, got 0"),
+            ("--space", "hashing", "must be one of ('counts', 'tfidf'), got 'hashing'"),
         ],
     )
     def test_bad_training_flag_exits_2_naming_it_before_loading(
@@ -902,6 +904,76 @@ def test_numbers_too_big_exit_two(capsys, tmp_path, monkeypatch, argv, files, me
     assert code == 2
     assert out == ""
     assert f"detectability: error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tv", "deep.json", "h.json"],
+        ["simulate", "deep.json"],
+        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", "deep.json"],
+    ],
+    ids=["tv", "simulate", "dependence"],
+)
+def test_nesting_past_the_recursion_limit_exits_two(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text("[" * 100_000)
+    Path("h.json").write_text("[0.5, 0.5]")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("detectability: error: deep.json: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "bad", ['{"id": "x", "text": "y", "label": "human", "n": ' + "1" * 5000 + "}", "[" * 100_000],
+    ids=["huge-int", "deep"],
+)
+def test_corpus_line_past_json_limits_is_a_bad_line(capsys, corpus_files, bad):
+    hp, mp = corpus_files
+    with open(hp, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    line = len(Path(hp).read_text(encoding="utf-8").splitlines())
+    argv = ["corpus", "tv-by-order", "--human", hp, "--machine", mp, "--orders", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"detectability: error: {hp}: line {line}: unreadable JSON: ")
+    code, out, err = run(capsys, *argv, "--lenient")
+    assert code == 0
+    assert err == f"detectability: skipped 1 bad line(s) in {hp}\n"
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("distributions", "tv_distance", ["tv", "{m}", "{h}"]),
+        ("bounds", "auroc_vs_n_curve", ["curve", "--delta", "0.1", "--n-list", "1,2"]),
+        ("corpus", "best_auroc_by_order", ["corpus", "tv-by-order", "--orders", "1"]),
+        ("textlab", "pairwise_auroc", ["corpus", "pairwise", "--epochs", "5"]),
+    ],
+)
+def test_commands_call_the_library_through_its_modules(
+    capsys, monkeypatch, bern_pair, corpus_files, module, name, argv
+):
+    # the benchmark's tracer replaces a function on its module: the CLI must
+    # look each up there when it runs, not keep a binding of its own
+    mod = importlib.import_module(f"detectability.{module}")
+    calls = []
+    original = getattr(mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, counting)
+    m, h = bern_pair
+    argv = [a.format(m=m, h=h) for a in argv]
+    if argv[0] == "corpus":
+        argv += ["--human", corpus_files[0], "--machine", corpus_files[1]]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [name]
 
 
 class TestOutputHandling:

@@ -186,6 +186,19 @@ class TestBestAurocByOrder:
             best_auroc_by_order(h, m, [1, 1])
 
 
+def json_error(text):
+    """The message json gives for ``text``, an int past the digit limit or deep nesting."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("the text decoded")
+
+
+HUGE_INT_LINE = '{"id": "b", "text": "y", "label": "human", "n": ' + "1" * 5000 + "}"
+DEEP_LINE = "[" * 100_000
+
+
 class TestLoadJsonl:
     def write(self, tmp_path, lines):
         path = tmp_path / "corpus.jsonl"
@@ -250,6 +263,10 @@ class TestLoadJsonl:
                 "field 'label' must be 'human' or 'machine'",
             ),
             ('{"id": "a", "text": "y", "label": "human"}', "duplicate id 'a'"),
+            pytest.param(
+                HUGE_INT_LINE, "unreadable JSON: " + json_error(HUGE_INT_LINE), id="huge-int"
+            ),
+            pytest.param(DEEP_LINE, "unreadable JSON: " + json_error(DEEP_LINE), id="deep"),
         ],
     )
     def test_each_bad_line_kind_has_one_text_and_one_skip(self, tmp_path, line, message):

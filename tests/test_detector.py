@@ -167,6 +167,22 @@ class TestCountScoring:
             got = log_likelihood_ratio(m, h, counts)
             assert got[at].tolist() == alone[: len(at)]
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_rows_sum_bit_equal_to_numpys_row_sum(self, k, layout):
+        # below 8 columns the scores are summed column by column, which must
+        # add the same terms in the same order as ``sum(axis=1)``
+        rng = np.random.default_rng(k)
+        m, h = (Categorical(rng.dirichlet(np.ones(k))) for _ in range(2))
+        counts = rng.integers(0, 30, size=(2000, 2 * k))
+        counts[:, 0] += 1
+        counts = {
+            "C": counts[:, :k].copy(), "F": np.asfortranarray(counts[:, :k]),
+            "strided": counts[:, ::2],
+        }[layout]
+        want = (counts * (m.log_probs() - h.log_probs())).sum(axis=1)
+        assert log_likelihood_ratio(m, h, counts).tobytes() == want.tobytes()
+
     def test_zero_mass_conventions_match_index_lists(self):
         # index 0: both positive; 1: only m; 2: only h; 3: neither
         m = Categorical([0.5, 0.5, 0.0, 0.0])

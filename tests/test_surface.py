@@ -2,9 +2,11 @@
 
 The benchmark tracer finds the functions it times through each module's
 ``__all__``; a per-layer metric whose function was renamed, deleted or
-dropped from ``__all__`` is silently never computed.  The CLI's import graph
-is surface too: every invocation pays for what ``detectability.cli`` loads,
-and scipy loads only when a corpus mode featurizes or trains.
+dropped from ``__all__`` is silently never computed.  The import graph is
+surface too: every invocation pays for what it loads.  ``import
+detectability`` loads no submodule, ``import detectability.cli`` loads only
+the CLI, each subcommand loads the package modules it runs when it is
+dispatched, and scipy loads only when a corpus mode featurizes or trains.
 """
 
 import ast
@@ -158,14 +160,62 @@ def scipy_modules(names):
     return sorted(name for name in names if name.startswith("scipy"))
 
 
+def package_modules(names):
+    return sorted(name for name in names if name.split(".")[0] == "detectability")
+
+
 @pytest.mark.parametrize("module", ["detectability", "detectability.cli"])
 def test_import_loads_no_scipy(module):
+    # nor any package module but the one imported
     code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
-    assert scipy_modules(json.loads(fresh_python(code))) == []
+    loaded = json.loads(fresh_python(code))
+    assert scipy_modules(loaded) == []
+    assert package_modules(loaded) == sorted({"detectability", module})
 
 
-def scipy_after_cli(argvs):
-    """Exit codes of ``cli.main`` on each argument list, and the scipy modules then loaded."""
+# The package's exported names, in order: each submodule's ``__all__`` in turn.
+EXPORTED = [
+    "BoundCurvePoint", "DependenceSpec", "auroc_upper", "auroc_vs_n_curve",
+    "roc_upper_curve", "sample_complexity_iid", "sample_complexity_noniid",
+    "tv_tensor_chernoff", "tv_tensor_lower",
+    "CorpusParseError", "Document", "NGramTable", "OrderRow", "best_auroc_by_order",
+    "load_jsonl", "ngram_table", "tokenize",
+    "Label", "RocCurve", "log_likelihood_ratio", "roc_from_scores",
+    "BudgetError", "Categorical", "DimensionError", "ENUMERATION_BUDGET", "MinErrorResult",
+    "chernoff_information", "min_error_bruteforce", "product_tv_exact", "tv_distance",
+    "ExperimentConfig", "ExperimentRow", "run_experiment", "sample_iid", "sample_noniid",
+    "trial_rng",
+    "LinearModel", "PairwiseRow", "PrefixRow", "TrainConfig", "Vocabulary",
+    "auroc_vs_prefix_length", "build_vocab", "featurize", "pairwise_auroc",
+    "pairwise_augment", "train_logreg",
+    "__version__",
+]
+
+
+def test_lazy_namespace_exports_every_name():
+    # nothing loads at import; ``__all__``, a star import and ``dir`` then
+    # see every exported name, each the very object its submodule holds
+    code = """
+import json, sys
+import detectability
+loaded = sorted(m for m in sys.modules if m.startswith("detectability"))
+star = {}
+exec("from detectability import *", star)
+subs = [sys.modules["detectability." + m] for m in sys.argv[1:]]
+same = all(star[n] is getattr(mod, n) for mod in subs for n in mod.__all__)
+unlisted = sorted(set(detectability.__all__) - set(dir(detectability)))
+print(json.dumps([loaded, detectability.__all__, sorted(set(star) - {"__builtins__"}),
+                  same, unlisted]))
+"""
+    loaded, names, star, same, unlisted = json.loads(fresh_python(code, *MODULES))
+    assert loaded == ["detectability"]
+    assert names == EXPORTED
+    assert star == sorted(EXPORTED)
+    assert same and unlisted == []
+
+
+def loaded_after_cli(argvs):
+    """Exit codes of ``cli.main`` on each argument list, then the scipy and package modules loaded."""
     code = """
 import contextlib, io, json, sys
 from detectability.cli import main
@@ -174,7 +224,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([codes, sorted(sys.modules)]))
 """
     codes, loaded = json.loads(fresh_python(code, json.dumps(argvs)))
-    return codes, scipy_modules(loaded)
+    return codes, scipy_modules(loaded), package_modules(loaded)
 
 
 @pytest.fixture
@@ -200,24 +250,47 @@ def cli_inputs(tmp_path):
     return paths
 
 
+def subcommands(p):
+    """An argument list per subcommand, on the ``cli_inputs`` files ``p``."""
+    return {
+        "tv": ["tv", p["m"], p["h"]],
+        "bounds": ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", p["dep"]],
+        "curve": ["curve", "--delta", "0.1", "--n-list", "1,2,4"],
+        "simulate": ["simulate", p["sim"]],
+        "tv-by-order": ["corpus", "tv-by-order", "--human", p["human"], "--machine", p["machine"]],
+        "train-ablate": ["corpus", "train-ablate", "--human", p["human"],
+                         "--machine", p["machine"], "--lengths", "5,20"],
+    }
+
+
+# The package modules each subcommand loads besides the package and the CLI.
+SUBCOMMAND_MODULES = {
+    "tv": ["bounds", "distributions"],
+    "bounds": ["bounds"],
+    "curve": ["bounds"],
+    "simulate": ["bounds", "detector", "distributions", "simulate"],
+    "tv-by-order": ["bounds", "corpus", "detector", "distributions"],
+    "train-ablate": ["bounds", "corpus", "detector", "distributions", "textlab"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_its_modules(cli_inputs, command):
+    codes, _, loaded = loaded_after_cli([subcommands(cli_inputs)[command]])
+    assert codes == [0]
+    want = ["cli", *SUBCOMMAND_MODULES[command]]
+    assert loaded == ["detectability", *sorted(f"detectability.{m}" for m in want)]
+
+
 def test_closed_form_commands_load_no_scipy(cli_inputs):
-    p = cli_inputs
-    argvs = [
-        ["tv", p["m"], p["h"]],
-        ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", p["dep"]],
-        ["curve", "--delta", "0.1", "--n-list", "1,2,4"],
-        ["simulate", p["sim"]],
-        ["corpus", "tv-by-order", "--human", p["human"], "--machine", p["machine"]],
-    ]
-    assert scipy_after_cli(argvs) == ([0] * len(argvs), [])
+    argvs = [argv for name, argv in subcommands(cli_inputs).items() if name != "train-ablate"]
+    codes, scipy, _ = loaded_after_cli(argvs)
+    assert (codes, scipy) == ([0] * len(argvs), [])
 
 
 def test_training_loads_scipy(cli_inputs):
     # the check above can fail: a mode that featurizes and trains loads scipy
-    p = cli_inputs
-    argv = ["corpus", "train-ablate", "--human", p["human"], "--machine", p["machine"],
-            "--lengths", "5,20"]
-    codes, loaded = scipy_after_cli([argv])
+    codes, loaded, _ = loaded_after_cli([subcommands(cli_inputs)["train-ablate"]])
     assert codes == [0]
     assert {"scipy.sparse", "scipy.special"} <= set(loaded)
 

@@ -560,6 +560,14 @@ class TestStudyOptions:
         h, m = drifted_corpora(n_docs=20)
         assert study(h, m, seed=np.int64(3)) == study(h, m, seed=3)
 
+    def test_space_is_checked_before_the_split(self, study):
+        # one document a side cannot split: the bad space is reported first
+        h, m = drifted_corpora(n_docs=8)
+        with pytest.raises(
+            ValueError, match=r"^space must be one of \('counts', 'tfidf'\), got 'hashing'$"
+        ):
+            study(h[:1], m, space="hashing")
+
     def test_one_document_on_a_side_cannot_split(self, study):
         h, m = drifted_corpora(n_docs=8)
         with pytest.raises(ValueError, match="^each class needs at least 2 documents to split$"):
