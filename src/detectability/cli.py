@@ -107,10 +107,6 @@ def _jsonable(v: Any) -> Any:
     return v
 
 
-def _cell(v: Any) -> str:
-    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-
 def _table(rows: Sequence[Any]) -> list[dict]:
     """Dict rows of flat row dataclasses, one key per field, in field order.
 
@@ -136,10 +132,10 @@ def _render(rows: Sequence[dict], config: dict, fmt: str) -> str:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()
     buf.write(f"# {PROG} version={__version__} config={config_json}\n")
+    # csv writes None as "" and a float as its repr
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in columns])
+    writer.writerows([row.get(col) for col in columns] for row in rows)
     return buf.getvalue()
 
 

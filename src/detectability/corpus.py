@@ -78,19 +78,9 @@ class NGramTable:
     total: int
 
 
-def _strip_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
-
-
-def _token(raw: str) -> str:
-    """A raw word with its edge punctuation stripped ("" if nothing is left)."""
-    # alphanumeric characters are never punctuation (category P)
-    return raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
+def _punctuation(words: Iterable[str]) -> str:
+    """The punctuation characters (Unicode category P*) that occur in ``words``."""
+    return "".join(c for c in set("".join(words)) if unicodedata.category(c)[0] == "P")
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,7 +90,9 @@ def tokenize(text: str) -> list[str]:
     becomes ``["the", "cat", "the", "cat"]``.  Interior punctuation (as in
     "don't") survives.
     """
-    return [tok for tok in map(_token, text.lower().split()) if tok]
+    words = text.lower().split()
+    punct = _punctuation(words)
+    return [tok for tok in (word.strip(punct) for word in words) if tok]
 
 
 def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -115,7 +107,8 @@ def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray
     words = [doc.text.lower().split() for doc in docs]
     flat = list(chain.from_iterable(words))
     distinct = dict.fromkeys(flat)
-    stripped = list(map(_token, distinct))
+    punct = _punctuation(distinct)
+    stripped = [word.strip(punct) for word in distinct]
     tokens = sorted(set(stripped).difference(("",)))
     index = dict(zip(tokens, range(len(tokens))))
     index[""] = -1
@@ -138,17 +131,22 @@ def _ngram_ranks(ids: np.ndarray, lens: np.ndarray, vocab_size: int, max_order: 
     distinct n-grams of that order, and ``size``.  Ranks follow the sorted
     order of the token tuples: an n-gram's key is its prefix's rank times
     ``vocab_size`` plus its last id, which sorts like the tuple and stays
-    below ``len(ids) * vocab_size``.
+    below ``len(ids) * vocab_size``.  Every id in ``range(vocab_size)`` must
+    occur in ``ids``, as it does in :func:`_encode`'s output.
     """
     remaining = np.repeat(np.cumsum(lens), lens) - np.arange(ids.size)
     rank = np.zeros(ids.size, dtype=np.int64)
     for order in range(1, max_order + 1):
         starts = np.flatnonzero(remaining >= order)
-        keys = rank[starts] * vocab_size + ids[starts + order - 1]
-        distinct, rank_o = np.unique(keys, return_inverse=True)
+        if order == 1:  # every id occurs, so the ids are the unigrams' ranks
+            rank_o, size = ids, vocab_size
+        else:
+            keys = rank[starts] * vocab_size + ids[starts + order - 1]
+            distinct, rank_o = np.unique(keys, return_inverse=True)
+            size = distinct.size
         # the next order's windows start at a subset of these positions
         rank[starts] = rank_o
-        yield order, starts, rank_o, distinct.size
+        yield order, starts, rank_o, size
 
 
 def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:

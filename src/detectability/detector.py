@@ -86,7 +86,7 @@ def log_likelihood_ratio(
             "samples must be a nonempty 1-d sequence of indices or a 2-d "
             "matrix of counts"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError("samples must be integer indices or counts")
     if arr.ndim == 1:
         if arr.min() < 0 or arr.max() >= k:
@@ -99,13 +99,16 @@ def log_likelihood_ratio(
             raise ValueError("counts must be nonnegative")
         counts = arr
 
-    with np.errstate(invalid="ignore"):
-        table = m.log_probs() - h.log_probs()  # -inf - -inf -> nan where both zero
     total = counts @ np.ones(k, dtype=np.int64)  # exact, where sum(axis=1) is slow
     if not total.all():
         raise ValueError("every sample set must be nonempty")
-    finite = np.isfinite(table)
-    weights = np.where(finite, table, 0.0)
+    zero_mass = m._has_zero or h._has_zero
+    if zero_mass:
+        with np.errstate(invalid="ignore"):
+            table = m.log_probs() - h.log_probs()  # -inf - -inf -> nan where both zero
+        weights = np.where(np.isfinite(table), table, 0.0)
+    else:  # every weight is finite
+        weights = m.log_probs() - h.log_probs()
     if k < 8:
         # numpy sums fewer than 8 entries in index order: a column sweep adds
         # the same terms in the same order, without the slow per-row reduction
@@ -114,7 +117,7 @@ def log_likelihood_ratio(
             scores += counts[:, j] * weights[j]
     else:
         scores = (counts * weights).sum(axis=1)
-    if finite.all():  # no zero masses: none of the bookkeeping below
+    if not zero_mass:  # none of the bookkeeping below
         return float(scores[0]) if arr.ndim == 1 else scores
     both_zero = np.isnan(table)
     if both_zero.any():
@@ -169,18 +172,24 @@ def roc_from_scores(
     # Thresholds: the distinct scores, ascending.  Below each lie its first
     # position in ``both`` (machine: searchsorted in ``ms``); up to each, the next's.
     first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
-    m_below = np.searchsorted(ms, both[first])
-    h_below = first - m_below
-    m_count = np.append(m_below[1:], ms.size) - m_below
+    # Row 0 counts machine scores, row 1 human; a last column closes each row
+    # with its class size, so ``below[:, 1:]`` is the count up to each threshold.
+    below = np.empty((2, first.size + 1), dtype=np.int64)
+    m_below, h_below = below[:, :-1]
+    m_below[:] = np.searchsorted(ms, both[first])
+    np.subtract(first, m_below, out=h_below)
+    below[:, -1] = ms.size, hs.size
     # 2U in int64, exact while |A| |B| < 2**62: 2 per human score below, 1 per tie
-    u2 = int(m_count @ (h_below + np.append(h_below[1:], hs.size)))
+    u2 = int((below[0, 1:] - m_below) @ (h_below + below[1, 1:]))
     auroc = u2 / (2 * ms.size * hs.size)
 
     # Threshold sweep, descending; prepend the empty decision rule (0, 0).
-    tprs = np.concatenate([[0.0], 1.0 - m_below[::-1] / ms.size])
-    fprs = np.concatenate([[0.0], 1.0 - h_below[::-1] / hs.size])
+    rates = np.zeros((2, first.size + 1))
+    tprs, fprs = rates
+    rates[:, 1:] = 1.0 - below[:, -2::-1] / below[:, -1:]  # each count over its class size
 
-    area = float(np.trapezoid(tprs, fprs))
+    # the trapezoid rule, as np.trapezoid sums it
+    area = float(((fprs[1:] - fprs[:-1]) * (tprs[1:] + tprs[:-1]) / 2.0).sum())
     if abs(area - auroc) > AUROC_CONSISTENCY_TOL:
         raise AssertionError(
             f"trapezoid area {area!r} and rank AUROC {auroc!r} disagree"

@@ -67,7 +67,7 @@ class Categorical:
     Instances are immutable; the stored array is marked read-only.
     """
 
-    __slots__ = ("probs", "_log_probs_cache")
+    __slots__ = ("probs", "_has_zero", "_log_probs_cache")
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
         if isinstance(probs, (list, tuple)):
@@ -88,6 +88,7 @@ class Categorical:
         arr = arr / total
         arr.setflags(write=False)
         self.probs = arr
+        self._has_zero = not arr.all()  # read by log_likelihood_ratio
         self._log_probs_cache: np.ndarray | None = None
 
     def __repr__(self) -> str:

@@ -127,9 +127,13 @@ class ExperimentRow:
 
 
 def trial_rng(seed: int, n: int, class_index: int, chunk: int) -> np.random.Generator:
-    """Generator for one chunk of trials, keyed so chunks never share a stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=(seed, n, class_index, chunk))
+    """Generator for one chunk of trials, keyed so chunks never share a stream.
+
+    It is the generator ``np.random.default_rng`` builds from this seed
+    sequence, constructed without that function's argument dispatch.
+    """
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=(seed, n, class_index, chunk)))
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,6 @@ from detectability import (
     auroc_upper,
     tv_distance,
 )
-from detectability.corpus import _strip_punct
 from detectability.simulate import _block_law
 
 
@@ -207,9 +207,19 @@ def write_jsonl(path, docs: list[Document]) -> None:
             )
 
 
+def strip_punct(token: str) -> str:
+    """``token`` less its edge punctuation (Unicode category P*), a character at a time."""
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
 def strip_tokenize(text: str) -> list[str]:
     """Tokenizer reference: strip edge punctuation from every raw token."""
-    return [tok for tok in map(_strip_punct, text.lower().split()) if tok]
+    return [tok for tok in map(strip_punct, text.lower().split()) if tok]
 
 
 def ngram_counts(docs, order: int) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from detectability import Label
-from detectability.cli import main
+from detectability.cli import _render, main
 
 from _synth import unigram_docs, write_jsonl
 
@@ -977,6 +977,22 @@ def test_commands_call_the_library_through_its_modules(
 
 
 class TestOutputHandling:
+    def test_csv_cells_are_pinned(self):
+        # None (and a missing key) is blank, a float (numpy's too) its repr
+        rows = [
+            {"none": None, "inf": math.inf, "neg0": -0.0, "tiny": 1e-300, "int": 7,
+             "str": 'a,"b"', "np": np.float64(0.1)},
+            {"inf": -math.inf, "np": np.float64(np.inf)},
+        ]
+        text = _render(rows, {"k": 1}, "csv")
+        assert text.split("\n", 1)[1] == (
+            "none,inf,neg0,tiny,int,str,np\n"
+            ',inf,-0.0,1e-300,7,"a,""b""",0.1\n'
+            ",-inf,,,,,inf\n"
+        )
+        # a lone blank cell is quoted, so the row is not read as empty
+        assert _render([{"x": None}], {}, "csv").split("\n", 1)[1] == 'x\n""\n'
+
     def test_out_writes_atomically(self, capsys, tmp_path, bern_pair):
         target = tmp_path / "result.csv"
         code, out, _ = run(capsys, "tv", *bern_pair, "--out", str(target))

@@ -18,6 +18,7 @@ from detectability import (
     ngram_table,
     tokenize,
 )
+from detectability.corpus import _encode, _ngram_ranks
 
 from _synth import ngram_counts, order_rows, strip_tokenize, unigram_docs, write_jsonl
 
@@ -72,6 +73,61 @@ class TestTokenize:
     @given(st.text() | texts)
     def test_equals_always_strip_reference(self, text):
         assert tokenize(text) == strip_tokenize(text)
+
+
+# Unicode and astral punctuation, words that strip to nothing, apostrophes.
+ENCODE_WORDS = WORDS + [
+    "»«", "¿¡—", "it's", "'tis'", "rock'n'roll", "\U00010100word\U00010100",
+    "\U0001e95e", "«🙂»", "🙂!", "…",
+]
+encode_texts = (
+    st.lists(
+        st.sampled_from(ENCODE_WORDS) | st.text(min_size=1, max_size=3), min_size=1, max_size=10
+    )
+    .map(" ".join)
+    .filter(str.strip)
+)
+
+
+def window_ranks(ids, lens, order):
+    """``(starts, rank, size)`` of the sliding ``order``-grams, ranked as sorted id tuples."""
+    ends = np.cumsum(lens)
+    starts = [s for end, n in zip(ends, lens) for s in range(end - n, end - order + 1)]
+    windows = [tuple(ids[s : s + order]) for s in starts]
+    distinct = sorted(set(windows))
+    rank = [distinct.index(w) for w in windows]
+    return starts, rank, len(distinct)
+
+
+class TestEncode:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(encode_texts, min_size=1, max_size=6))
+    def test_matches_per_document_tokenize(self, texts):
+        token_lists = [tokenize(t) for t in texts]
+        tokens, ids, lens = _encode([doc(t, id=f"d{i}") for i, t in enumerate(texts)])
+        assert tokens == sorted({tok for toks in token_lists for tok in toks})
+        assert [tokens[i] for i in ids] == [tok for toks in token_lists for tok in toks]
+        assert lens.tolist() == [len(toks) for toks in token_lists]
+
+    def test_astral_punctuation_is_stripped(self):
+        tokens, ids, _ = _encode([doc("\U00010100word\U00010100 «🙂» it's ¿¡—")])
+        assert [tokens[i] for i in ids] == ["word", "🙂", "it's"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abc,"), min_size=1, max_size=7), min_size=1, max_size=6)
+    )
+    def test_ngram_ranks_equal_sorted_tuple_ranks(self, word_lists):
+        # documents shorter than the order, and ones that strip to nothing
+        docs = [doc(" ".join(w), id=f"d{i}") for i, w in enumerate(word_lists)]
+        tokens, ids, lens = _encode(docs)
+        got = list(_ngram_ranks(ids, lens, len(tokens), 6))
+        assert [g[0] for g in got] == list(range(1, 7))
+        for order, starts, rank, size in got:
+            want_starts, want_rank, want_size = window_ranks(ids.tolist(), lens.tolist(), order)
+            assert starts.tolist() == want_starts
+            assert rank.tolist() == want_rank
+            assert size == want_size
 
 
 class TestNgramTable:

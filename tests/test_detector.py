@@ -212,6 +212,77 @@ class TestCountScoring:
             with pytest.raises(ValueError, match="every sample"):
                 log_likelihood_ratio(m, h, expand(all_skipped[1]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from([0.0, 0.3]))
+    def test_scores_and_warnings_match_the_general_path(self, seed, k, zero_frac):
+        # one m scored against two h, each pair twice: the no-zero-mass fast
+        # path and the zero-mass path both give the general path's bits and
+        # warnings, whatever the pair was scored against before
+        rng = np.random.default_rng(seed)
+        m, h1 = rand_pair(rng, k, zero_frac=zero_frac)
+        _, h2 = rand_pair(rng, k, zero_frac=zero_frac)
+        counts = rng.integers(0, 4, size=(6, k))
+        counts[np.arange(6), rng.integers(k, size=6)] += 1
+        for h in (h1, h2, h1, h2):
+            for samples in (counts, expand(counts[0])):
+                got, got_warned = scored(log_likelihood_ratio, m, h, samples)
+                want, want_warned = scored(general_path_llr, m, h, samples)
+                assert got_warned == want_warned
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def scored(llr, m, h, samples):
+    """``(scores or the ValueError's message, warning messages)`` of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = llr(m, h, samples)
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+def general_path_llr(m, h, samples):
+    """``log_likelihood_ratio`` with every pair taken through the zero-mass bookkeeping."""
+    arr = np.asarray(samples)
+    k = m.support_size
+    counts = np.bincount(arr, minlength=k)[None, :] if arr.ndim == 1 else arr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.log(m.probs) - np.log(h.probs)
+    total = counts.sum(axis=1)
+    if not total.all():
+        raise ValueError("every sample set must be nonempty")
+    finite = np.isfinite(table)
+    weights = np.where(finite, table, 0.0)
+    if k < 8:
+        scores = counts[:, 0] * weights[0]
+        for j in range(1, k):
+            scores += counts[:, j] * weights[j]
+    else:
+        scores = (counts * weights).sum(axis=1)
+    both_zero = np.isnan(table)
+    skipped = counts[:, both_zero].sum(axis=1)
+    if skipped.any():
+        warnings.warn(
+            f"skipped {int(skipped.sum())} sample(s) with zero mass under both distributions",
+            RuntimeWarning,
+        )
+        if (skipped == total).any():
+            raise ValueError("every sample had zero mass under both distributions")
+    has_pos = counts[:, np.isposinf(table)].any(axis=1)
+    has_neg = counts[:, np.isneginf(table)].any(axis=1)
+    scores[has_pos] = np.inf
+    scores[has_neg] = -np.inf
+    tie = has_pos & has_neg
+    if tie.any():
+        warnings.warn(
+            "evidence certain for both sides (joint mass zero under both models); "
+            "treating as a tie",
+            RuntimeWarning,
+        )
+        scores[tie] = 0.0
+    return float(scores[0]) if arr.ndim == 1 else scores
+
 
 def mann_whitney_auroc(machine, human):
     """Tie-aware probability that a machine score outranks a human score."""

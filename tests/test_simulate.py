@@ -374,6 +374,19 @@ class TestTrialRng:
     def test_streams_are_stable(self):
         assert trial_rng(9, 2, 1, 5).random() == trial_rng(9, 2, 1, 5).random()
 
+    @pytest.mark.parametrize(
+        "key", [(0, 1, 0, 0), (9, 2, 1, 5), (2**63, 300, 1, 7), (1, 23, 0, 2**40)]
+    )
+    def test_stream_is_default_rngs(self, key):
+        # the generator default_rng builds from the keyed seed sequence
+        got = trial_rng(*key)
+        want = np.random.default_rng(np.random.SeedSequence(entropy=key))
+        assert type(got.bit_generator) is type(want.bit_generator)
+        assert got.integers(0, 2**63, size=8).tolist() == want.integers(0, 2**63, size=8).tolist()
+        assert got.random(8).tobytes() == want.random(8).tobytes()
+        draws = [g.multinomial(300, [0.4, 0.6], size=4).tolist() for g in (got, want)]
+        assert draws[0] == draws[1]
+
     def test_chunk_size_counts_max_of_n_and_support(self):
         assert _chunk_trials(1, 1) == _CHUNK_CELLS
         assert _chunk_trials(1, 2) == _CHUNK_CELLS // 2
