@@ -978,7 +978,7 @@ def test_commands_call_the_library_through_its_modules(
 
 class TestOutputHandling:
     def test_csv_cells_are_pinned(self):
-        # None (and a missing key) is blank, a float (numpy's too) its repr
+        # None (and a missing key) is blank; a float, numpy float64 too, is float.__repr__
         rows = [
             {"none": None, "inf": math.inf, "neg0": -0.0, "tiny": 1e-300, "int": 7,
              "str": 'a,"b"', "np": np.float64(0.1)},
