@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,27 @@ class TestEncode:
         assert tokens == sorted({tok for toks in token_lists for tok in toks})
         assert [tokens[i] for i in ids] == [tok for toks in token_lists for tok in toks]
         assert lens.tolist() == [len(toks) for toks in token_lists]
+
+    def test_empty_document_list(self):
+        tokens, ids, lens = _encode([])
+        assert tokens == []
+        assert ids.dtype == lens.dtype == np.int64
+        assert ids.size == lens.size == 0
+
+    def test_peak_memory_per_token_is_bounded(self):
+        # 400 documents of 250 tokens over 60 words: a string object and a
+        # list slot per token would take about 80 bytes of it
+        rng = np.random.default_rng(11)
+        words = np.array([f"word{i}" for i in range(60)])
+        docs = [doc(" ".join(rng.choice(words, 250)), id=f"d{i}") for i in range(400)]
+        tracemalloc.start()
+        try:
+            _, ids, _ = _encode(docs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.size == 100_000
+        assert peak / ids.size < 40
 
     def test_astral_punctuation_is_stripped(self):
         tokens, ids, _ = _encode([doc("\U00010100word\U00010100 «🙂» it's ¿¡—")])

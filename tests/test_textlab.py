@@ -125,6 +125,40 @@ class TestAgainstTokenListReference:
             assert x.data.tolist() == data
 
 
+@st.composite
+def token_rows(draw):
+    """``(rows, ids, n_rows, width)`` as :func:`textlab._count_matrix` takes them.
+
+    Rows of -1 (tokens left out), rows with no token, width 0 and no kept
+    token all occur; left-out tokens may carry any id.
+    """
+    n_rows, width = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    pair = st.tuples(st.just(-1), st.integers(-1, max(width - 1, -1)))
+    if n_rows and width:
+        pair |= st.tuples(st.integers(0, n_rows - 1), st.integers(0, width - 1))
+    pairs = draw(st.lists(pair, max_size=30))
+    rows, ids = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return rows, ids, n_rows, width
+
+
+class TestCountMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(token_rows())
+    def test_equals_the_coo_construction(self, case):
+        rows, ids, n_rows, width = case
+        x = textlab._count_matrix(rows, ids, n_rows, width)
+        kept = rows >= 0
+        want = sp.csr_matrix(
+            (np.ones(np.count_nonzero(kept)), (rows[kept], ids[kept])), shape=(n_rows, width)
+        )
+        assert x.format == "csr"
+        assert x.shape == want.shape
+        assert x.has_canonical_format
+        for got, ref in ((x.indptr, want.indptr), (x.indices, want.indices), (x.data, want.data)):
+            assert got.dtype == ref.dtype
+            assert got.tolist() == ref.tolist()
+
+
 class TestFeaturize:
     def test_count_matrix(self):
         docs = tiny_corpus()
