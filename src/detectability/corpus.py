@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -101,21 +101,31 @@ def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray
     Returns ``(tokens, ids, lens)``: the sorted distinct tokens, the id of
     every token of every document in document order (an id is the token's
     index in ``tokens``, so id order is string order), and each document's
-    token count.  The rule of :func:`tokenize` runs once per distinct raw
-    word, not once per occurrence.
+    token count.  Documents are split one at a time, so the only strings
+    held are one document's words and the distinct raw words; the rule of
+    :func:`tokenize` runs once per distinct raw word, not once per occurrence.
     """
-    words = [doc.text.lower().split() for doc in docs]
-    flat = list(chain.from_iterable(words))
-    distinct = dict.fromkeys(flat)
-    punct = _punctuation(distinct)
-    stripped = [word.strip(punct) for word in distinct]
+    first: dict[str, int] = {}  # each distinct raw word's first position
+    position = count()
+    at = [
+        np.fromiter(map(first.setdefault, words, position), dtype=np.int64, count=len(words))
+        for words in (doc.text.lower().split() for doc in docs)
+    ]
+    lens = np.fromiter(map(len, at), dtype=np.int64, count=len(at))
+    # every word, as the position where it first occurs (the empty array
+    # lets an empty corpus concatenate)
+    at = np.concatenate([np.empty(0, dtype=np.int64), *at])
+    punct = _punctuation(first)
+    stripped = [word.strip(punct) for word in first]
     tokens = sorted(set(stripped).difference(("",)))
     index = dict(zip(tokens, range(len(tokens))))
     index[""] = -1
-    # each raw word's token id; -1 marks a word that strips to nothing
-    word_id = dict(zip(distinct, map(index.__getitem__, stripped)))
-    ids = np.fromiter(map(word_id.__getitem__, flat), dtype=np.int64, count=len(flat))
-    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    # the token id at each first position; -1 marks a word that strips to nothing
+    word_id = np.empty(at.size, dtype=np.int64)
+    word_id[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.fromiter(
+        map(index.__getitem__, stripped), dtype=np.int64, count=len(stripped)
+    )
+    ids = word_id[at]
     dropped = ids < 0
     if dropped.any():
         lens -= np.bincount(np.repeat(np.arange(lens.size), lens)[dropped], minlength=lens.size)
@@ -197,10 +207,11 @@ def best_auroc_by_order(
     for order, starts, rank, size in _ngram_ranks(ids, lens, len(tokens), orders[-1]):
         if order not in orders:
             continue
-        # both sides counted over the union, in sorted n-gram order
-        human = starts < human_end
-        ca = np.bincount(rank[human], minlength=size)
-        cb = np.bincount(rank[~human], minlength=size)
+        # both sides counted over the union, in sorted n-gram order; the
+        # starts ascend and the human documents come first
+        split = np.searchsorted(starts, human_end)
+        ca = np.bincount(rank[:split], minlength=size)
+        cb = np.bincount(rank[split:], minlength=size)
         for name, c in (("human", ca), ("machine", cb)):
             if not c.any():
                 raise ValueError(f"{name} corpus has no n-grams at order {order}")

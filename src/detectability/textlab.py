@@ -86,16 +86,22 @@ def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) ->
     """Term counts of ``n_rows`` documents: entry ``(r, i)`` counts id ``i`` in row ``r``.
 
     ``rows`` gives each token's document row, and a token whose row is -1 is
-    left out; ``ids`` index the ``width`` columns.
+    left out; ``ids`` index the ``width`` columns.  The matrix is built in
+    canonical form, each row's columns sorted and distinct.
     """
     global sp
     import scipy.sparse as sp
 
     kept = rows >= 0
-    # duplicate (row, id) entries sum into term counts
-    return sp.csr_matrix(
-        (np.ones(np.count_nonzero(kept)), (rows[kept], ids[kept])), shape=(n_rows, width)
-    )
+    keys = rows[kept] * width + ids[kept]  # sorts like (row, id)
+    keys.sort()
+    # each run of equal keys is one entry, and its length the count
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=keys.size).astype(np.float64)
+    row, column = np.divmod(keys[starts], width)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((counts, column, indptr), shape=(n_rows, width))
 
 
 def _vocab_columns(counts: sp.csr_matrix, min_df: int) -> tuple[np.ndarray, np.ndarray]:
@@ -415,13 +421,17 @@ def _heldout_runs(
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    longest = lens.max()
+    if min(lengths) < longest:
+        offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     for length in lengths:
-        kept = offset < length
+        rows = train_rows, test_rows
+        if length < longest:  # some document is cut
+            kept = offset < length
+            rows = tuple(np.where(kept, r, -1) for r in rows)
         x_train, x_test = _heldout_features(
-            len(tokens), ids, np.where(kept, train_rows, -1), np.where(kept, test_rows, -1),
-            train.size, test.size, space, min_df,
+            len(tokens), ids, *rows, train.size, test.size, space, min_df
         )
         model, losses = train_logreg(x_train, y[train], config)
         yield y[test], model.decision_function(x_test), losses.size - 1, float(losses[-1])
@@ -469,9 +479,11 @@ def _pool_indices(labels: Sequence[Label], k: int, seed: int) -> np.ndarray:
             )
         members[label] = np.array(idx)
         rank[idx] = np.arange(len(idx))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)))
     out = np.empty((len(labels), k), dtype=np.int64)
     out[:, 0] = np.arange(len(labels))
+    if k == 1:  # nothing to draw
+        return out
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)))
     for i, label in enumerate(labels):
         # a draw over the class without i, shifted past i's own position
         chosen = rng.choice(members[label].size - 1, size=k - 1, replace=False)
