@@ -549,7 +549,9 @@ class TestPrefixStudy:
                 for d in docs
             ]
 
-        rows = auroc_vs_prefix_length(h, m, [3, 8, 40], seed=5)
+        # every document has 20 tokens: 19 cuts each one, 20 and 40 cut none
+        assert {len(tokenize(d.text)) for d in h + m} == {20}
+        rows = auroc_vs_prefix_length(h, m, [3, 8, 19, 20, 40], seed=5)
         for row in rows:
             ref = auroc_vs_prefix_length(
                 cut(h, row.length), cut(m, row.length), [row.length], seed=5
