@@ -221,9 +221,15 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
+    from .bounds import _check_int
     from .distributions import Categorical
     from .simulate import ExperimentConfig
 
+    if seed_override is not None:  # before the file is read, so a fault names the flag
+        try:
+            _check_int("--seed", seed_override, low=0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")

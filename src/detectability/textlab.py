@@ -14,20 +14,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expit
 
 from .bounds import _check_int, _check_ints, _check_real
 from .corpus import Document, _encode
 from .detector import Label, roc_from_scores
-
-# scipy is most of the package's import time, and only featurizing and
-# training need it, so those two functions import it when called.  They bind
-# ``sp`` at module level, which lets typing.get_type_hints resolve the
-# ``sp.csr_matrix`` annotations once either has run.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "LinearModel",
@@ -89,9 +84,6 @@ def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) ->
     left out; ``ids`` index the ``width`` columns.  The matrix is built in
     canonical form, each row's columns sorted and distinct.
     """
-    global sp
-    import scipy.sparse as sp
-
     kept = rows >= 0
     keys = rows[kept] * width + ids[kept]  # sorts like (row, id)
     keys.sort()
@@ -261,10 +253,6 @@ def train_logreg(
         at most ``epochs + 1`` entries, never increasing; ``losses[-1]`` is
         the final training loss.
     """
-    global sp
-    import scipy.sparse as sp
-    from scipy.special import expit
-
     cfg = config if config is not None else TrainConfig()
     x = features if sp.issparse(features) else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)

@@ -352,6 +352,16 @@ class TestSimulateCommand:
         assert strip_time(out_a) != strip_time(out_b)
         assert strip_time(out_a) == strip_time(out_c)
 
+    @pytest.mark.parametrize("name", ["seedless.json", "missing.json"])
+    def test_negative_seed_flag_names_the_flag(self, capsys, tmp_path, name):
+        # the override is checked before the file is read, so neither a config
+        # that holds no seed nor one that does not exist is blamed for it
+        config = {"m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [1], "trials_per_class": 10}
+        dist_file(tmp_path, "seedless.json", config)
+        code, out, err = run(capsys, "simulate", str(tmp_path / name), "--seed", "-4")
+        assert (code, out) == (2, "")
+        assert err == "detectability: error: --seed must be an integer >= 0, got -4\n"
+
     def test_missing_config_key_exit_two(self, capsys, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"m": [0.5, 0.5]}))

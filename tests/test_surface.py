@@ -6,7 +6,8 @@ dropped from ``__all__`` is silently never computed.  The import graph is
 surface too: every invocation pays for what it loads.  ``import
 detectability`` loads no submodule, ``import detectability.cli`` loads only
 the CLI, each subcommand loads the package modules it runs when it is
-dispatched, and scipy loads only when a corpus mode featurizes or trains.
+dispatched, and scipy loads only with ``textlab``, which only the two
+training modes, ``train-ablate`` and ``pairwise``, import.
 """
 
 import ast
@@ -15,21 +16,13 @@ import json
 import os
 import subprocess
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detectability
-from detectability import (
-    Label,
-    build_vocab,
-    featurize,
-    pairwise_auroc,
-    textlab,
-    train_logreg,
-)
+from detectability import Label
 
 from _synth import unigram_docs, write_jsonl
 
@@ -136,16 +129,6 @@ def test_every_private_function_has_a_caller():
     assert sorted(defined - used) == []
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats alone took about 0.6 s of the CLI's start-up
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, detectability.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
 def fresh_python(code, *args):
     """Standard output of ``code`` run with ``args`` in a new interpreter."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
@@ -214,17 +197,17 @@ print(json.dumps([loaded, detectability.__all__, sorted(set(star) - {"__builtins
     assert same and unlisted == []
 
 
-def loaded_after_cli(argvs):
-    """Exit codes of ``cli.main`` on each argument list, then the scipy and package modules loaded."""
+def loaded_after_cli(argv):
+    """Exit code of ``cli.main`` on ``argv``, then the scipy and package modules loaded."""
     code = """
 import contextlib, io, json, sys
 from detectability.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(sys.modules)]))
+    status = main(json.loads(sys.argv[1]))
+print(json.dumps([status, sorted(sys.modules)]))
 """
-    codes, loaded = json.loads(fresh_python(code, json.dumps(argvs)))
-    return codes, scipy_modules(loaded), package_modules(loaded)
+    status, loaded = json.loads(fresh_python(code, json.dumps(argv)))
+    return status, scipy_modules(loaded), package_modules(loaded)
 
 
 @pytest.fixture
@@ -260,6 +243,8 @@ def subcommands(p):
         "tv-by-order": ["corpus", "tv-by-order", "--human", p["human"], "--machine", p["machine"]],
         "train-ablate": ["corpus", "train-ablate", "--human", p["human"],
                          "--machine", p["machine"], "--lengths", "5,20"],
+        "pairwise": ["corpus", "pairwise", "--human", p["human"],
+                     "--machine", p["machine"], "--k-values", "1,2"],
     }
 
 
@@ -271,28 +256,20 @@ SUBCOMMAND_MODULES = {
     "simulate": ["bounds", "detector", "distributions", "simulate"],
     "tv-by-order": ["bounds", "corpus", "detector", "distributions"],
     "train-ablate": ["bounds", "corpus", "detector", "distributions", "textlab"],
+    "pairwise": ["bounds", "corpus", "detector", "distributions", "textlab"],
 }
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
 def test_subcommand_loads_only_its_modules(cli_inputs, command):
-    codes, _, loaded = loaded_after_cli([subcommands(cli_inputs)[command]])
-    assert codes == [0]
+    status, scipy, loaded = loaded_after_cli(subcommands(cli_inputs)[command])
+    assert status == 0
     want = ["cli", *SUBCOMMAND_MODULES[command]]
     assert loaded == ["detectability", *sorted(f"detectability.{m}" for m in want)]
-
-
-def test_closed_form_commands_load_no_scipy(cli_inputs):
-    argvs = [argv for name, argv in subcommands(cli_inputs).items() if name != "train-ablate"]
-    codes, scipy, _ = loaded_after_cli(argvs)
-    assert (codes, scipy) == ([0] * len(argvs), [])
-
-
-def test_training_loads_scipy(cli_inputs):
-    # the check above can fail: a mode that featurizes and trains loads scipy
-    codes, loaded, _ = loaded_after_cli([subcommands(cli_inputs)["train-ablate"]])
-    assert codes == [0]
-    assert {"scipy.sparse", "scipy.special"} <= set(loaded)
+    if "textlab" in SUBCOMMAND_MODULES[command]:  # the one module that imports scipy
+        assert {"scipy.sparse", "scipy.special"} <= set(scipy)
+    else:
+        assert scipy == []
 
 
 def text_docs():
@@ -300,41 +277,3 @@ def text_docs():
     human = unigram_docs(rng, np.full(6, 1 / 6), Label.HUMAN, 12, 20, "h")
     machine = unigram_docs(rng, np.arange(1, 7) / 21, Label.MACHINE, 12, 20, "m")
     return human, machine
-
-
-def train_on_features(human, machine):
-    docs = human + machine
-    y = [0] * len(human) + [1] * len(machine)
-    return train_logreg(featurize(docs, build_vocab(docs)), y)[0].weights
-
-
-# each is the first call into textlab in its interpreter, so it imports scipy itself
-TEXT_CALLS = {
-    "featurize": lambda human, machine: featurize(
-        human + machine, build_vocab(human + machine)
-    ).toarray(),
-    "train_logreg dense": lambda human, machine: train_logreg(
-        np.random.default_rng(3).random((20, 5)), [0, 1] * 10
-    )[0].weights,
-    "train_logreg sparse": train_on_features,
-    "pairwise_auroc": lambda human, machine: [
-        row.test_auroc for row in pairwise_auroc(human, machine, (1, 2, 3))
-    ],
-}
-
-
-def text_call(name):
-    """The scipy modules loaded before ``TEXT_CALLS[name]``, its value, and featurize's return hint."""
-    human, machine = text_docs()
-    before = scipy_modules(sys.modules)
-    value = np.asarray(TEXT_CALLS[name](human, machine)).tolist()
-    hint = typing.get_type_hints(textlab.featurize)["return"]
-    return before, value, f"{hint.__module__}.{hint.__qualname__}"
-
-
-@pytest.mark.parametrize("name", TEXT_CALLS)
-def test_textlab_imports_scipy_when_first_called(name):
-    code = "import json, sys; from test_surface import text_call; print(json.dumps(text_call(sys.argv[1])))"
-    before, value, hint = json.loads(fresh_python(code, name))
-    assert before == []
-    assert [value, hint] == list(text_call(name)[1:])
