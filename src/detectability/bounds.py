@@ -194,11 +194,12 @@ def tv_tensor_chernoff(n: int, chernoff: float) -> float:
 
     A rigorous floor at every ``n``: ``1 - TV_n = sum min(P^n, Q^n)`` is at
     most ``exp(-n * C)`` (Chernoff 1952, since ``min(a, b) <= a^s b^(1-s)``),
-    and :func:`chernoff_information` rounds its Newton minimum down to at
-    most the true ``C``, so it holds for the computed value too, up to the
-    rounding of this formula.  It is an equality where one mass vector
-    dominates the other on their common support.  ``chernoff`` may be
-    ``inf`` (disjoint supports), giving 1 for every ``n``.
+    and :func:`chernoff_information` steps its float64 value down by an
+    a-priori bound on its rounding, to at most the true ``C``, so it holds
+    for the computed value too, up to the rounding of this formula.  It is
+    an equality where one mass vector dominates the other on their common
+    support.  ``chernoff`` may be ``inf`` (disjoint supports), giving 1 for
+    every ``n``.
     """
     n = _check_int("n", n)
     chernoff = _check_real("chernoff", chernoff, 0, math.inf, "[]")

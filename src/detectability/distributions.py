@@ -40,7 +40,7 @@ PROB_SUM_TOL = 1e-12
 # Brute-force region search enumerates 2**support_size subsets.
 BRUTEFORCE_MAX_SUPPORT = 20
 
-_EPS = float(np.finfo(np.longdouble).eps)  # 2**-63 where long double is x87's
+_ULPS = 4  # the Chernoff floor's assumed bound on numpy's log and exp error, in ulps
 
 
 class DimensionError(ValueError):
@@ -178,22 +178,6 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
     return min(float(0.5 * np.abs(p.probs - q.probs).sum()), 1.0)
 
 
-def _logsumexp(a: np.ndarray) -> np.floating:
-    """``log(sum(exp(a)))`` for a nonempty finite float vector, in its dtype.
-
-    The maximum terms are separated out of the shifted sum (Blanchard, Higham
-    & Higham 2021, doi:10.1093/imanum/draa038), in the same operations as
-    ``scipy.special.logsumexp``, so the two agree bit for bit on float64.
-    """
-    a_max = a.max()
-    top = a == a_max
-    m = np.count_nonzero(top)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-    if s != 0.0:
-        s = s / m
-    return np.log1p(s) + np.log(a.dtype.type(m)) + a_max
-
-
 def chernoff_information(p: Categorical, q: Categorical) -> float:
     """Chernoff information ``-min_a f(a)``, ``f(a) = log sum_s p(s)^a q(s)^(1-a)``.
 
@@ -204,10 +188,10 @@ def chernoff_information(p: Categorical, q: Categorical) -> float:
     Bracketed Newton on ``f'`` from the secant root, bisecting where a step
     leaves the bracket or ``f''`` reads 0, stops at a step under 1e-9.  ``-f``
     at any ``a`` is at most the value for the stored masses; it is taken in
-    ``np.longdouble`` at an ``a`` with ``1 - a`` exact, stepped down by
-    ``4 eps (1 + M)`` for ``M`` the largest ``|log mass|`` (its error against
-    50-digit arithmetic, measured on x87 80-bit long double only, was under
-    ``0.7 eps (1 + M)``) and rounded down to float64, so it is a floor.
+    float64 by the shifted log-sum-exp and stepped down by an a-priori bound
+    on its rounding error (Higham 2002, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), so it is a floor wherever numpy's ``log`` and
+    ``exp`` are within ``_ULPS`` = 4 ulps.
 
     Returns
     -------
@@ -227,8 +211,8 @@ def chernoff_information(p: Categorical, q: Categorical) -> float:
     common = (p.probs > 0.0) & (q.probs > 0.0)
     if not common.any():
         return math.inf
-    lq = q.log_probs()[common]
-    d = p.log_probs()[common] - lq
+    lp, lq = p.log_probs()[common], q.log_probs()[common]
+    d = lp - lq
 
     def slope(alpha: float) -> tuple[float, float]:
         t = lq + alpha * d
@@ -245,10 +229,24 @@ def chernoff_information(p: Categorical, q: Categorical) -> float:
         lo, hi = (alpha, hi) if g < 0.0 else (lo, alpha)
         step = g / h if h > 0.0 else math.inf  # no curvature seen: bisect
         alpha = alpha - step if abs(step) <= 1e-9 or lo < alpha - step < hi else (lo + hi) / 2
-    alpha = round(alpha * 2**53) / 2**53  # on this grid 1 - alpha is exact
-    xp, xq = (np.log(x.probs[common].astype(np.longdouble)) for x in (p, q))
-    c = -_logsumexp(alpha * xp + (1.0 - alpha) * xq) - 4 * _EPS * (1 - min(xp.min(), xq.min()))
-    return max(0.0, float(c - np.spacing(np.float64(c))))  # to nearest: still below c
+    a = alpha * d
+    t = lq + a
+    top = t.max()
+    s = t - top
+    w = np.exp(s)  # the largest is exp(0) = 1, so the sum is at least 1
+    ls = np.log(w.sum())
+    c = -(top + ls)
+    # An a-priori bound on c's rounding error (Higham 2002, ch. 3), each log and
+    # exp within _ULPS spacings: per t, the logs' errors weighted by 1 - alpha and
+    # alpha, and half a spacing per rounding of d, alpha * d, the add and the shift;
+    # for the sum, the exps' errors (against a sum >= 1) and gamma_(k-1) for k
+    # nonnegative terms, doubled as -log(1 - x) <= 2x, with 2 eps spare for the
+    # margin's own rounding; the final log; a spacing of c for the add and subtract.
+    ku = (w.size - 1) * 2.0**-53
+    err = _ULPS * ((1 - alpha) * np.spacing(-lq) + alpha * np.spacing(-lp))
+    err += np.spacing(np.abs([d, a, t, s])).sum(axis=0) / 2
+    err = err.max() + 2 * (_ULPS * np.spacing(w).sum() + ku / (1 - ku))
+    return max(0.0, float(c - (err + _ULPS * np.spacing(ls) + np.spacing(abs(c)))))
 
 
 def product_tv_exact(p: Categorical, q: Categorical, n: int) -> float:

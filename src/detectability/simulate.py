@@ -275,7 +275,9 @@ def _copy_sampler(dist: Categorical, dep: DependenceSpec, n: int):
     offset, rho = _copy_positions(dep, n)
     k = dist.support_size
     start = np.arange(n) - offset  # block head of each position
-    cdf = np.cumsum(dist.probs)
+    # the last index with mass takes every uniform past the cdf below it, so a
+    # cdf that ends an ulp under 1.0 sends none to an index without mass
+    cdf = np.cumsum(dist.probs)[: np.flatnonzero(dist.probs)[-1]]
     # the positions at block offset i are by_offset[ends[i - 1]:ends[i]]
     by_offset = np.argsort(offset, kind="stable")
     ends = np.cumsum(np.bincount(offset))
@@ -287,8 +289,6 @@ def _copy_sampler(dist: Categorical, dep: DependenceSpec, n: int):
     def draw(trials: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((3, trials, n))
         vals = np.searchsorted(cdf, u[0], side="right")
-        # cdf[-1] can sit one ulp under 1.0; clamp the overflow bucket
-        np.minimum(vals, k - 1, out=vals)
         copies = u[1] < rho
         for i, pos, head in groups:
             targets = head + np.minimum((u[2][:, pos] * i).astype(np.int64), i - 1)

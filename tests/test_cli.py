@@ -88,10 +88,10 @@ class TestTvCommand:
         assert float(rows[0]["auroc_upper"]) == pytest.approx(0.595, abs=1e-12)
 
     def test_chernoff_cell_is_pinned(self, capsys, bern_pair):
-        # the float chernoff_information returns for this pair, as printed,
-        # with x87 80-bit np.longdouble (its eps sets the step down)
+        # the float chernoff_information returns for this pair, as printed:
+        # the float64 value stepped down by its a-priori rounding margin
         _, out, _ = run(capsys, "tv", *bern_pair)
-        assert parse_csv(out)[1][0]["chernoff_information"] == "0.005076770485344707"
+        assert parse_csv(out)[1][0]["chernoff_information"] == "0.005076770485340851"
 
     def test_json_output_with_infinity(self, capsys, tmp_path):
         mp = dist_file(tmp_path, "m.json", [1, 0])
@@ -1024,6 +1024,20 @@ class TestOutputHandling:
             "tv", *bern_pair, "--out", str(tmp_path / "missing" / "result.csv"),
         )
         assert code == 2
+
+    def test_out_naming_a_directory_exits_two_and_removes_its_temp_file(
+        self, capsys, bern_pair, tmp_path
+    ):
+        # the text is written to a temp file beside the target, which cannot
+        # replace a directory; the temp file goes before the error is shown
+        target = tmp_path / "result"
+        target.mkdir()
+        code, out, err = run(capsys, "tv", *bern_pair, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("detectability: error: ")
+        assert sorted(os.listdir(tmp_path)) == ["h.json", "m.json", "result"]
+        assert os.listdir(target) == []
 
     def test_json_format_is_valid_and_carries_config(self, capsys, bern_pair):
         code, out, _ = run(capsys, "tv", *bern_pair, "--format", "json")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from detectability import (
     BudgetError,
@@ -21,7 +20,6 @@ from detectability import (
 )
 
 from detectability.distributions import (
-    _logsumexp,
     _product_tvs,
     _within_budget,
 )
@@ -43,17 +41,19 @@ def product_tv_oracle(p: Categorical, q: Categorical, n: int) -> float:
 
 
 @st.composite
-def small_pairs(draw):
-    """Categorical pairs on k <= 4 indices, zero masses allowed on either side."""
-    k = draw(st.integers(1, 4))
-    weights = st.lists(
-        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=k, max_size=k
-    ).filter(any)
+def small_pairs(draw, max_k=4, mass=st.floats(1e-3, 1.0)):
+    """Categorical pairs on k <= max_k indices, zero masses allowed on either side."""
+    k = draw(st.integers(1, max_k))
+    weights = st.lists(st.one_of(st.just(0.0), mass), min_size=k, max_size=k).filter(any)
     pair = []
     for _ in range(2):
         w = np.array(draw(weights))
         pair.append(Categorical(w / w.sum()))
     return pair[0], pair[1], draw(st.integers(1, 6))
+
+
+# pairs on up to 40 indices, masses log-uniform down to about 1e-300
+WIDE_PAIRS = small_pairs(40, st.floats(0.0, 300.0).map(lambda e: 10.0**-e))
 
 
 def chernoff_grid_oracle(p: Categorical, q: Categorical, step: float = 1e-6) -> float:
@@ -186,13 +186,12 @@ class TestChernoffInformation:
             CHERNOFF_BERN_6_VS_5, abs=1e-12
         )
 
-    def test_pinned_to_scipy_logsumexp_value(self):
-        # the Newton minimum, evaluated in extended precision and rounded
-        # down: two float64 steps under the 50-digit value of the stored
-        # masses, 0.00507677048534470852...; the tv command's pinned cell
-        # covers the same pair read from files.  Both pins assume x87 80-bit
-        # np.longdouble, whose eps sets the step down
-        assert chernoff_information(BERN_6, BERN_5) == 0.005076770485344707
+    def test_pinned_float64_floor_value(self):
+        # the Newton minimum, evaluated in float64 and stepped down by its
+        # a-priori rounding margin: 3.9e-15 under the 50-digit value of the
+        # stored masses, 0.00507677048534470852...; the tv command's pinned
+        # cell covers the same pair read from files
+        assert chernoff_information(BERN_6, BERN_5) == 0.005076770485340851
 
     def test_oracle_reproduces_frozen_constant(self):
         assert chernoff_grid_oracle(BERN_6, BERN_5) == pytest.approx(
@@ -234,6 +233,22 @@ class TestChernoffInformation:
         assert Decimal(got) <= want
         assert want - Decimal(got) <= Decimal("1e-12")
 
+    @settings(max_examples=60, deadline=None)
+    @given(WIDE_PAIRS)
+    # logs near -690, where each log's allowance is largest
+    @example((Categorical([1e-300, 0.5, 0.5]), Categorical([0.5, 1e-300, 0.5]), 1))
+    def test_floor_on_50_digit_value_for_wide_pairs(self, case):
+        p, q, _ = case
+        got = chernoff_information(p, q)
+        want = max(chernoff_decimal(p, q), Decimal(0))
+        if want.is_infinite():
+            assert got == math.inf
+            return
+        assert Decimal(got) <= want
+        # the margin and the error it covers are each under 1e-12 while every
+        # |log mass| is under 1024
+        assert want - Decimal(got) <= Decimal("2e-12")
+
     def test_symmetry_and_grid_agreement(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -246,32 +261,6 @@ class TestChernoffInformation:
             assert a == pytest.approx(b, abs=1e-10)
             assert a == pytest.approx(chernoff_grid_oracle(p, q, 1e-4), abs=1e-7)
             assert a >= 0.0
-
-
-class TestLogsumexp:
-    """``_logsumexp`` does scipy's operations, so it must match bit for bit."""
-
-    def test_matches_scipy_on_random_vectors(self):
-        rng = np.random.default_rng(2)
-        for _ in range(2000):
-            scale = float(rng.choice([1e-3, 1.0, 30.0, 800.0]))
-            a = rng.normal(scale=scale, size=int(rng.integers(1, 40)))
-            assert _logsumexp(a) == float(logsumexp(a))
-
-    def test_matches_scipy_on_tied_maxima(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a = np.round(rng.normal(scale=3.0, size=int(rng.integers(2, 40))))
-            a[rng.integers(0, a.size, size=int(rng.integers(1, a.size + 1)))] = a.max()
-            assert _logsumexp(a) == float(logsumexp(a))
-        for a in ([0.0, 0.0], [-5.0] * 7, [700.0, 700.0, -700.0]):
-            a = np.array(a)
-            assert _logsumexp(a) == float(logsumexp(a))
-
-    @pytest.mark.parametrize("x", [0.0, -0.0, 1.5, -745.0, 709.0, -1e300])
-    def test_length_one_is_the_entry(self, x):
-        a = np.array([x])
-        assert _logsumexp(a) == float(logsumexp(a)) == x
 
 
 class TestProductTvExact:

@@ -184,6 +184,24 @@ class TestSampleNoniid:
             assert (counts % 5 == 0).all(), sampler.__name__
             assert (counts % 10 != 0).any(), sampler.__name__  # blocks vary within a set
 
+    def test_uniform_past_the_cdf_lands_on_the_last_index_with_mass(self):
+        # these masses cumulate to 1 - 2**-52, so the largest uniform under 1
+        # falls past the cdf; it belongs to index 9, not the massless index 10
+        w = np.random.default_rng(6).random(10)
+        dist = Categorical([*(w / w.sum()).tolist(), 0.0])
+        assert np.cumsum(dist.probs)[-1] < np.nextafter(1.0, 0.0)
+
+        class TopUniforms:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        counts = sample_copy(dist, DependenceSpec([(2, 0.5)]), 4, 3, TopUniforms())
+        want = np.zeros((3, 11), dtype=np.int64)
+        want[:, 9] = 4
+        np.testing.assert_array_equal(counts, want)
+        other = Categorical([*(w[::-1] / w.sum()).tolist(), 0.0])
+        assert np.isfinite(log_likelihood_ratio(dist, other, counts)).all()
+
     def test_rho_zero_matches_marginal(self):
         dep = DependenceSpec([(5, 0.0)])
         for sampler in SAMPLERS:
@@ -462,9 +480,9 @@ class TestTrialRng:
                 [50, 100, 300],
                 [(10, 0.5)],
                 [
-                    (50, 0.7234065, 0.6990539388397423),
-                    (100, 0.801736, 0.8188629365442529),
-                    (300, 0.9159545, 0.9762271111551745),
+                    (50, 0.7234065, 0.6990539388396263),
+                    (100, 0.801736, 0.8188629365441132),
+                    (300, 0.9159545, 0.9762271111551195),
                 ],
             ),
             # n = 55 adds the truncated kind (5, 0.5); n = 100 reuses (10, 0.5)
@@ -472,9 +490,9 @@ class TestTrialRng:
                 [50, 55, 100],
                 [(10, 0.5), (5, 0.5)],
                 [
-                    (50, 0.7234065, 0.6990539388397423),
-                    (55, 0.7354795, 0.7139509370068048),
-                    (100, 0.801736, 0.8188629365442529),
+                    (50, 0.7234065, 0.6990539388396263),
+                    (55, 0.7354795, 0.7139509370066836),
+                    (100, 0.801736, 0.8188629365441132),
                 ],
             ),
         ],

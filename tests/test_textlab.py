@@ -291,6 +291,21 @@ class TestTrainLogreg:
         assert len(losses) - 1 == TrainConfig.epochs
         assert not meets_gradient_stop(x, y, model)  # the gradient is above 1e-6 of its start
 
+    def test_stops_where_no_step_lowers_the_loss(self):
+        # features this small leave the optimum flat: a few iterations reach
+        # it within an ulp, where no halved step lowers the loss at float
+        # precision, while the gradient is still above 1e-6 of its start
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(16, 5)) * 2e-3
+        y = (rng.random(16) < 0.5).astype(float)
+        y[:2] = [0.0, 1.0]
+        model, losses = train_logreg(x, y)
+        assert len(losses) - 1 < TrainConfig.epochs
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert not meets_gradient_stop(x, y, model)
+        best = newton_optimum_loss(x, y)
+        assert losses[-1] - best <= 8 * np.finfo(float).eps * best
+
     def test_separable_pair_classifies_correctly(self):
         x = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         y = np.array([0, 1])
