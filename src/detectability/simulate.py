@@ -10,16 +10,18 @@ largest in-budget ``n``.
 Reproducibility: the trials of each ``(n, class)`` are drawn in fixed-size
 chunks, and chunk ``j`` gets its own generator, keyed by
 ``(seed, n, class_index, j)`` with class index 0 for machine and 1 for human.
-A chunk holds at most ``_CHUNK_CELLS`` (2**16) cells, counting ``max(n, k)``
-cells per trial for support size ``k``, so it covers ``2**16 // max(n, k)``
-trials (at least one).  Each chunk is sampled as a matrix of per-trial count
-vectors and scored in one call: iid chunks by one multinomial draw,
-block-dependent ones as :func:`sample_noniid` describes, by a rule that
-depends only on the support size, the block pattern and ``n``, so every
-chunk of a row uses the same sampler.  Block laws are built once per run,
-per class and kind, and copy positions once per row; each chunk only draws.
-Results are therefore bit-identical across runs; wall-clock columns are the
-only nondeterministic output.
+A chunk holds at most ``_CHUNK_CELLS`` (2**16) cells, counting the cells one
+trial's sampler holds: ``k`` for an iid trial over support size ``k`` (one row
+of a multinomial draw, whatever ``n`` is) and ``max(n, k)`` for a
+block-dependent one.  So an iid chunk covers ``2**16 // k`` trials and a
+dependent one ``2**16 // max(n, k)`` (at least one).  Each chunk is sampled
+as a matrix of per-trial count vectors and scored in one call: iid chunks by
+one multinomial draw, block-dependent ones as :func:`sample_noniid`
+describes, by a rule that depends only on the support size, the block
+pattern and ``n``, so every chunk of a row uses the same sampler.  Block
+laws are built once per run, per class and kind, and copy positions once per
+row; each chunk only draws.  Results are therefore bit-identical across
+runs; wall-clock columns are the only nondeterministic output.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ _MACHINE, _HUMAN = 0, 1
 # The sample counts numpy's samplers take are C longs.
 _MAX_N = np.iinfo(np.int64).max
 
-# One chunk of trials holds at most this many cells, counting max(n, k) cells
-# per trial (k the support size); it bounds the sampler's working memory.
+# One chunk of trials holds at most this many cells, counting the cells one
+# trial's sampler holds: k for iid (k the support size), max(n, k) for
+# block-dependent; it bounds the sampler's working memory.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -137,9 +140,14 @@ def trial_rng(seed: int, n: int, class_index: int, chunk: int) -> np.random.Gene
     )
 
 
-def _chunk_trials(n: int, k: int) -> int:
-    """Trials per chunk: as many as fit :data:`_CHUNK_CELLS` at ``max(n, k)`` each."""
-    return max(1, _CHUNK_CELLS // max(n, k))
+def _chunk_trials(cells_per_trial: int) -> int:
+    """Trials per chunk: as many as fit :data:`_CHUNK_CELLS` at ``cells_per_trial`` each.
+
+    An iid trial holds ``k`` cells, its row of one multinomial draw; a
+    block-dependent one is counted at ``max(n, k)``, for the copy process's
+    ``n`` samples per trial and the ``k``-cell count row.
+    """
+    return max(1, _CHUNK_CELLS // cells_per_trial)
 
 
 def sample_iid(
@@ -180,12 +188,12 @@ def _law_selected(dep: DependenceSpec, n: int, k: int) -> bool:
     """Whether :func:`sample_noniid` draws ``dep`` at ``n`` from the exact block laws.
 
     True when the law sampler touches no more cells than the copy process
-    on a full chunk of ``T = _chunk_trials(n, k)`` trials, which touches
-    ``T * n``: building each distinct kind's law touches ``k`` cells per
-    count type of every step, ``k * C(c + k - 1, c - 1)`` in all, and the
-    draws one cell per trial and type of the ``C(c + k - 1, c)``.  Each
-    kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must also
-    fit in int64.
+    on a full dependent chunk of ``T = _chunk_trials(max(n, k))`` trials,
+    which touches ``T * n``: building each distinct kind's law touches ``k``
+    cells per count type of every step, ``k * C(c + k - 1, c - 1)`` in all,
+    and the draws one cell per trial and type of the ``C(c + k - 1, c)``.
+    Each kind's mixed-radix type keys ``sum_j counts_j * (c + 1)**j`` must
+    also fit in int64.
 
     The count charges the law build to every chunk although a run builds
     its laws once, and near the crossover it can pick the slower sampler.
@@ -193,7 +201,7 @@ def _law_selected(dep: DependenceSpec, n: int, k: int) -> bool:
     stream contract, and any other count would change some rows' streams.
     """
     kinds = _block_kinds(dep, n)
-    trials = _chunk_trials(n, k)
+    trials = _chunk_trials(max(n, k))
     cells = sum(
         k * math.comb(c + k - 1, c - 1) + trials * math.comb(c + k - 1, c) for c, _ in kinds
     )
@@ -364,7 +372,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     rows = []
     for n in config.n_values:
         t0 = time.perf_counter()
-        step = _chunk_trials(n, k)
+        step = _chunk_trials(k if config.dependence is None else max(n, k))
         per_class: list[np.ndarray] = []
         for class_index, dist in ((_MACHINE, config.m), (_HUMAN, config.h)):
             if config.dependence is None:

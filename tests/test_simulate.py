@@ -405,12 +405,36 @@ class TestTrialRng:
         draws = [g.multinomial(300, [0.4, 0.6], size=4).tolist() for g in (got, want)]
         assert draws[0] == draws[1]
 
-    def test_chunk_size_counts_max_of_n_and_support(self):
-        assert _chunk_trials(1, 1) == _CHUNK_CELLS
-        assert _chunk_trials(1, 2) == _CHUNK_CELLS // 2
-        assert _chunk_trials(300, 2) == _CHUNK_CELLS // 300
-        assert _chunk_trials(4, 1000) == _CHUNK_CELLS // 1000
-        assert _chunk_trials(10 * _CHUNK_CELLS, 2) == 1
+    def test_chunk_size_counts_the_cells_of_one_trial(self):
+        # k cells for an iid trial, max(n, k) for a block-dependent one
+        assert _chunk_trials(1) == _CHUNK_CELLS
+        assert _chunk_trials(2) == _CHUNK_CELLS // 2
+        assert _chunk_trials(300) == _CHUNK_CELLS // 300
+        assert _chunk_trials(1000) == _CHUNK_CELLS // 1000
+        assert _chunk_trials(10 * _CHUNK_CELLS) == 1
+
+    @pytest.mark.parametrize(
+        "m, h, dependence, n, trials, chunks",
+        [
+            # an iid chunk holds 2**16 // k trials whatever n is
+            (BERN_6, BERN_5, None, 300, 2**16 + 1, 3),
+            (BERN_6, BERN_5, None, 10**9, 2**16 + 1, 3),
+            (TRI, Categorical(np.full(3, 1 / 3)), None, 10**9, 2**16 // 3 + 1, 2),
+            # a dependent one 2**16 // max(n, k): 218 trials at n = 300
+            (BERN_6, BERN_5, DependenceSpec([(10, 0.5)]), 300, 500, 3),
+        ],
+        ids=["iid-n300", "iid-n1e9", "iid-k3", "dependent-n300"],
+    )
+    def test_chunks_seeded_per_class(self, monkeypatch, m, h, dependence, n, trials, chunks):
+        keys = []
+
+        def counting(*key):
+            keys.append(key)
+            return trial_rng(*key)
+
+        monkeypatch.setattr(simulate, "trial_rng", counting)
+        run_experiment(ExperimentConfig(m, h, [n], trials, dependence=dependence, seed=1))
+        assert keys == [(1, n, c, j) for c in (0, 1) for j in range(chunks)]
 
     def test_chunk_contract_covers_both_samplers(self):
         assert [_law_selected(dep, 300, 3) for dep in CONTRACT_DEPS] == [True, False]
@@ -420,11 +444,15 @@ class TestTrialRng:
         # chunk j of (seed, n, class) is sampled and scored from
         # trial_rng(seed, n, class, j); rebuilding every chunk by hand must
         # reproduce the run's AUROC exactly, and a row's sampler, built once,
-        # must draw each chunk as sample_noniid does
-        n, trials, seed = 300, 500, 4
-        uniform = Categorical(np.full(3, 1 / 3))
-        cfg = ExperimentConfig(TRI, uniform, [n], trials, dependence=dependence, seed=seed)
-        step = _chunk_trials(n, 3)
+        # must draw each chunk as sample_noniid does.  The iid pair stays
+        # short of AUROC 1, so a chunking off the contract moves its AUROC
+        n, seed = 300, 4
+        if dependence is None:
+            m, h, trials, step = BERN_6, BERN_5, 2**15 + 500, _chunk_trials(2)
+        else:
+            m, h, trials = TRI, Categorical(np.full(3, 1 / 3)), 500
+            step = _chunk_trials(max(n, 3))
+        cfg = ExperimentConfig(m, h, [n], trials, dependence=dependence, seed=seed)
         assert trials > step  # the run spans several chunks
         per_class = []
         for class_index, dist in ((0, cfg.m), (1, cfg.h)):
@@ -459,7 +487,7 @@ class TestTrialRng:
         )
         want = []
         for n in n_values:
-            step = _chunk_trials(n, 3)
+            step = _chunk_trials(max(n, 3))
             per_class = []
             for class_index, dist in ((0, cfg.m), (1, cfg.h)):
                 parts = []
@@ -597,8 +625,8 @@ class TestRunExperiment:
             assert ra.auroc_upper_chernoff == rb.auroc_upper_chernoff
 
     def test_multi_chunk_reruns_are_bit_identical(self):
-        trials = 3 * _chunk_trials(300, 2) + 7
-        for dep in (None, DependenceSpec([(10, 0.5)])):
+        for dep, cells in ((None, 2), (DependenceSpec([(10, 0.5)]), 300)):
+            trials = 3 * _chunk_trials(cells) + 7
             cfg = ExperimentConfig(BERN_6, BERN_5, [300], trials, dependence=dep, seed=5)
             a, b = run_experiment(cfg), run_experiment(cfg)
             assert a[0].empirical_auroc == b[0].empirical_auroc
@@ -691,8 +719,8 @@ class TestRunExperiment:
     def test_criterion_06_grid_calls_each_public_stage(self, monkeypatch):
         # the benchmark's tracer times these three by patching exactly these
         # bindings; work moved into a private routine would read 0 calls.
-        # 2,000 trials a class: n = 300 takes ten 218-trial chunks a class,
-        # every smaller n one chunk
+        # 2,000 trials a class: an iid chunk holds 2**16 // 2 = 32,768
+        # trials whatever n is, so every n, 300 included, is one chunk a class
         calls = Counter()
         for name in ("log_likelihood_ratio", "roc_from_scores", "chernoff_information"):
             fn = getattr(simulate, name)
@@ -703,7 +731,7 @@ class TestRunExperiment:
 
             monkeypatch.setattr(simulate, name, counting)
         run_experiment(ExperimentConfig(BERN_6, BERN_5, [1, 2, 4, 8, 16, 300], 2000, seed=106))
-        want = {"log_likelihood_ratio": 30, "roc_from_scores": 6, "chernoff_information": 1}
+        want = {"log_likelihood_ratio": 12, "roc_from_scores": 6, "chernoff_information": 1}
         assert calls == want
 
     def test_rows_past_the_budget_raise_no_budget_error(self, monkeypatch):
@@ -773,8 +801,22 @@ class TestStreamPin:
             # copy path: n far below a pattern of 10**12 samples
             (BERN_6, BERN_5, [(10**12, 0.5)], {5: 0.6080125, 64: 0.6910625}),
             (BERN_6, BERN_5, None, {20: 0.73886875}),
+            # iid rows with n > k, one 2**16 // k chunk whatever n is; at
+            # n = 10**6 a close pair keeps the AUROC short of 1
+            (BERN_6, BERN_5, None, {300: 0.99205}),
+            (Categorical.bernoulli(0.5005), BERN_5, None, {10**6: 0.774990625}),
         ],
-        ids=["law", "mixed", "shared-law", "long", "wide", "huge-pattern", "iid"],
+        ids=[
+            "law",
+            "mixed",
+            "shared-law",
+            "long",
+            "wide",
+            "huge-pattern",
+            "iid",
+            "iid-n300",
+            "iid-n1e6",
+        ],
     )
     def test_empirical_auroc_is_pinned(self, m, h, blocks, want):
         dep = DependenceSpec(blocks) if blocks else None
