@@ -2,8 +2,9 @@
 
 Builds two synthetic corpora from slightly different unigram sources and
 runs the full text pipeline: plug-in TV by n-gram order (with the support
-overlap that flags sparsity artifacts), a classifier trained on truncated
-prefixes, and pooled k-document decisions.
+overlap that flags sparsity artifacts), one classifier trained on whole
+documents and scored on test prefixes of growing length, and pooled
+k-document decisions scored by that same classifier.
 """
 
 import numpy as np

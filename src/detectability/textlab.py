@@ -2,11 +2,13 @@
 
 A deliberately small stack -- bag-of-words features, L2-regularized logistic
 loss minimized by L-BFGS -- because the point of these experiments is not
-classifier quality but how detection accuracy moves with the amount of text:
-longer prefixes per document, or several same-class documents pooled into
-one decision.  Pooling trains no new model: one model scores each held-out
-document, and a k-tuple's score is the sum of its members' decision values,
-the multi-sample log-likelihood-ratio rule.
+classifier quality but how detection accuracy moves with the amount of text
+the detector sees at test time: longer prefixes per document, or several
+same-class documents pooled into one decision.  Both studies train one model,
+on the whole training documents.  The prefix study cuts only the held-out
+documents; pooling scores each whole held-out document once, and a k-tuple's
+score is the sum of its members' decision values, the multi-sample
+log-likelihood-ratio rule.
 """
 
 from __future__ import annotations
@@ -316,11 +318,12 @@ def train_logreg(
 
 @dataclass(frozen=True)
 class PrefixRow:
-    """Test AUROC when documents are truncated to a fixed token length.
+    """Test AUROC when test documents are cut to a fixed token length.
 
-    ``epochs`` and ``final_loss`` are the iterations the length's model
-    trained for and its final training loss; ``epochs`` equal to the cap
-    means the cap, not a stop rule, ended training (:func:`train_logreg`).
+    ``epochs`` and ``final_loss`` are the iterations the study's one model,
+    fit on the whole training documents, trained for and its final training
+    loss, the same on every row; ``epochs`` equal to the cap means the cap,
+    not a stop rule, ended training (:func:`train_logreg`).
     """
 
     length: int
@@ -371,58 +374,41 @@ def _check_study_options(
     return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df), seed
 
 
-def _heldout_features(
-    n_tokens: int,
-    ids: np.ndarray,
-    train_rows: np.ndarray,
-    test_rows: np.ndarray,
-    n_train: int,
-    n_test: int,
-    space: str,
-    min_df: int,
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Train and test feature matrices over the vocabulary of the train rows alone.
-
-    Token rows and ids are as in :func:`_count_matrix`; the vocabulary is the
-    ids in at least ``min_df`` train rows.
-    """
-    train = _count_matrix(train_rows, ids, n_train, n_tokens)
-    test = _count_matrix(test_rows, ids, n_test, n_tokens)
-    columns, doc_freq = _vocab_columns(train, min_df)
-    return tuple(_weigh(c[:, columns], doc_freq, n_train, space) for c in (train, test))
-
-
 def _auroc(scores: np.ndarray, y: np.ndarray) -> float:
     return roc_from_scores(scores[y == 1.0], scores[y == 0.0]).auroc
 
 
-def _heldout_runs(
-    human_docs: Sequence[Document], machine_docs: Sequence[Document], lengths,
+def _heldout_fit(
+    human_docs: Sequence[Document], machine_docs: Sequence[Document],
     train_frac: float, seed: int, space: str, min_df: int, config: TrainConfig | None,
 ):
-    """Yield ``(test_labels, test_scores, epochs, final_loss)`` for each length.
+    """The study's one model, fit on the whole training documents, and its test split.
 
-    Each run follows :func:`auroc_vs_prefix_length`'s study; ``math.inf`` keeps
-    documents whole.  Labels are 0 for human and 1 for machine.
+    Returns ``(test_labels, epochs, final_loss, test_scores)``, labels 0 for
+    human and 1 for machine.  The vocabulary is the tokens in at least
+    ``min_df`` training documents.  ``test_scores(length)`` gives the model's
+    decision values on the test documents cut to their first ``length``
+    tokens, counted on that vocabulary and weighed with the training idf; by
+    default ``length`` is the longest document's, which cuts none.
     """
     train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed, space)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
-    train_rows, test_rows = _doc_rows(lens, train), _doc_rows(lens, test)
-    longest = lens.max()
-    if min(lengths) < longest:
-        offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    counts = _count_matrix(_doc_rows(lens, train), ids, train.size, len(tokens))
+    columns, doc_freq = _vocab_columns(counts, min_df)
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
-    for length in lengths:
-        rows = train_rows, test_rows
-        if length < longest:  # some document is cut
-            kept = offset < length
-            rows = tuple(np.where(kept, r, -1) for r in rows)
-        x_train, x_test = _heldout_features(
-            len(tokens), ids, *rows, train.size, test.size, space, min_df
-        )
-        model, losses = train_logreg(x_train, y[train], config)
-        yield y[test], model.decision_function(x_test), losses.size - 1, float(losses[-1])
+    model, losses = train_logreg(
+        _weigh(counts[:, columns], doc_freq, train.size, space), y[train], config
+    )
+    test_rows = _doc_rows(lens, test)
+    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+
+    def test_scores(length: int = lens.max()) -> np.ndarray:
+        rows = np.where(offset < length, test_rows, -1)
+        cut = _count_matrix(rows, ids, test.size, len(tokens))[:, columns]
+        return model.decision_function(_weigh(cut, doc_freq, train.size, space))
+
+    return y[test], losses.size - 1, float(losses[-1]), test_scores
 
 
 def auroc_vs_prefix_length(
@@ -436,18 +422,22 @@ def auroc_vs_prefix_length(
     min_df: int = 2,
     config: TrainConfig | None = None,
 ) -> list[PrefixRow]:
-    """Detection accuracy as a function of document prefix length.
+    """Detection accuracy as a function of how much of each test document is seen.
 
-    One stratified train/test split is drawn and reused for every length;
-    at each length all documents are truncated to their first ``length``
-    tokens, the vocabulary is rebuilt from the truncated training split,
-    a logistic model is trained, and the test AUROC recorded.
+    One stratified train/test split is drawn, and one logistic model is
+    trained on the whole training documents, over their vocabulary and idf.
+    At each length the test documents are cut to their first ``length``
+    tokens, weighed on that vocabulary and idf, and scored by the model, and
+    the test AUROC recorded.  So length varies only what the detector sees at
+    test time, and every row shares the one model's ``epochs`` and
+    ``final_loss``.  A length that cuts no document gives the k = 1 row of
+    :func:`pairwise_auroc` with the same options.
     """
     lengths = _check_ints("lengths", lengths)
-    runs = _heldout_runs(
-        human_docs, machine_docs, lengths, train_frac, seed, space, min_df, config
+    y, epochs, final_loss, test_scores = _heldout_fit(
+        human_docs, machine_docs, train_frac, seed, space, min_df, config
     )
-    return [PrefixRow(n, _auroc(scores, y), *fit) for n, (y, scores, *fit) in zip(lengths, runs)]
+    return [PrefixRow(n, _auroc(test_scores(n), y), epochs, final_loss) for n in lengths]
 
 
 def _pool_indices(labels: Sequence[Label], k: int, seed: int) -> np.ndarray:
@@ -507,20 +497,21 @@ def pairwise_auroc(
 ) -> list[PairwiseRow]:
     """Detection accuracy when each decision pools k same-class documents.
 
-    One model is trained on the split's training documents, exactly as for
-    the full-length :func:`auroc_vs_prefix_length` row, and scores every test
-    document once.  For each ``k_values[j]`` the test documents are pooled
-    into the tuples :func:`_pool_indices` draws on seed ``2j + 1`` of the
-    study's augment stream, by role (human or machine, whatever label a
-    document carries), so tuples never cross the split or the roles, and a
-    tuple's score is the sum of its members' decision values: the
-    multi-sample log-likelihood-ratio rule.  The k = 1 row is the unpooled
-    test AUROC.
+    One model is trained on the split's whole training documents, the model
+    every :func:`auroc_vs_prefix_length` row with the same options shares,
+    and scores every whole test document once.  For each ``k_values[j]``
+    the test documents are pooled into the tuples :func:`_pool_indices`
+    draws on seed ``2j + 1`` of the study's augment stream, by role (human
+    or machine, whatever label a document carries), so tuples never cross
+    the split or the roles, and a tuple's score is the sum of its members'
+    decision values: the multi-sample log-likelihood-ratio rule.  The k = 1
+    row is the unpooled test AUROC.
     """
     ks = _check_ints("k_values", k_values)
-    ((y, scores, epochs, final_loss),) = _heldout_runs(
-        human_docs, machine_docs, (math.inf,), train_frac, seed, space, min_df, config
+    y, epochs, final_loss, test_scores = _heldout_fit(
+        human_docs, machine_docs, train_frac, seed, space, min_df, config
     )
+    scores = test_scores()
     # the model was trained on roles, so the tuples pool by role too
     roles = [Label.MACHINE if label else Label.HUMAN for label in y]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;

@@ -1,6 +1,8 @@
 """Feature extraction, logistic training, prefix and pairwise studies."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,13 @@ from detectability import (
 )
 from detectability import textlab
 from detectability.corpus import _encode
-from detectability.textlab import _AUGMENT_SALT, _RTOL, _logreg_loss, _stratified_split
+from detectability.textlab import (
+    _AUGMENT_SALT,
+    _RTOL,
+    PrefixRow,
+    _logreg_loss,
+    _stratified_split,
+)
 
 from _synth import (
     count_csr_reference,
@@ -69,16 +77,38 @@ class TestVocabulary:
 
 
 WORDS = ["apple", "Apple,", "banana.", "«cherry»", "don't", "—", "ß", "naïve", "x", "y"]
-doc_lists = st.lists(
-    st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
-    min_size=1,
-    max_size=8,
-).map(lambda ts: [doc(t, id=f"d{i}") for i, t in enumerate(ts)])
+
+
+def doc_lists(min_size=1):
+    return st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
+        min_size=min_size,
+        max_size=8,
+    ).map(lambda ts: [doc(t, id=f"d{i}") for i, t in enumerate(ts)])
+
+
+class FeatureCapture:
+    """A stand-in for ``train_logreg`` that keeps every feature matrix it meets.
+
+    The training features are kept, and the model it returns keeps each
+    matrix it scores and scores every row 0.
+    """
+
+    def __init__(self):
+        self.features = []
+
+    def __call__(self, features, labels, config=None):
+        self.features.append(features)
+        return self, np.zeros(1)
+
+    def decision_function(self, features):
+        self.features.append(features)
+        return np.zeros(features.shape[0])
 
 
 class TestAgainstTokenListReference:
     @settings(max_examples=100, deadline=None)
-    @given(doc_lists, doc_lists, st.integers(1, 3))
+    @given(doc_lists(), doc_lists(), st.integers(1, 3))
     def test_vocab_and_counts_match(self, train, test, min_df):
         v = build_vocab(train, min_df=min_df)
         tokens, df = vocab_reference(train, min_df)
@@ -96,7 +126,7 @@ class TestAgainstTokenListReference:
             assert x.data.tolist() == data
 
     @settings(max_examples=100, deadline=None)
-    @given(doc_lists)
+    @given(doc_lists())
     def test_encode_matches_stripped_token_lists(self, docs):
         token_lists = [strip_tokenize(d.text) for d in docs]
         tokens, ids, lens = _encode(docs)
@@ -105,19 +135,30 @@ class TestAgainstTokenListReference:
         assert lens.tolist() == [len(toks) for toks in token_lists]
 
     @settings(max_examples=100, deadline=None)
-    @given(doc_lists, doc_lists, st.integers(1, 3))
-    def test_heldout_count_matrices_match(self, train, test, min_df):
-        # the studies' path: one encoding of both splits, rows picking each side
-        tokens, ids, lens = _encode(train + test)
-        sides = np.arange(len(train)), np.arange(len(train), lens.size)
-        rows = [textlab._doc_rows(lens, side) for side in sides]
-        args = len(tokens), ids, *rows, len(train), len(test), "counts", min_df
-        vocab, _ = vocab_reference(train, min_df)
-        if not vocab:
-            with pytest.raises(ValueError, match="empty vocabulary"):
-                textlab._heldout_features(*args)
-            return
-        for docs, x in zip((train, test), textlab._heldout_features(*args)):
+    @given(doc_lists(2), doc_lists(2), st.integers(1, 3), st.integers(1, 9))
+    def test_heldout_count_matrices_match(self, human, machine, min_df, length):
+        # the studies' path: one encoding of both sides, counts of the whole
+        # training documents, test documents cut to `length` tokens and
+        # counted on the training columns
+        train, test = _stratified_split(len(human), len(machine), 0.5, 0)
+        docs = human + machine
+        train_docs, test_docs = [docs[i] for i in train], [docs[i] for i in test]
+        vocab, _ = vocab_reference(train_docs, min_df)
+        capture = FeatureCapture()
+        with mock.patch.object(textlab, "train_logreg", capture):
+            if not vocab:
+                with pytest.raises(ValueError, match="empty vocabulary"):
+                    textlab._heldout_fit(human, machine, 0.5, 0, "counts", min_df, None)
+                return
+            *_, test_scores = textlab._heldout_fit(
+                human, machine, 0.5, 0, "counts", min_df, None
+            )
+            test_scores(length)
+            test_scores()
+        # a cut text may hold no token, which a Document refuses
+        cut = [SimpleNamespace(text=" ".join(strip_tokenize(d.text)[:length])) for d in test_docs]
+        assert len(capture.features) == 3
+        for docs, x in zip((train_docs, cut, test_docs), capture.features):
             indptr, indices, data = count_csr_reference(docs, vocab)
             assert x.shape == (len(docs), len(vocab))
             assert x.indptr.tolist() == indptr
@@ -454,12 +495,12 @@ class TestTrainPin:
         [
             (
                 "tfidf", 0.1,
-                [0.5486111111111112, 0.6388888888888888, 0.9722222222222222],
+                [0.6527777777777778, 0.8055555555555556, 0.9722222222222222],
                 [0.9722222222222222, 1.0],
             ),
             (
                 "counts", 0.01,
-                [0.5138888888888888, 0.6458333333333334, 0.9861111111111112],
+                [0.625, 0.8055555555555556, 0.9861111111111112],
                 [0.9861111111111112, 1.0],
             ),
         ],
@@ -555,7 +596,8 @@ class TestPrefixStudy:
         assert aucs[-1] > aucs[0]
 
     def test_truncation_equals_cut_texts(self):
-        # truncating by in-document offset equals retokenizing cut texts
+        # reference: the public pipeline on the same split, a model trained
+        # on the whole training texts and scoring test texts cut to length
         h, m = drifted_corpora(n_docs=30, doc_len=20)
 
         def cut(docs, n):
@@ -567,11 +609,31 @@ class TestPrefixStudy:
         # every document has 20 tokens: 19 cuts each one, 20 and 40 cut none
         assert {len(tokenize(d.text)) for d in h + m} == {20}
         rows = auroc_vs_prefix_length(h, m, [3, 8, 19, 20, 40], seed=5)
+        docs = h + m
+        train, test = _stratified_split(len(h), len(m), 0.7, 5)
+        train_docs = [docs[i] for i in train]
+        test_docs = [docs[i] for i in test]
+        vocab = build_vocab(train_docs, min_df=2)
+        y_train = [int(d.label is Label.MACHINE) for d in train_docs]
+        model, losses = train_logreg(featurize(train_docs, vocab), y_train)
+        is_m = np.array([d.label is Label.MACHINE for d in test_docs])
         for row in rows:
-            ref = auroc_vs_prefix_length(
-                cut(h, row.length), cut(m, row.length), [row.length], seed=5
-            )
-            assert [row] == ref
+            scores = model.decision_function(featurize(cut(test_docs, row.length), vocab))
+            auroc = roc_from_scores(scores[is_m], scores[~is_m]).auroc
+            assert row == PrefixRow(row.length, auroc, losses.size - 1, float(losses[-1]))
+
+    def test_trains_one_model_for_all_lengths(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_logreg(*args, **kwargs)
+
+        monkeypatch.setattr(textlab, "train_logreg", counting)
+        h, m = drifted_corpora(n_docs=30, doc_len=20)
+        rows = auroc_vs_prefix_length(h, m, [3, 8, 40], seed=5)
+        assert [r.length for r in rows] == [3, 8, 40]
+        assert len(calls) == 1
 
     def test_deterministic(self):
         h, m = drifted_corpora()
@@ -666,15 +728,19 @@ class TestPairwiseStudy:
     @pytest.mark.parametrize("space", ["tfidf", "counts"])
     def test_k1_row_trains_the_full_length_prefix_model(self, space):
         # default config, trained to its stop rule: the two studies must run
-        # the same split, features and training, iteration for iteration
+        # the same split, features and training, iteration for iteration;
+        # every prefix row carries that one fit, and a row that cuts no
+        # document scores as the k = 1 row
         h, m = drifted_corpora(seed=41, n_docs=120, doc_len=40)
         longest = max(len(tokenize(d.text)) for d in h + m)
         (row,) = pairwise_auroc(h, m, k_values=(1,), seed=0, space=space)
         assert row.epochs < TrainConfig().epochs
-        for ref in auroc_vs_prefix_length(h, m, [longest, 3 * longest], seed=0, space=space):
-            assert row.test_auroc == ref.test_auroc
+        refs = auroc_vs_prefix_length(h, m, [5, longest, 3 * longest], seed=0, space=space)
+        for ref in refs:
             assert row.epochs == ref.epochs
             assert row.final_loss == ref.final_loss
+        for ref in refs[1:]:
+            assert row.test_auroc == ref.test_auroc
 
     def test_rows_pool_summed_member_scores(self):
         # reference: the public pipeline on the same split, each test
