@@ -142,21 +142,42 @@ def _ngram_ranks(ids: np.ndarray, lens: np.ndarray, vocab_size: int, max_order: 
     order of the token tuples: an n-gram's key is its prefix's rank times
     ``vocab_size`` plus its last id, which sorts like the tuple and stays
     below ``len(ids) * vocab_size``.  Every id in ``range(vocab_size)`` must
-    occur in ``ids``, as it does in :func:`_encode`'s output.
+    occur in ``ids``, as it does in :func:`_encode`'s output.  The generator
+    keeps no reference to what it yields, so a caller that drops an order's
+    arrays frees them before the next order is ranked.
     """
-    remaining = np.repeat(np.cumsum(lens), lens) - np.arange(ids.size)
-    rank = np.zeros(ids.size, dtype=np.int64)
-    for order in range(1, max_order + 1):
-        starts = np.flatnonzero(remaining >= order)
-        if order == 1:  # every id occurs, so the ids are the unigrams' ranks
-            rank_o, size = ids, vocab_size
-        else:
-            keys = rank[starts] * vocab_size + ids[starts + order - 1]
-            distinct, rank_o = np.unique(keys, return_inverse=True)
-            size = distinct.size
-        # the next order's windows start at a subset of these positions
-        rank[starts] = rank_o
-        yield order, starts, rank_o, size
+    # the tokens left in each token's document, itself included
+    remaining = np.repeat(np.cumsum(lens), lens)
+    remaining -= np.arange(ids.size)
+    remaining = remaining.astype(np.min_scalar_type(lens.max(initial=0)))
+    # every id occurs, so the ids are the unigrams' ranks
+    yield 1, np.arange(ids.size), ids, vocab_size
+    # each window's rank at the last order, at its start position; the next
+    # order's windows start at a subset of these positions
+    rank = ids.copy()
+    for order in range(2, max_order + 1):
+        yield (order, *_rank_windows(ids, remaining, rank, order, vocab_size))
+
+
+def _rank_windows(
+    ids: np.ndarray, remaining: np.ndarray, rank: np.ndarray, order: int, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(starts, rank, size)`` at ``order``, from ``rank`` at ``order - 1``, which it updates."""
+    starts = np.flatnonzero(remaining >= order)
+    keys = rank[starts]
+    keys *= vocab_size
+    keys += ids[order - 1 :][starts]
+    # one sort ranks the keys: a key's rank is the number of distinct keys
+    # below it, written back into the keys' own buffer
+    perm = keys.argsort()
+    ranked = keys[perm]
+    new = ranked[1:] != ranked[:-1]
+    ranked[:1] = 0
+    ranked[1:] = new
+    np.cumsum(ranked, out=ranked)  # in place: a cast from bool would copy
+    keys[perm] = ranked
+    rank[starts] = keys
+    return starts, keys, int(ranked[-1]) + 1 if ranked.size else 0
 
 
 def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:
@@ -205,25 +226,29 @@ def best_auroc_by_order(
     human_end = int(lens[: len(human_docs)].sum())
     rows = []
     for order, starts, rank, size in _ngram_ranks(ids, lens, len(tokens), orders[-1]):
+        if order in orders:
+            # both sides counted over the union, in sorted n-gram order; the
+            # starts ascend and the human documents come first
+            split = np.searchsorted(starts, human_end)
+            ca = np.bincount(rank[:split], minlength=size)
+            cb = np.bincount(rank[split:], minlength=size)
+        # each array goes as soon as it is used, so the masses and the next
+        # order's ranking reuse its room
+        del starts, rank
         if order not in orders:
             continue
-        # both sides counted over the union, in sorted n-gram order; the
-        # starts ascend and the human documents come first
-        split = np.searchsorted(starts, human_end)
-        ca = np.bincount(rank[:split], minlength=size)
-        cb = np.bincount(rank[split:], minlength=size)
-        for name, c in (("human", ca), ("machine", cb)):
-            if not c.any():
-                raise ValueError(f"{name} corpus has no n-grams at order {order}")
-        tv = tv_distance(Categorical(ca / ca.sum()), Categorical(cb / cb.sum()))
+        if not ca.any() or not cb.any():
+            name = "machine" if ca.any() else "human"
+            raise ValueError(f"{name} corpus has no n-grams at order {order}")
+        # Jaccard overlap of the two observed n-gram sets
+        overlap = int(np.count_nonzero((ca > 0) & (cb > 0))) / size
+        # each side's masses take the place of its counts
+        ca = Categorical(ca / ca.sum())
+        cb = Categorical(cb / cb.sum())
+        tv = tv_distance(ca, cb)
+        del ca, cb
         rows.append(
-            OrderRow(
-                order=order,
-                tv=tv,
-                auroc_upper=auroc_upper(tv),
-                # Jaccard overlap of the two observed n-gram sets
-                support_overlap=int(np.count_nonzero((ca > 0) & (cb > 0))) / size,
-            )
+            OrderRow(order=order, tv=tv, auroc_upper=auroc_upper(tv), support_overlap=overlap)
         )
     return rows
 

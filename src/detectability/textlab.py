@@ -79,28 +79,48 @@ def _doc_rows(lens: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return np.repeat(rows, lens)
 
 
+def _distinct_pairs(rows: np.ndarray, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(row, id)`` pairs of the tokens, and how many tokens each has.
+
+    A pair comes as its key ``row * width + id``, which sorts like the pair,
+    and the keys ascend.  A token whose row or id is -1 is left out.
+    """
+    kept = (rows >= 0) & (ids >= 0)
+    keys = rows[kept]
+    keys *= width
+    keys += ids[kept]
+    keys.sort()
+    # each run of equal keys is one pair, and its length the count
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return keys[starts], np.diff(starts, append=keys.size)
+
+
 def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) -> sp.csr_matrix:
     """Term counts of ``n_rows`` documents: entry ``(r, i)`` counts id ``i`` in row ``r``.
 
-    ``rows`` gives each token's document row, and a token whose row is -1 is
-    left out; ``ids`` index the ``width`` columns.  The matrix is built in
-    canonical form, each row's columns sorted and distinct.
+    ``rows`` gives each token's document row and ``ids`` its column among
+    ``width``; a token whose row or id is -1 is left out.  The matrix is built
+    in canonical form, each row's columns sorted and distinct.
     """
-    kept = rows >= 0
-    keys = rows[kept] * width + ids[kept]  # sorts like (row, id)
-    keys.sort()
-    # each run of equal keys is one entry, and its length the count
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=keys.size).astype(np.float64)
-    row, column = np.divmod(keys[starts], width)
+    keys, counts = _distinct_pairs(rows, ids, width)
+    row, column = np.divmod(keys, width)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix((counts, column, indptr), shape=(n_rows, width))
+    return sp.csr_matrix((counts.astype(np.float64), column, indptr), shape=(n_rows, width))
 
 
-def _vocab_columns(counts: sp.csr_matrix, min_df: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``counts`` nonzero in at least ``min_df`` rows, and their row counts."""
-    df = np.bincount(counts.indices, minlength=counts.shape[1])
+def _vocab_columns(
+    rows: np.ndarray, ids: np.ndarray, width: int, min_df: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids among ``width`` in at least ``min_df`` rows, and their row counts.
+
+    ``rows`` and ``ids`` are as :func:`_count_matrix` takes them.
+    """
+    keys, _ = _distinct_pairs(rows, ids, width)
+    df = np.bincount(keys % width, minlength=width)
     columns = np.flatnonzero(df >= min_df)
     return columns, df[columns]
 
@@ -111,25 +131,38 @@ def _check_space(space: str) -> None:
 
 
 def _weigh(counts: sp.csr_matrix, doc_freq: np.ndarray, n_docs: int, space: str) -> sp.csr_matrix:
-    """Features from vocabulary term counts, as :func:`featurize` describes."""
+    """Features from vocabulary term counts, as :func:`featurize` describes.
+
+    The tf-idf values are worked on the CSR arrays with the products, row
+    sums and entry order of scipy's ``multiply``, ``sum(axis=1)`` and
+    ``diags(inv) @ x``, so the features, and a model's scores on them, are
+    the same to the bit; the last leaves each row's columns descending.
+    """
     if counts.shape[1] == 0:
         raise ValueError("empty vocabulary")
-    x = counts
-    if space == "tfidf":
-        idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
-        x = x.multiply(idf[None, :]).tocsr()
-        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-        inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        x = sp.diags(inv) @ x
-    return x.tocsr()
+    if space == "counts":
+        return counts
+    idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
+    indptr, lengths = counts.indptr, np.diff(counts.indptr)
+    data = counts.data * idf[counts.indices]
+    squares = np.zeros(lengths.size)
+    filled = lengths > 0
+    squares[filled] = np.add.reduceat(data * data, indptr[:-1][filled])
+    norms = np.sqrt(squares)
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    data *= np.repeat(inv, lengths)
+    # each row's entries in reverse
+    order = np.repeat(indptr[:-1] + indptr[1:] - 1, lengths) - np.arange(data.size)
+    return sp.csr_matrix((data[order], counts.indices[order], indptr), shape=counts.shape)
 
 
 def build_vocab(docs: Sequence[Document], min_df: int = 2) -> Vocabulary:
     """Vocabulary of tokens appearing in at least ``min_df`` documents."""
     min_df = _check_int("min_df", min_df)
     tokens, ids, lens = _encode(docs)
-    counts = _count_matrix(_doc_rows(lens, np.arange(lens.size)), ids, lens.size, len(tokens))
-    columns, doc_freq = _vocab_columns(counts, min_df)
+    columns, doc_freq = _vocab_columns(
+        _doc_rows(lens, np.arange(lens.size)), ids, len(tokens), min_df
+    )
     return Vocabulary(
         tokens=tuple(tokens[i] for i in columns), doc_freq=doc_freq, n_docs=lens.size
     )
@@ -150,8 +183,7 @@ def featurize(
     column = np.fromiter(
         (index.get(tok, -1) for tok in tokens), dtype=np.int64, count=len(tokens)
     )[ids]
-    rows = np.where(column >= 0, _doc_rows(lens, np.arange(lens.size)), -1)
-    counts = _count_matrix(rows, column, lens.size, len(vocab))
+    counts = _count_matrix(_doc_rows(lens, np.arange(lens.size)), column, lens.size, len(vocab))
     return _weigh(counts, vocab.doc_freq, vocab.n_docs, space)
 
 
@@ -394,19 +426,26 @@ def _heldout_fit(
     train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed, space)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
-    counts = _count_matrix(_doc_rows(lens, train), ids, train.size, len(tokens))
-    columns, doc_freq = _vocab_columns(counts, min_df)
+    train_rows = _doc_rows(lens, train)
+    columns, doc_freq = _vocab_columns(train_rows, ids, len(tokens), min_df)
+    # each token's vocabulary column, -1 outside it, takes the place of its id
+    column = np.full(len(tokens), -1, dtype=np.int64)
+    column[columns] = np.arange(columns.size)
+    column = column[ids]
+    del ids
+    counts = _count_matrix(train_rows, column, train.size, columns.size)
+    del train_rows  # training needs the room
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
-    model, losses = train_logreg(
-        _weigh(counts[:, columns], doc_freq, train.size, space), y[train], config
-    )
+    model, losses = train_logreg(_weigh(counts, doc_freq, train.size, space), y[train], config)
     test_rows = _doc_rows(lens, test)
-    offset = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
 
     def test_scores(length: int = lens.max()) -> np.ndarray:
-        rows = np.where(offset < length, test_rows, -1)
-        cut = _count_matrix(rows, ids, test.size, len(tokens))[:, columns]
-        return model.decision_function(_weigh(cut, doc_freq, train.size, space))
+        rows = test_rows
+        if length < lens.max():  # the length cuts some document
+            offset = np.arange(column.size) - np.repeat(np.cumsum(lens) - lens, lens)
+            rows = np.where(offset < length, test_rows, -1)
+        counts = _count_matrix(rows, column, test.size, columns.size)
+        return model.decision_function(_weigh(counts, doc_freq, train.size, space))
 
     return y[test], losses.size - 1, float(losses[-1]), test_scores
 

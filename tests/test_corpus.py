@@ -95,9 +95,21 @@ def window_ranks(ids, lens, order):
     ends = np.cumsum(lens)
     starts = [s for end, n in zip(ends, lens) for s in range(end - n, end - order + 1)]
     windows = [tuple(ids[s : s + order]) for s in starts]
-    distinct = sorted(set(windows))
-    rank = [distinct.index(w) for w in windows]
-    return starts, rank, len(distinct)
+    index = {w: i for i, w in enumerate(sorted(set(windows)))}
+    rank = [index[w] for w in windows]
+    return starts, rank, len(index)
+
+
+def assert_ranks_match_reference(docs):
+    """``_ngram_ranks`` on ``docs`` gives :func:`window_ranks`'s ranks at every order 1-6."""
+    tokens, ids, lens = _encode(docs)
+    got = list(_ngram_ranks(ids, lens, len(tokens), 6))
+    assert [g[0] for g in got] == list(range(1, 7))
+    for order, starts, rank, size in got:
+        want_starts, want_rank, want_size = window_ranks(ids.tolist(), lens.tolist(), order)
+        assert starts.tolist() == want_starts
+        assert rank.tolist() == want_rank
+        assert size == want_size
 
 
 class TestEncode:
@@ -131,6 +143,26 @@ class TestEncode:
         assert ids.size == 100_000
         assert peak / ids.size < 40
 
+    @pytest.mark.parametrize("n_words", [60, 5000])
+    def test_scan_peak_memory_per_token_is_bounded(self, n_words):
+        # 200 + 200 documents of 250 tokens: ranking every order holds a few
+        # token-length arrays at a time, about 50-55 bytes a token with the
+        # encoding; np.unique's sort, keys and inverse at once took 123-132
+        rng = np.random.default_rng(11)
+        words = np.array([f"word{i}" for i in range(n_words)])
+        h, m = (
+            [doc(" ".join(rng.choice(words, 250)), lab, f"{lab.value}{i}") for i in range(200)]
+            for lab in (Label.HUMAN, Label.MACHINE)
+        )
+        tracemalloc.start()
+        try:
+            rows = best_auroc_by_order(h, m, [1, 2, 3, 4])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.order for r in rows] == [1, 2, 3, 4]
+        assert peak / 100_000 < 100
+
     def test_astral_punctuation_is_stripped(self):
         tokens, ids, _ = _encode([doc("\U00010100word\U00010100 «🙂» it's ¿¡—")])
         assert [tokens[i] for i in ids] == ["word", "🙂", "it's"]
@@ -142,14 +174,17 @@ class TestEncode:
     def test_ngram_ranks_equal_sorted_tuple_ranks(self, word_lists):
         # documents shorter than the order, and ones that strip to nothing
         docs = [doc(" ".join(w), id=f"d{i}") for i, w in enumerate(word_lists)]
-        tokens, ids, lens = _encode(docs)
-        got = list(_ngram_ranks(ids, lens, len(tokens), 6))
-        assert [g[0] for g in got] == list(range(1, 7))
-        for order, starts, rank, size in got:
-            want_starts, want_rank, want_size = window_ranks(ids.tolist(), lens.tolist(), order)
-            assert starts.tolist() == want_starts
-            assert rank.tolist() == want_rank
-            assert size == want_size
+        assert_ranks_match_reference(docs)
+
+    @pytest.mark.parametrize("length", [255, 256, 65_537])
+    def test_ngram_ranks_at_the_narrow_dtype_boundaries(self, length):
+        # the tokens left in each document are kept in the narrowest unsigned
+        # dtype that fits the longest one: uint8 up to 255, uint16 from 256,
+        # uint32 past 65,535
+        rng = np.random.default_rng(length)
+        words = [rng.choice(list("abc"), n) for n in (length, 7, 1)]
+        docs = [doc(" ".join(w), id=f"d{i}") for i, w in enumerate(words)]
+        assert_ranks_match_reference(docs)
 
 
 class TestNgramTable:

@@ -170,13 +170,13 @@ class TestAgainstTokenListReference:
 def token_rows(draw):
     """``(rows, ids, n_rows, width)`` as :func:`textlab._count_matrix` takes them.
 
-    Rows of -1 (tokens left out), rows with no token, width 0 and no kept
-    token all occur; left-out tokens may carry any id.
+    Rows of -1 and ids of -1 (tokens left out), rows with no token, width 0
+    and no kept token all occur; left-out tokens may carry any id.
     """
     n_rows, width = draw(st.integers(0, 5)), draw(st.integers(0, 6))
     pair = st.tuples(st.just(-1), st.integers(-1, max(width - 1, -1)))
-    if n_rows and width:
-        pair |= st.tuples(st.integers(0, n_rows - 1), st.integers(0, width - 1))
+    if n_rows:
+        pair |= st.tuples(st.integers(0, n_rows - 1), st.integers(-1, width - 1))
     pairs = draw(st.lists(pair, max_size=30))
     rows, ids = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return rows, ids, n_rows, width
@@ -188,7 +188,7 @@ class TestCountMatrix:
     def test_equals_the_coo_construction(self, case):
         rows, ids, n_rows, width = case
         x = textlab._count_matrix(rows, ids, n_rows, width)
-        kept = rows >= 0
+        kept = (rows >= 0) & (ids >= 0)
         want = sp.csr_matrix(
             (np.ones(np.count_nonzero(kept)), (rows[kept], ids[kept])), shape=(n_rows, width)
         )
@@ -198,6 +198,35 @@ class TestCountMatrix:
         for got, ref in ((x.indptr, want.indptr), (x.indices, want.indices), (x.data, want.data)):
             assert got.dtype == ref.dtype
             assert got.tolist() == ref.tolist()
+
+
+def scipy_tfidf(counts, doc_freq, n_docs):
+    """tf-idf weighing by scipy's sparse operations, the reference for ``_weigh``."""
+    idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
+    x = counts.multiply(idf[None, :]).tocsr()
+    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return (sp.diags(inv) @ x).tocsr()
+
+
+class TestWeigh:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 80))
+    def test_tfidf_equals_scipy_to_the_bit(self, seed, n_rows, width):
+        # rows past 8 entries, where numpy's pairwise sums differ from a
+        # running sum, and empty rows; entries in scipy's order too, since a
+        # model's scores sum them in that order
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(rng.uniform(0.05, 3.0), size=(n_rows, width)).astype(np.float64)
+        dense[rng.random(n_rows) < 0.2] = 0.0
+        counts = sp.csr_matrix(dense)
+        doc_freq = rng.integers(0, n_rows + 1, size=width)
+        got = textlab._weigh(counts, doc_freq, n_rows, "tfidf")
+        want = scipy_tfidf(counts, doc_freq, n_rows)
+        assert got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.indptr.tolist() == want.indptr.tolist()
 
 
 class TestFeaturize:
@@ -490,6 +519,9 @@ class TestTrainPin:
         assert float(losses[-1]) == loss
         assert model.bias == bias
 
+    # each space's one study model: its epochs and final training loss
+    STUDY_FIT = {"tfidf": (60, 0.10514676661510822), "counts": (145, 0.009537222587048831)}
+
     @pytest.mark.parametrize(
         "space, lr, prefix, pooled",
         [
@@ -510,8 +542,11 @@ class TestTrainPin:
         options = dict(seed=9, space=space, config=TrainConfig(learning_rate=lr))
         rows = auroc_vs_prefix_length(h, m, [2, 5, 30], **options)
         assert [r.test_auroc for r in rows] == prefix
+        # every row of both studies carries the one model's last bits
+        assert {(r.epochs, r.final_loss) for r in rows} == {self.STUDY_FIT[space]}
         rows = pairwise_auroc(h, m, [1, 2], **options)
         assert [r.test_auroc for r in rows] == pooled
+        assert {(r.epochs, r.final_loss) for r in rows} == {self.STUDY_FIT[space]}
 
 
 class TestPairwiseAugment:
