@@ -4,15 +4,16 @@ Subcommands map one-to-one onto the library surface:
 
 * ``tv`` -- distance and ceiling for two distribution files
 * ``bounds`` -- sample-complexity numbers for a target AUROC
-* ``curve`` -- AUROC-ceiling-versus-n table plus per-n ROC ceilings
+* ``curve`` -- per-n AUROC ceiling at a TV floor that holds for every pair
+  at TV ``delta``, plus per-n ROC ceilings
 * ``simulate`` -- Monte Carlo experiment from a JSON config
 * ``corpus`` -- n-gram TV scan, prefix-length ablation, or pairwise pooling
   over JSONL corpora
 
-All data output is deterministic for fixed inputs and seed (the simulate
-wall-time column aside); CSV output opens with a ``#`` comment embedding the
-resolved configuration and the package version.  Exit codes: 0 success,
-1 domain, runtime or out-of-memory error, 2 usage or parse error.
+All data output is byte-deterministic for fixed inputs and seed; CSV output
+opens with a ``#`` comment embedding the resolved configuration and the
+package version.  Exit codes: 0 success, 1 domain, runtime or out-of-memory
+error, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -374,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_curve = sub.add_parser("curve", help="AUROC ceiling vs number of samples")
+    p_curve = sub.add_parser(
+        "curve", help="AUROC ceiling vs n at a TV floor that holds for every pair at TV delta"
+    )
     p_curve.add_argument("--delta", type=float, required=True)
     p_curve.add_argument(
         "--n-list", required=True, help="comma-separated sample counts"

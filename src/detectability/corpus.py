@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -184,7 +184,11 @@ def ngram_table(docs: Sequence[Document], order: int) -> NGramTable:
     """Count sliding n-grams per document (windows never cross documents)."""
     order = _check_int("order", order, high=MAX_ORDER)
     tokens, ids, lens = _encode(docs)
-    *_, (_, starts, rank, size) = _ngram_ranks(ids, lens, len(tokens), order)
+    # each lower order's arrays are dropped as soon as it is ranked, and the
+    # scan's own arrays once the last order is out
+    _, starts, rank, size = next(
+        islice(_ngram_ranks(ids, lens, len(tokens), order), order - 1, None)
+    )
     counts = np.bincount(rank, minlength=size)
     _, first = np.unique(rank, return_index=True)
     # keys in order of first occurrence

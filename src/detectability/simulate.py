@@ -3,9 +3,7 @@
 Draws repeated sample sets from a machine and a human distribution, scores
 each set with the log-likelihood ratio, and reports the empirical AUROC next
 to the exact ceiling (when ``support_size ** n`` is within the enumeration
-budget) and the ceiling at the Chernoff floor on the product TV.  A run
-enumerates the exact count types once, growing them row by row up to its
-largest in-budget ``n``.
+budget) and the ceiling at the Chernoff floor on the product TV.
 
 Reproducibility: the trials of each ``(n, class)`` are drawn in fixed-size
 chunks, and chunk ``j`` gets its own generator, keyed by
@@ -18,17 +16,14 @@ dependent one ``2**16 // max(n, k)`` (at least one).  Each chunk is sampled
 as a matrix of per-trial count vectors and scored in one call: iid chunks by
 one multinomial draw, block-dependent ones as :func:`sample_noniid`
 describes, by a rule that depends only on the support size, the block
-pattern and ``n``, so every chunk of a row uses the same sampler.  Block
-laws are built once per run, per class and kind, and copy positions once per
-row; each chunk only draws.  Results are therefore bit-identical across
-runs; wall-clock columns are the only nondeterministic output.
+pattern and ``n``, so every chunk of a row uses the same sampler.  Results
+are therefore bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -120,13 +115,16 @@ class ExperimentRow:
     (:func:`tv_tensor_chernoff`), so it never exceeds ``auroc_upper_exact``
     beyond rounding and converges to it as n grows; empirical values may
     legitimately sit above it.
+
+    On block-dependent rows both columns hold the values for ``n`` iid draws:
+    ``auroc_upper_exact`` is still a valid ceiling there, but a loose one,
+    and ``auroc_upper_chernoff`` bounds nothing about the dependent law.
     """
 
     n: int
     empirical_auroc: float
     auroc_upper_exact: float | None
     auroc_upper_chernoff: float
-    wall_time_seconds: float
 
 
 def trial_rng(seed: int, n: int, class_index: int, chunk: int) -> np.random.Generator:
@@ -358,8 +356,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     Each row also carries the exact AUROC ceiling (when ``support**n`` fits
     the enumeration budget) and its value at the Chernoff TV floor.  The
     exact ceilings come from one enumeration of the count types per run:
-    each row grows the levels between the previous row's ``n`` and its own,
-    and its ``wall_time_seconds`` covers them.
+    each row grows the levels between the previous row's ``n`` and its own.
     """
     ic = chernoff_information(config.m, config.h)
     trials = config.trials_per_class
@@ -371,7 +368,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
     laws = [functools.cache(functools.partial(_block_law, d.probs)) for d in (config.m, config.h)]
     rows = []
     for n in config.n_values:
-        t0 = time.perf_counter()
         step = _chunk_trials(k if config.dependence is None else max(n, k))
         per_class: list[np.ndarray] = []
         for class_index, dist in ((_MACHINE, config.m), (_HUMAN, config.h)):
@@ -386,14 +382,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentRow, ...]:
                 scores[lo : lo + size] = log_likelihood_ratio(config.m, config.h, counts)
             per_class.append(scores)
         curve = roc_from_scores(per_class[_MACHINE], per_class[_HUMAN])
-        tv = next(exact, None)  # grows this row's levels inside its wall time
+        tv = next(exact, None)
         rows.append(
             ExperimentRow(
                 n=n,
                 empirical_auroc=curve.auroc,
                 auroc_upper_exact=None if tv is None else auroc_upper(tv),
                 auroc_upper_chernoff=auroc_upper(tv_tensor_chernoff(n, ic)),
-                wall_time_seconds=time.perf_counter() - t0,
             )
         )
     return tuple(rows)

@@ -351,22 +351,13 @@ def test_criterion_11_cli_reruns_are_byte_identical(tmp_path):
             ],
         }
 
-        def strip_timing(text: str) -> str:
-            lines = text.splitlines()
-            head, rows = lines[0], lines[1:]
-            reader = list(csv.reader(io.StringIO("\n".join(rows))))
-            cols = reader[0]
-            if "wall_time_seconds" not in cols:
-                return text
-            drop = cols.index("wall_time_seconds")
-            kept = [",".join(r[:drop] + r[drop + 1 :]) for r in reader]
-            return "\n".join([head] + kept)
-
-        for name, argv in commands.items():
-            out_a = tmp_path / f"{name}_a.csv"
-            out_b = tmp_path / f"{name}_b.csv"
-            assert main(argv + ["--out", str(out_a)]) == 0
-            assert main(argv + ["--out", str(out_b)]) == 0
-            text_a = strip_timing(out_a.read_text(encoding="utf-8"))
-            text_b = strip_timing(out_b.read_text(encoding="utf-8"))
-            assert text_a == text_b, f"{name} output differs across reruns"
+        # raw bytes, in both formats: no column is left out of the comparison
+        for fmt in ("csv", "json"):
+            for name, argv in commands.items():
+                out_a = tmp_path / f"{name}_a.{fmt}"
+                out_b = tmp_path / f"{name}_b.{fmt}"
+                assert main(argv + ["--format", fmt, "--out", str(out_a)]) == 0
+                assert main(argv + ["--format", fmt, "--out", str(out_b)]) == 0
+                assert out_a.read_bytes() == out_b.read_bytes(), (
+                    f"{name} {fmt} output differs across reruns"
+                )

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, atomic writes."""
 
 import csv
+import dataclasses
 import importlib
+import inspect
 import io
 import json
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from detectability import Label
-from detectability.cli import _render, main
+from detectability.cli import _render, build_parser, main
 
 from _synth import unigram_docs, write_jsonl
 
@@ -327,7 +329,6 @@ class TestSimulateCommand:
         for r in rows:
             assert 0.0 <= float(r["empirical_auroc"]) <= 1.0
             assert r["auroc_upper_exact"] != ""
-            assert float(r["wall_time_seconds"]) >= 0.0
 
     def test_equal_masses_print_a_chance_chernoff_ceiling(self, capsys, tmp_path):
         pair = [4 / 7, 3 / 7]
@@ -341,16 +342,8 @@ class TestSimulateCommand:
         _, out_a, _ = run(capsys, "simulate", cfg, "--seed", "11")
         _, out_b, _ = run(capsys, "simulate", cfg, "--seed", "12")
         _, out_c, _ = run(capsys, "simulate", cfg, "--seed", "11")
-
-        def strip_time(text):
-            _, rows = parse_csv(text)
-            return [
-                {k: v for k, v in row.items() if k != "wall_time_seconds"}
-                for row in rows
-            ]
-
-        assert strip_time(out_a) != strip_time(out_b)
-        assert strip_time(out_a) == strip_time(out_c)
+        assert parse_csv(out_a)[1] != parse_csv(out_b)[1]
+        assert out_a == out_c
 
     @pytest.mark.parametrize("name", ["seedless.json", "missing.json"])
     def test_negative_seed_flag_names_the_flag(self, capsys, tmp_path, name):
@@ -859,6 +852,24 @@ class TestFlagSurface:
         expected = line.replace("{human}", hp).replace("{machine}", mp)
         assert out.splitlines()[0] == expected
 
+    @pytest.mark.parametrize(
+        "mode, study", [("train-ablate", "auroc_vs_prefix_length"), ("pairwise", "pairwise_auroc")]
+    )
+    def test_corpus_flag_defaults_are_the_library_defaults(self, mode, study):
+        # the parser spells each default out rather than reading the library's,
+        # which would load textlab (and scipy) for every command
+        from detectability import textlab
+
+        args = build_parser().parse_args(["corpus", mode, "--human", "h", "--machine", "m"])
+        params = inspect.signature(getattr(textlab, study)).parameters
+        for option in ("seed", "train_frac", "space", "min_df"):
+            assert getattr(args, option) == params[option].default, option
+        if mode == "pairwise":
+            assert [int(k) for k in args.k_values.split(",")] == list(params["k_values"].default)
+        assert dataclasses.asdict(textlab.TrainConfig()) == {
+            "learning_rate": args.lr, "epochs": args.epochs, "l2": args.l2
+        }
+
     def test_k_above_a_test_class_size_names_the_first_class(self, capsys, corpus_files):
         # 40 documents a side leave 12 a side in the test split; human comes first
         hp, mp = corpus_files
@@ -1077,13 +1088,7 @@ COLUMN_CONTRACT = [
     ),
     (
         ["simulate", "{sim}"],
-        [
-            "n",
-            "empirical_auroc",
-            "auroc_upper_exact",
-            "auroc_upper_chernoff",
-            "wall_time_seconds",
-        ],
+        ["n", "empirical_auroc", "auroc_upper_exact", "auroc_upper_chernoff"],
     ),
     (
         ["corpus", "tv-by-order", "--human", "{human}", "--machine", "{machine}"],

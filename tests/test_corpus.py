@@ -163,6 +163,24 @@ class TestEncode:
         assert [r.order for r in rows] == [1, 2, 3, 4]
         assert peak / 100_000 < 100
 
+    def test_table_peak_memory_per_token_is_bounded(self):
+        # 400 documents of 250 tokens over 2 words, so the few n-grams leave
+        # the scan to set the peak: about 50 bytes a token, at any order,
+        # when each lower order is dropped as it is ranked; collecting all
+        # six orders' arrays took 121 (over 60 words the output dict's 210
+        # would hide the scan)
+        rng = np.random.default_rng(11)
+        words = np.array(["word0", "word1"])
+        docs = [doc(" ".join(rng.choice(words, 250)), id=f"d{i}") for i in range(400)]
+        tracemalloc.start()
+        try:
+            table = ngram_table(docs, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.total == 400 * 245 and len(table.counts) == 2**6
+        assert peak / 100_000 < 90
+
     def test_astral_punctuation_is_stripped(self):
         tokens, ids, _ = _encode([doc("\U00010100word\U00010100 «🙂» it's ¿¡—")])
         assert [tokens[i] for i in ids] == ["word", "🙂", "it's"]
