@@ -1,9 +1,9 @@
 """Does a simulated optimal detector actually hug the theoretical ceilings?
 
 Runs the likelihood-ratio detector on Monte Carlo draws from two close
-Bernoulli sources and prints empirical AUROC next to the exact and
-large-deviation ceilings, then repeats with within-block dependence to
-show the slowdown.  Takes about half a minute.
+Bernoulli sources and prints empirical AUROC next to the exact ceiling and
+a Chernoff floor on that ceiling, then repeats with within-block dependence
+to show the slowdown.  Takes about a second.
 """
 
 from detectability import (
@@ -20,11 +20,11 @@ n_values = [1, 2, 4, 8, 16, 32, 64]
 
 
 def show(rows, title):
-    # the last column is the leading-order rate estimate 1 - exp(-n I_c)
-    # pushed through the AUROC formula; it ignores lower-order terms, so
-    # small-n empirical values may sit above it (unlike the exact ceiling)
+    # the last column is the AUROC ceiling taken at the Chernoff floor on
+    # the product TV, so it is a floor on the exact ceiling, not a ceiling:
+    # an empirical AUROC may sit above it at any n (unlike the exact ceiling)
     print(title)
-    print(f"{'n':>4} {'empirical':>10} {'exact ceiling':>14} {'rate estimate':>14}")
+    print(f"{'n':>4} {'empirical':>10} {'exact ceiling':>14} {'ceiling floor':>14}")
     for row in rows:
         exact = "" if row.auroc_upper_exact is None else f"{row.auroc_upper_exact:.4f}"
         print(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,9 +79,10 @@ class NGramTable:
     total: int
 
 
-def _punctuation(words: Iterable[str]) -> str:
-    """The punctuation characters (Unicode category P*) that occur in ``words``."""
-    return "".join(c for c in set("".join(words)) if unicodedata.category(c)[0] == "P")
+def _stripped(words: Collection[str]) -> list[str]:
+    """``words`` in order, each stripped of edge punctuation (Unicode category P*)."""
+    punct = "".join(c for c in set("".join(words)) if unicodedata.category(c)[0] == "P")
+    return [word.strip(punct) for word in words]
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,9 +92,7 @@ def tokenize(text: str) -> list[str]:
     becomes ``["the", "cat", "the", "cat"]``.  Interior punctuation (as in
     "don't") survives.
     """
-    words = text.lower().split()
-    punct = _punctuation(words)
-    return [tok for tok in (word.strip(punct) for word in words) if tok]
+    return [tok for tok in _stripped(text.lower().split()) if tok]
 
 
 def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -102,30 +102,22 @@ def _encode(docs: Sequence[Document]) -> tuple[list[str], np.ndarray, np.ndarray
     every token of every document in document order (an id is the token's
     index in ``tokens``, so id order is string order), and each document's
     token count.  Documents are split one at a time, so the only strings
-    held are one document's words and the distinct raw words; the rule of
-    :func:`tokenize` runs once per distinct raw word, not once per occurrence.
+    held are one document's words and the distinct raw words, each numbered
+    as it first appears and put through the rule of :func:`tokenize` once.
     """
-    first: dict[str, int] = {}  # each distinct raw word's first position
-    position = count()
+    number: defaultdict[str, int] = defaultdict(count().__next__)
     at = [
-        np.fromiter(map(first.setdefault, words, position), dtype=np.int64, count=len(words))
+        np.fromiter(map(number.__getitem__, words), dtype=np.int64, count=len(words))
         for words in (doc.text.lower().split() for doc in docs)
     ]
     lens = np.fromiter(map(len, at), dtype=np.int64, count=len(at))
-    # every word, as the position where it first occurs (the empty array
-    # lets an empty corpus concatenate)
+    # every word, as its number (the empty array lets an empty corpus concatenate)
     at = np.concatenate([np.empty(0, dtype=np.int64), *at])
-    punct = _punctuation(first)
-    stripped = [word.strip(punct) for word in first]
+    stripped = _stripped(number)
     tokens = sorted(set(stripped).difference(("",)))
-    index = dict(zip(tokens, range(len(tokens))))
-    index[""] = -1
-    # the token id at each first position; -1 marks a word that strips to nothing
-    word_id = np.empty(at.size, dtype=np.int64)
-    word_id[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.fromiter(
-        map(index.__getitem__, stripped), dtype=np.int64, count=len(stripped)
-    )
-    ids = word_id[at]
+    # each number's token id, gathered per word; -1 marks a word that strips to nothing
+    index = dict(zip(["", *tokens], count(-1)))
+    ids = np.fromiter(map(index.__getitem__, stripped), dtype=np.int64, count=len(stripped))[at]
     dropped = ids < 0
     if dropped.any():
         lens -= np.bincount(np.repeat(np.arange(lens.size), lens)[dropped], minlength=lens.size)

@@ -143,6 +143,23 @@ class TestEncode:
         assert ids.size == 100_000
         assert peak / ids.size < 40
 
+    def test_peak_memory_holds_no_token_length_scatter(self):
+        # the same corpus: numbering each distinct word once leaves the
+        # per-document number arrays, their concatenation and the gathered
+        # ids, about 17 bytes a token; an int64 table sized by the token
+        # count and scattered by first position took 25
+        rng = np.random.default_rng(11)
+        words = np.array([f"word{i}" for i in range(60)])
+        docs = [doc(" ".join(rng.choice(words, 250)), id=f"d{i}") for i in range(400)]
+        tracemalloc.start()
+        try:
+            _, ids, _ = _encode(docs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.size == 100_000
+        assert peak / ids.size < 20
+
     @pytest.mark.parametrize("n_words", [60, 5000])
     def test_scan_peak_memory_per_token_is_bounded(self, n_words):
         # 200 + 200 documents of 250 tokens: ranking every order holds a few
