@@ -65,18 +65,38 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(str(exc)) from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict; a repeated key raises, where ``json`` keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}"
         ) from None
     except (ValueError, RecursionError) as exc:
-        # say, bytes not UTF-8, an int past the digit limit or nesting past
-        # the recursion limit
+        # say, bytes not UTF-8, an int past the digit limit, nesting past the
+        # recursion limit or a duplicate key
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _check_keys(obj: dict, cls: type, where: str) -> None:
+    """Refuse a key that names no field of the dataclass ``cls``: it would go unread."""
+    allowed = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in allowed:
+            raise UsageError(
+                f"{where}: unknown key {json.dumps(key)}; allowed keys: {', '.join(allowed)}"
+            )
 
 
 def _load_distribution(path: str) -> Categorical:
@@ -94,6 +114,8 @@ def _load_distribution(path: str) -> Categorical:
 def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
     from .bounds import DependenceSpec
 
+    if isinstance(obj, dict):
+        _check_keys(obj, DependenceSpec, where)
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise UsageError(f"{where}: dependence must be an object with field 'blocks'")
     try:
@@ -234,6 +256,7 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
+    _check_keys(data, ExperimentConfig, path)
     for fieldname in ("m", "h", "n_values", "trials_per_class"):
         if fieldname not in data:
             raise UsageError(f"{path}: missing field '{fieldname}'")

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .bounds import _check_int, _check_ints, _check_real
 from .corpus import Document, _encode
@@ -50,6 +49,8 @@ _RTOL = 1e-6
 # prediction.
 _ARMIJO = 1e-4
 _EPS = np.finfo(np.float64).eps
+# log(DBL_MAX): the largest argument whose exp is finite.
+_EXP_MAX = math.log(np.finfo(np.float64).max)
 
 # Salts separating the internal RNG streams.
 _SPLIT_SALT = 101
@@ -228,6 +229,19 @@ class LinearModel:
         return np.asarray(features @ self.weights).ravel() + self.bias
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` with the C library's ``exp``.
+
+    This is scipy's logistic ufunc, bit for bit.  numpy's own ``exp`` differs
+    from libm's in the last bit on some inputs; ``math.exp`` calls libm's, but
+    raises ``OverflowError`` where C returns ``inf``, so those arguments go
+    in as ``inf`` and give 0, as C's would.
+    """
+    t = -z
+    t[t > _EXP_MAX] = np.inf
+    return 1.0 / (1.0 + np.fromiter(map(math.exp, t.tolist()), np.float64, t.size))
+
+
 def _logreg_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
     # mean log-loss, numerically stable, plus ridge penalty (bias excluded)
     return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * (w @ w))
@@ -274,6 +288,10 @@ def train_logreg(
     matrices reach it).  A trial step whose loss is NaN or infinite raises
     ``RuntimeError`` naming the iteration -- lower the learning rate.
 
+    The gradient's logistic ``1 / (1 + exp(-z))`` is computed with the C
+    library's ``exp``, one call per sample, so it equals scipy's logistic
+    ufunc bit for bit; of scipy, training uses ``scipy.sparse`` alone.
+
     Parameters
     ----------
     features : sparse or dense matrix, shape (n_samples, n_features)
@@ -308,7 +326,7 @@ def train_logreg(
         return z, _logreg_loss(z, y, theta[:-1], l2)
 
     def gradient(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        resid = expit(z) - y
+        resid = _logistic(z) - y
         grad_w = np.asarray(xt @ resid).ravel() / n + l2 * theta[:-1]
         return np.append(grad_w, np.mean(resid))
 

@@ -503,6 +503,84 @@ class TestSimulateCommand:
         assert len(rows) == 2
 
 
+SIMULATE_KEYS = "m, h, n_values, trials_per_class, dependence, seed"
+SIMULATE_BODY = '"m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [1, 4], "trials_per_class": 10'
+
+
+class TestJsonKeys:
+    """Every key of a JSON object the CLI reads is declared, and appears once.
+
+    A misspelt optional key used to be dropped without a word, and a repeated
+    key silently kept its last value; either changed what the run meant.
+    """
+
+    def run_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "simulate": ["simulate", str(path)],
+            "bounds": ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", str(path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        return err.removeprefix(f"detectability: error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ('"dependance": {"blocks": [[10, 1.0]]}', "dependance"),
+            ('"Seed": 7', "Seed"),
+            ('"seed": 7, "note": null', "note"),
+        ],
+    )
+    def test_unknown_simulate_key_exits_two(self, capsys, tmp_path, extra, key):
+        err = self.run_file(capsys, tmp_path, "simulate", f"{{{SIMULATE_BODY}, {extra}}}")
+        assert err == f'unknown key "{key}"; allowed keys: {SIMULATE_KEYS}\n'
+
+    def test_unknown_key_is_named_before_a_missing_one(self, capsys, tmp_path):
+        text = '{"m": [0.4, 0.6], "h": [0.5, 0.5], "N_values": [1], "trials_per_class": 10}'
+        err = self.run_file(capsys, tmp_path, "simulate", text)
+        assert err == f'unknown key "N_values"; allowed keys: {SIMULATE_KEYS}\n'
+
+    @pytest.mark.parametrize(
+        "dependence", ['{"blocks": [[10, 0.5]], "blokcs": 1}', '{"blokcs": [[10, 0.5]]}']
+    )
+    def test_unknown_dependence_key_exits_two(self, capsys, tmp_path, dependence):
+        err = self.run_file(capsys, tmp_path, "bounds", dependence)
+        assert err == 'unknown key "blokcs"; allowed keys: blocks\n'
+        err = self.run_file(
+            capsys, tmp_path, "simulate", f'{{{SIMULATE_BODY}, "dependence": {dependence}}}'
+        )
+        assert err == "field 'dependence': unknown key \"blokcs\"; allowed keys: blocks\n"
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "simulate",
+                f'{{{SIMULATE_BODY}, "dependence": {{"blocks": [[2, 0.5]]}}, "dependence": null}}',
+                "dependence",
+            ),
+            ("simulate", f'{{{SIMULATE_BODY}, "seed": 1, "seed": 2}}', "seed"),
+            (
+                "simulate",
+                f'{{{SIMULATE_BODY}, "dependence": {{"blocks": [[2, 0.5]], "blocks": []}}}}',
+                "blocks",
+            ),
+            ("bounds", '{"blocks": [[10, 0.5]], "blocks": [[2, 0.5]]}', "blocks"),
+        ],
+        ids=["simulate-object", "simulate-seed", "simulate-dependence", "bounds"],
+    )
+    def test_duplicate_key_exits_two(self, capsys, tmp_path, command, text, key):
+        err = self.run_file(capsys, tmp_path, command, text)
+        assert err == f'duplicate key "{key}"\n'
+
+    def test_key_is_shown_in_json_spelling(self, capsys, tmp_path):
+        text = f'{{{SIMULATE_BODY}, "s\\"eed\\u00e9": 1}}'
+        err = self.run_file(capsys, tmp_path, "simulate", text)
+        assert err == f'unknown key "s\\"eed\\u00e9"; allowed keys: {SIMULATE_KEYS}\n'
+
+
 class TestCorpusCommand:
     def test_tv_by_order(self, capsys, corpus_files):
         hp, mp = corpus_files

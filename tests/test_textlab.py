@@ -7,7 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from scipy.special import expit
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detectability import (
@@ -227,6 +228,46 @@ class TestWeigh:
         assert got.data.tobytes() == want.data.tobytes()
         assert got.indices.tolist() == want.indices.tolist()
         assert got.indptr.tolist() == want.indptr.tolist()
+
+
+def float_neighbours(x, ulps=3):
+    """``x`` and the ``ulps`` floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return sorted(set(below + above))
+
+
+# log(DBL_MAX): libm's exp overflows just past it, and math.exp raises there
+EXP_EDGE = [s * v for s in (1.0, -1.0) for v in float_neighbours(709.782712893384)]
+# ±0, the smallest subnormals, the smallest normal, ±inf and NaN
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  math.inf, -math.inf, math.nan]
+
+
+class TestLogistic:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),  # any float64: subnormals, ±inf and NaNs included
+                st.sampled_from(EXP_EDGE + SPECIAL_FLOATS),
+                # where glibc's complex exp rescales, and differs from exp
+                st.floats(-709.79, -709.08),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(EXP_EDGE + SPECIAL_FLOATS)
+    def test_equals_scipy_expit_to_the_bit(self, values):
+        z = np.array(values, dtype=np.float64)
+        before = z.tobytes()
+        got = textlab._logistic(z)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expit(z).tobytes()
+        assert z.tobytes() == before  # the argument is not written to
 
 
 class TestFeaturize:
