@@ -15,8 +15,9 @@ import json
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "BoundCurvePoint",
@@ -48,9 +49,7 @@ class DependenceSpec:
     blocks: tuple[tuple[int, float], ...]
 
     def __init__(self, blocks: Sequence[Sequence[float]]):
-        if not isinstance(blocks, (list, tuple)):
-            shown = json.dumps(blocks, default=repr)
-            raise ValueError(f"blocks must be a list of (size, rho) pairs, got {shown}")
+        blocks = _check_list("blocks", blocks, "(size, rho) pairs")
         if not blocks:
             raise ValueError("at least one block is required")
         norm = []
@@ -91,6 +90,27 @@ class BoundCurvePoint:
     n: int
     tv_lower: float
     auroc_upper: float
+
+
+class _DuplicateKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict; a repeated key raises, where ``json`` keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _DuplicateKey(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
+def _check_list(name: str, values: Any, what: str) -> list:
+    """``values`` as a list of ``what``; a mapping, set, string or non-iterable raises."""
+    if isinstance(values, (str, bytes, Mapping, Set)) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a list of {what}, got {json.dumps(values, default=repr)}")
+    return list(values)
 
 
 def _check_real(
@@ -140,7 +160,7 @@ def _check_ints(
     name: str, values: Iterable[int], low: int = 1, high: int | None = None
 ) -> list[int]:
     """``values`` as a nonempty, strictly ascending list of :func:`_check_int` ints."""
-    out = [_check_int(name, v, low, high) for v in values]
+    out = [_check_int(name, v, low, high) for v in _check_list(name, values, "integers")]
     if not out:
         raise ValueError(f"{name} must be nonempty")
     if any(b <= a for a, b in zip(out, out[1:])):
@@ -166,7 +186,8 @@ def roc_upper_curve(
         One pair per grid entry; no detector's ROC can cross above it.
     """
     tv = _check_real("tv", tv, 0.0, 1.0, "[]")
-    grid = [_check_real("fpr", f, 0.0, 1.0, "[]") for f in fpr_grid]
+    grid = _check_list("fpr_grid", fpr_grid, "numbers")
+    grid = [_check_real("fpr", f, 0.0, 1.0, "[]") for f in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("fpr_grid must be sorted ascending")
     return [(f, min(f + tv, 1.0)) for f in grid]

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -65,17 +65,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(str(exc)) from None
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object's dict; a repeated key raises, where ``json`` keeps the last."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {json.dumps(key)}")
-        obj[key] = value
-    return obj
-
-
 def _load_json_file(path: str) -> Any:
+    from .bounds import _unique_keys
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
@@ -89,37 +81,37 @@ def _load_json_file(path: str) -> Any:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _check_keys(obj: dict, cls: type, where: str) -> None:
-    """Refuse a key that names no field of the dataclass ``cls``: it would go unread."""
-    allowed = [f.name for f in fields(cls)]
+def _check_fields(obj: dict, cls: type, where: str) -> None:
+    """Refuse a key that names no field of dataclass ``cls``, then a required field left out."""
+    declared = fields(cls)
+    allowed = [f.name for f in declared]
     for key in obj:
         if key not in allowed:
             raise UsageError(
                 f"{where}: unknown key {json.dumps(key)}; allowed keys: {', '.join(allowed)}"
             )
+    for f in declared:
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"{where}: missing field '{f.name}'")
 
 
-def _load_distribution(path: str) -> Categorical:
+def _categorical(value: Any, where: str) -> Categorical:
     from .distributions import Categorical
 
-    data = _load_json_file(path)
-    if not isinstance(data, list):
-        raise UsageError(f"{path}: expected a JSON array of probabilities")
     try:
-        return Categorical(data)
+        return Categorical(value)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _parse_dependence(obj: Any, where: str) -> DependenceSpec:
     from .bounds import DependenceSpec
 
-    if isinstance(obj, dict):
-        _check_keys(obj, DependenceSpec, where)
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict):
         raise UsageError(f"{where}: dependence must be an object with field 'blocks'")
+    _check_fields(obj, DependenceSpec, where)
     try:
-        return DependenceSpec(obj["blocks"])
+        return DependenceSpec(**obj)
     except ValueError as exc:
         raise UsageError(f"{where}: field 'blocks': {exc}") from None
 
@@ -139,10 +131,15 @@ def _table(rows: Sequence[Any]) -> list[dict]:
     return [{c: getattr(r, c) for c in columns} for r in rows]
 
 
+def _echo(value: Any) -> Any:
+    """JSON form of a library value in a config: a distribution's masses, a dataclass's fields."""
+    return value.probs.tolist() if hasattr(value, "probs") else asdict(value)
+
+
 def _render(rows: Sequence[dict], config: dict, fmt: str) -> str:
     """CSV or JSON text; the columns are the rows' keys in first-appearance order."""
     columns = list(dict.fromkeys(key for row in rows for key in row))
-    config_json = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    config_json = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_echo)
     if fmt == "json":
         payload = {
             "tool": PROG,
@@ -152,7 +149,7 @@ def _render(rows: Sequence[dict], config: dict, fmt: str) -> str:
                 {col: _jsonable(row.get(col)) for col in columns} for row in rows
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=_echo) + "\n"
     buf = io.StringIO()
     buf.write(f"# {PROG} version={__version__} config={config_json}\n")
     # csv writes None as "" and a float as its repr
@@ -183,24 +180,44 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 # Each corpus mode: its study, read off the package, the list flag it sweeps,
-# and that flag's default.  The study is read at each call, so a mode loads
-# only its own module, and the call reaches any replacement a tracer has
-# installed on that module.
+# that flag's default, and whether the study trains a model and so takes the
+# training flags.  The study is read at each call, so a mode loads only its
+# own module, and the call reaches any replacement a tracer has installed on
+# that module.
 _CORPUS_MODES = {
-    "tv-by-order": (lambda pkg: pkg.corpus.best_auroc_by_order, "--orders", "1,2,3,4"),
+    "tv-by-order": (lambda pkg: pkg.corpus.best_auroc_by_order, "--orders", "1,2,3,4", False),
     "train-ablate": (
-        lambda pkg: pkg.textlab.auroc_vs_prefix_length, "--lengths", "5,10,20,50,100"
+        lambda pkg: pkg.textlab.auroc_vs_prefix_length, "--lengths", "5,10,20,50,100", True
     ),
-    "pairwise": (lambda pkg: pkg.textlab.pairwise_auroc, "--k-values", "1,2"),
+    "pairwise": (lambda pkg: pkg.textlab.pairwise_auroc, "--k-values", "1,2", True),
 }
+
+# Each library field a training flag sets: the flag, its type, default and
+# help.  A field is a keyword of both trained studies or of ``TrainConfig``,
+# and an error names the flag.  The defaults are the library's, spelt out so
+# that building the parser loads no textlab (tier-1 checks that they agree).
+_TRAINING_FLAGS = {
+    "seed": ("--seed", int, 0, "train/test split and pooling seed"),
+    "train_frac": ("--train-frac", float, 0.7, None),
+    "space": ("--space", str, "tfidf", "feature space (default: tfidf)"),
+    "min_df": ("--min-df", int, 2, None),
+    "learning_rate": ("--lr", float, 0.1, "first step size"),
+    "epochs": ("--epochs", int, 500, "cap on training iterations"),
+    "l2": ("--l2", float, 1e-4, None),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[dict], dict]:
     from .bounds import auroc_upper
     from .distributions import chernoff_information, tv_distance
 
-    p = _load_distribution(args.dist_p)
-    q = _load_distribution(args.dist_q)
+    p = _categorical(_load_json_file(args.dist_p), args.dist_p)
+    q = _categorical(_load_json_file(args.dist_q), args.dist_q)
     tv = tv_distance(p, q)
     row = {
         "tv": tv,
@@ -218,7 +235,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
     sizes = [("iid", 0.0, sample_complexity_iid(args.delta, args.epsilon))]
     if args.dependence is not None:
         dep = _parse_dependence(_load_json_file(args.dependence), args.dependence)
-        config["dependence"] = {"blocks": [[c, r] for c, r in dep.blocks]}
+        config["dependence"] = dep
         n_dep = sample_complexity_noniid(args.delta, args.epsilon, dep)
         sizes.append(("noniid", dep.alpha, n_dep))
     rows = [
@@ -245,7 +262,6 @@ def _cmd_curve(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
     from .bounds import _check_int
-    from .distributions import Categorical
     from .simulate import ExperimentConfig
 
     if seed_override is not None:  # before the file is read, so a fault names the flag
@@ -256,31 +272,15 @@ def _simulate_config(path: str, seed_override: int | None) -> ExperimentConfig:
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    _check_keys(data, ExperimentConfig, path)
-    for fieldname in ("m", "h", "n_values", "trials_per_class"):
-        if fieldname not in data:
-            raise UsageError(f"{path}: missing field '{fieldname}'")
-    for fieldname in ("m", "h", "n_values"):
-        if not isinstance(data[fieldname], list):
-            raise UsageError(f"{path}: field '{fieldname}' must be a list")
-    dists = {}
-    for fieldname in ("m", "h"):
-        try:
-            dists[fieldname] = Categorical(data[fieldname])
-        except ValueError as exc:
-            raise UsageError(f"{path}: field '{fieldname}': {exc}") from None
-    dep = None
+    _check_fields(data, ExperimentConfig, path)
+    data["m"] = _categorical(data["m"], f"{path}: field 'm'")
+    data["h"] = _categorical(data["h"], f"{path}: field 'h'")
     if data.get("dependence") is not None:
-        dep = _parse_dependence(data["dependence"], f"{path}: field 'dependence'")
-    seed = seed_override if seed_override is not None else data.get("seed", 0)
+        data["dependence"] = _parse_dependence(data["dependence"], f"{path}: field 'dependence'")
+    if seed_override is not None:
+        data["seed"] = seed_override
     try:
-        return ExperimentConfig(
-            **dists,
-            n_values=data["n_values"],
-            trials_per_class=data["trials_per_class"],
-            dependence=dep,
-            seed=seed,
-        )
+        return ExperimentConfig(**data)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -290,20 +290,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
     config = _simulate_config(args.config, args.seed)
     rows = _table(run_experiment(config))
-    echo = {
-        "command": "simulate",
-        "m": [float(x) for x in config.m.probs],
-        "h": [float(x) for x in config.h.probs],
-        "n_values": list(config.n_values),
-        "trials_per_class": config.trials_per_class,
-        "dependence": (
-            {"blocks": [[c, r] for c, r in config.dependence.blocks]}
-            if config.dependence is not None
-            else None
-        ),
-        "seed": config.seed,
-    }
-    return rows, echo
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    return rows, {"command": "simulate", **echo}
 
 
 def _load_corpus(path: str, strict: bool):
@@ -320,33 +308,22 @@ def _load_corpus(path: str, strict: bool):
     return docs
 
 
-# Each library field a training flag sets, and that flag: an error names the flag.
-_TRAINING_FLAGS = {
-    "space": "--space",
-    "seed": "--seed",
-    "train_frac": "--train-frac",
-    "min_df": "--min-df",
-    "learning_rate": "--lr",
-    "epochs": "--epochs",
-    "l2": "--l2",
-}
-
-
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    study, flag, _ = _CORPUS_MODES[args.mode]
-    trained = args.mode != "tv-by-order"
-    options = {}
+    study, flag, _, trained = _CORPUS_MODES[args.mode]
+    values, options = {}, {}
     if trained:
         from .textlab import TrainConfig, _check_study_options
 
+        values = {f: getattr(args, _dest(spec[0])) for f, spec in _TRAINING_FLAGS.items()}
+        train = {f.name: values[f.name] for f in fields(TrainConfig)}
+        options = {f: v for f, v in values.items() if f not in train}
         # by the library's own checks, before loading and so ahead of a bad list
         try:
-            _check_study_options(args.train_frac, args.min_df, args.seed, args.space)
-            train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
+            _check_study_options(**options)
+            options["config"] = TrainConfig(**train)
         except ValueError as exc:
             field, rest = str(exc).split(" ", 1)
-            raise UsageError(f"{_TRAINING_FLAGS[field]} {rest}") from None
-        options = {o: getattr(args, o) for o in ("train_frac", "seed", "space", "min_df")}
+            raise UsageError(f"{_TRAINING_FLAGS[field][0]} {rest}") from None
     human = _load_corpus(args.human, args.strict)
     machine = _load_corpus(args.machine, args.strict)
     config = {
@@ -354,11 +331,9 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
         "human": args.human,
         "machine": args.machine,
         "strict": args.strict,
+        **values,
     }
-    if trained:
-        config |= options | asdict(train_cfg)
-        options["config"] = train_cfg
-    dest = flag[2:].replace("-", "_")
+    dest = _dest(flag)
     config[dest] = _parse_int_list(getattr(args, dest), flag)
     rows = study(sys.modules[__package__])(human, machine, config[dest], **options)
     return _table(rows), config
@@ -419,23 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="JSONL corpus experiments")
     p_corpus.set_defaults(func=_cmd_corpus)
     modes = p_corpus.add_subparsers(dest="mode", required=True)
-    for mode, (_, flag, default) in _CORPUS_MODES.items():
+    for mode, (_, flag, default, trained) in _CORPUS_MODES.items():
         p_mode = modes.add_parser(mode)
         p_mode.add_argument("--human", required=True, help="JSONL corpus file")
         p_mode.add_argument("--machine", required=True, help="JSONL corpus file")
         p_mode.add_argument(flag, default=default, help="comma-separated integers")
-        if mode != "tv-by-order":
-            p_mode.add_argument(
-                "--seed", type=int, default=0, help="train/test split and pooling seed"
-            )
-            p_mode.add_argument("--train-frac", type=float, default=0.7)
-            p_mode.add_argument("--space", default="tfidf", help="feature space (default: tfidf)")
-            p_mode.add_argument("--min-df", type=int, default=2)
-            p_mode.add_argument("--lr", type=float, default=0.1, help="first step size")
-            p_mode.add_argument(
-                "--epochs", type=int, default=500, help="cap on training iterations"
-            )
-            p_mode.add_argument("--l2", type=float, default=1e-4)
+        if trained:
+            for option, kind, value, text in _TRAINING_FLAGS.values():
+                p_mode.add_argument(option, type=kind, default=value, help=text)
         p_mode.add_argument(
             "--lenient",
             dest="strict",

@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _check_int, _check_ints, auroc_upper
+from .bounds import _DuplicateKey, _check_int, _check_ints, _unique_keys, auroc_upper
 from .detector import Label
 from .distributions import Categorical, tv_distance
 
@@ -250,6 +250,8 @@ def best_auroc_by_order(
 
 
 _LABELS = {lab.value: lab for lab in Label}
+# One decoder for every line: ``json.loads`` with a hook builds one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
@@ -258,7 +260,9 @@ def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
         raise CorpusParseError("blank line", line=line_no)
     try:
         line.encode("utf-8")
-        obj = json.loads(line)
+        if line.startswith("\ufeff"):  # json.loads's own check, which decode() leaves out
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line)
     except UnicodeEncodeError as exc:
         byte = ord(line[exc.start]) - 0xDC00
         raise CorpusParseError(
@@ -268,6 +272,8 @@ def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
         raise CorpusParseError(
             f"malformed JSON at column {exc.colno}: {exc.msg}", line=line_no
         ) from None
+    except _DuplicateKey as exc:
+        raise CorpusParseError(str(exc), line=line_no) from None
     except (ValueError, RecursionError) as exc:  # an int past the digit limit, or deep nesting
         raise CorpusParseError(f"unreadable JSON: {exc}", line=line_no) from None
     if not isinstance(obj, dict):
@@ -290,7 +296,8 @@ def load_jsonl(path: str | Path, *, strict: bool = True) -> tuple[list[Document]
 
     Each line must be an object with a nonempty string ``id`` (unique within
     the file), nonempty ``text``, and ``label`` of ``"human"`` or
-    ``"machine"``.  A line holding bytes that are not UTF-8 is a bad line.
+    ``"machine"``; other keys are not read.  A line holding bytes that are
+    not UTF-8, or an object that repeats a key, is a bad line.
 
     Parameters
     ----------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _check_int, _check_real
+from .bounds import _check_int, _check_list, _check_real
 
 __all__ = [
     "BudgetError",
@@ -59,8 +59,8 @@ class Categorical:
     probs : sequence of float
         Nonnegative masses.  They must sum to 1 within ``1e-12``; inputs
         inside that tolerance are renormalized exactly, anything outside is
-        rejected.  Each element of a list or tuple must be a finite number;
-        a bool or a string is refused, not converted.
+        rejected.  Any input but an array must be a list-like iterable of
+        finite numbers; a bool or a string is refused, not converted.
 
     Notes
     -----
@@ -70,7 +70,8 @@ class Categorical:
     __slots__ = ("probs", "_has_zero", "_log_probs_cache")
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
-        if isinstance(probs, (list, tuple)):
+        if not isinstance(probs, np.ndarray):
+            probs = _check_list("probs", probs, "numbers")
             k = len(probs)
             probs = [_check_real(f"element {i} of {k}", p) for i, p in enumerate(probs, start=1)]
         arr = np.asarray(probs, dtype=np.float64)

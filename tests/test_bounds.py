@@ -338,6 +338,39 @@ class TestIntegerValidators:
             with pytest.raises(ValueError, match=f"^lengths must be .*{what}"):
                 _check_ints("lengths", bad)
 
+    # A mapping would be read key by key, a set in hash order and a string
+    # character by character: each is refused by the argument's name.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: auroc_vs_n_curve(0.1, 3), "n_values must be a list of integers, got 3"),
+            (
+                lambda: auroc_vs_n_curve(0.1, {1: 2}),
+                'n_values must be a list of integers, got {"1": 2}',
+            ),
+            (lambda: auroc_vs_n_curve(0.1, "12"), 'n_values must be a list of integers, got "12"'),
+            (lambda: _check_ints("lengths", {3}), 'lengths must be a list of integers, got "{3}"'),
+            (lambda: _check_ints("lengths", b"\x05"), "lengths must be a list of integers, got "),
+            (
+                lambda: auroc_vs_prefix_length(DOCS[:3], DOCS[3:], 5),
+                "lengths must be a list of integers, got 5",
+            ),
+            (
+                lambda: roc_upper_curve(0.5, {0.1: 1}),
+                'fpr_grid must be a list of numbers, got {"0.1": 1}',
+            ),
+            (
+                lambda: DependenceSpec({"blocks": [[2, 0.5]]}),
+                'blocks must be a list of (size, rho) pairs, got {"blocks": [[2, 0.5]]}',
+            ),
+        ],
+        ids=["number", "mapping", "string", "set", "bytes", "lengths", "fpr_grid", "blocks"],
+    )
+    def test_list_shapes_are_refused_by_name(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).startswith(message)
+
     # None of these may truncate a float or take a bool as an integer.
     @pytest.mark.parametrize(
         "name, call",

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, atomic writes."""
 
+import contextlib
 import csv
 import dataclasses
 import importlib
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -15,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detectability import Label
-from detectability.cli import _render, build_parser, main
+from detectability.cli import _TRAINING_FLAGS, _render, build_parser, main
 
 from _synth import unigram_docs, write_jsonl
 
@@ -124,7 +128,8 @@ class TestTvCommand:
         hp = dist_file(tmp_path, "h.json", [0.5, 0.5])
         code, out, err = run(capsys, "tv", mp, hp)
         assert (code, out) == (2, "")
-        assert err == f"detectability: error: {mp}: expected a JSON array of probabilities\n"
+        want = 'probs must be a list of numbers, got {"probs": [0.4, 0.6]}'
+        assert err == f"detectability: error: {mp}: {want}\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         hp = dist_file(tmp_path, "h.json", [0.5, 0.5])
@@ -362,6 +367,27 @@ class TestSimulateCommand:
         assert code == 2
         assert "n_values" in err or "h" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("h", None, "missing field 'h'"),
+            ("trials_per_class", None, "missing field 'trials_per_class'"),
+            ("m", 5, "field 'm': probs must be a list of numbers, got 5"),
+            ("h", {"a": 1}, 'field \'h\': probs must be a list of numbers, got {"a": 1}'),
+            ("n_values", "12", 'n_values must be a list of integers, got "12"'),
+            ("dependence", {}, "field 'dependence': missing field 'blocks'"),
+        ],
+    )
+    def test_field_left_out_or_not_a_list_is_named(self, capsys, tmp_path, field, value, message):
+        cfg = json.loads(Path(self.write_config(tmp_path)).read_text())
+        cfg.pop(field, None)
+        if value is not None:
+            cfg[field] = value
+        path = dist_file(tmp_path, "sim.json", cfg)
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (2, "")
+        assert err == f"detectability: error: {path}: {message}\n"
+
     def test_config_not_an_object_exit_two(self, capsys, tmp_path):
         path = dist_file(tmp_path, "sim.json", [{"m": [0.4, 0.6]}])
         code, out, err = run(capsys, "simulate", path)
@@ -444,7 +470,7 @@ class TestSimulateCommand:
                 "field 'dependence': field 'blocks': "
                 "block 1 of 1: rho must be a number, got true",
             ),
-            ("n_values", 4, "field 'n_values' must be a list"),
+            ("n_values", 4, "n_values must be a list of integers, got 4"),
         ],
         ids=["m-string", "h-bool", "rho-string", "rho-bool", "n_values-number"],
     )
@@ -575,10 +601,186 @@ class TestJsonKeys:
         err = self.run_file(capsys, tmp_path, command, text)
         assert err == f'duplicate key "{key}"\n'
 
+    def test_empty_dependence_names_its_missing_field(self, capsys, tmp_path):
+        err = self.run_file(capsys, tmp_path, "bounds", "{}")
+        assert err == "missing field 'blocks'\n"
+
     def test_key_is_shown_in_json_spelling(self, capsys, tmp_path):
         text = f'{{{SIMULATE_BODY}, "s\\"eed\\u00e9": 1}}'
         err = self.run_file(capsys, tmp_path, "simulate", text)
         assert err == f'unknown key "s\\"eed\\u00e9"; allowed keys: {SIMULATE_KEYS}\n'
+
+
+# The mutation property: one fault in an otherwise valid input exits 2 with
+# a message naming the key or field it is in, and never with a traceback.
+# Inputs are the command's file, or one corpus record; each object is a list
+# of (key, value) pairs so that a mutation can repeat a key.
+class Pairs(list):
+    """A JSON object as its (key, value) pairs."""
+
+
+def as_pairs(value):
+    if isinstance(value, dict):
+        return Pairs((k, as_pairs(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return [as_pairs(v) for v in value]
+    return value
+
+
+def dumps(value):
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dumps(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+VALID_INPUTS = {
+    "tv": [0.4, 0.6],
+    "bounds": {"blocks": [[10, 0.5], [2, 0.25]]},
+    "simulate": {
+        "m": [0.4, 0.6], "h": [0.5, 0.5], "n_values": [1, 3], "trials_per_class": 20,
+        "dependence": {"blocks": [[2, 0.5]]}, "seed": 3,
+    },
+    "corpus": {"id": "x", "text": "a b c", "label": "human"},
+}
+OPTIONAL_KEYS = {"dependence", "seed"}  # of the simulate config; every other key is required
+CORPUS_LINES = [json.dumps({"id": f"h{i}", "text": "a b a", "label": "human"}) for i in range(3)]
+
+# A value of each JSON type, for a value of another type to be replaced with.
+JSON_TYPES = {
+    str: st.text(max_size=3),
+    bool: st.booleans(),
+    type(None): st.none(),
+    int: st.integers(-5, 5),
+    float: st.floats(-5, 5).filter(lambda x: not x.is_integer()),
+    list: st.lists(st.integers(0, 3), max_size=2),
+    Pairs: st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2).map(as_pairs),
+}
+
+
+def nodes(value, path=()):
+    """Every (path, node) below ``value``; a step indexes a list or an object's pairs."""
+    if isinstance(value, Pairs):
+        children = [v for _, v in value]
+    elif isinstance(value, list):
+        children = value
+    else:
+        return
+    for i, child in enumerate(children):
+        yield path + (i,), child
+        yield from nodes(child, path + (i,))
+
+
+def replace(value, path, new):
+    """``value`` with the node at ``path`` replaced by ``new(node)``, which may return pairs."""
+    if not path:
+        return new(value)
+    i, rest = path[0], path[1:]
+    out = type(value)(value)
+    if isinstance(value, Pairs):
+        out[i] = (value[i][0], replace(value[i][1], rest, new))
+    else:
+        out[i] = replace(value[i], rest, new)
+    return out
+
+
+@st.composite
+def mutations(draw, command):
+    """``(text, pattern)``: a mutated input, and a regex its error must match."""
+    valid = as_pairs(VALID_INPUTS[command])
+    objects = [(p, v) for p, v in [((), valid), *nodes(valid)] if isinstance(v, Pairs)]
+    choices = [("type", p, v) for p, v in nodes(valid)]
+    choices += [(kind, p, v) for p, v in nodes(valid) for kind in ("range", "nonfinite")
+                if type(v) in (int, float)]
+    choices += [("range", p, v) for p, v in nodes(valid) if type(v) is str]
+    for p, obj in objects:
+        for i, (key, _) in enumerate(obj):
+            choices.append(("repeat", p, (i, key)))
+            if not (p == () and key in OPTIONAL_KEYS):
+                choices.append(("drop", p, (i, key)))
+        if command != "corpus":  # a record's other keys are metadata
+            choices.append(("unknown", p, {k for k, _ in obj}))
+    kind, path, node = draw(st.sampled_from(choices))
+
+    def field(path):
+        """The error names the top-level key the path is under, or a tv file's element."""
+        if command == "tv":
+            return rf"(element {path[0] + 1} of 2|probs)"
+        key = valid[path[0]][0]
+        return rf"(field '{key}'|^{key} must be)"
+
+    if kind == "type":
+        kinds = [t for t in JSON_TYPES if t is not type(node)]
+        if type(node) is float:
+            kinds.remove(int)  # an integer is a number
+        if command == "simulate" and len(path) == 1 and valid[path[0]][0] == "dependence":
+            kinds.remove(type(None))  # "dependence": null runs iid
+        new = draw(st.sampled_from(kinds).flatmap(JSON_TYPES.get))
+        mutated, pattern = replace(valid, path, lambda _: new), field(path)
+    elif kind == "nonfinite":
+        new = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        mutated, pattern = replace(valid, path, lambda _: new), field(path)
+    elif kind == "range":
+        new = "" if isinstance(node, str) else -abs(node) - 1
+        mutated, pattern = replace(valid, path, lambda _: new), field(path)
+    elif kind == "unknown":
+        key = draw(st.text(max_size=5).filter(lambda k: k not in node))
+        mutated = replace(valid, path, lambda obj: Pairs(obj + [(key, 1)]))
+        pattern = re.escape(f"unknown key {json.dumps(key)}")
+    else:
+        i, key = node
+        if kind == "repeat":
+            mutated = replace(valid, path, lambda obj: Pairs(obj + [obj[i]]))
+            pattern = re.escape(f"duplicate key {json.dumps(key)}")
+        else:
+            mutated = replace(valid, path, lambda obj: Pairs(obj[:i] + obj[i + 1:]))
+            pattern = re.escape(f"missing field '{key}'")
+    return dumps(mutated), pattern
+
+
+def run_input(directory, command, text):
+    """``(exit code, stderr after the file's name)`` of ``command`` on input ``text``."""
+    path = directory / f"{command}.json"
+    other = directory / "other.json"
+    if command == "corpus":
+        text = "\n".join(CORPUS_LINES + [text]) + "\n"
+        other.write_text(CORPUS_LINES[0].replace("human", "machine") + "\n")
+        argv = ["corpus", "tv-by-order", "--human", path, "--machine", other, "--orders", "1"]
+    else:
+        other.write_text("[0.5, 0.5]")
+        argv = {
+            "tv": ["tv", path, other],
+            "bounds": ["bounds", "--delta", "0.1", "--epsilon", "0.9", "--dependence", path],
+            "simulate": ["simulate", path],
+        }[command]
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    prefix = f"detectability: error: {path}: " + ("line 4: " if command == "corpus" else "")
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue().removeprefix(prefix)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@pytest.mark.parametrize("command", list(VALID_INPUTS))
+def test_the_unmutated_input_runs(mutation_dir, command):
+    assert run_input(mutation_dir, command, dumps(as_pairs(VALID_INPUTS[command])))[0] == 0
+
+
+@pytest.mark.parametrize("command", list(VALID_INPUTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_mutation_exits_two_naming_its_key(mutation_dir, command, data):
+    text, pattern = data.draw(mutations(command))
+    code, err = run_input(mutation_dir, command, text)
+    assert code == 2, (text, err)
+    assert re.search(pattern, err), (text, pattern, err)
 
 
 class TestCorpusCommand:
@@ -699,6 +901,21 @@ class TestCorpusCommand:
         code, _, err = run(capsys, *argv, "--lenient")
         assert code == 0
         assert err == f"detectability: skipped 1 bad line(s) in {bad}\n"
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_repeated_key_is_a_bad_line(self, capsys, corpus_files, strict):
+        hp, mp = corpus_files
+        with open(hp, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "x", "text": "a b", "label": "human", "label": "machine"}\n')
+        line = len(Path(hp).read_text(encoding="utf-8").splitlines())
+        argv = ["corpus", "tv-by-order", "--human", hp, "--machine", mp, "--orders", "1"]
+        code, out, err = run(capsys, *argv, *([] if strict else ["--lenient"]))
+        if strict:
+            assert (code, out) == (2, "")
+            assert err == f'detectability: error: {hp}: line {line}: duplicate key "label"\n'
+        else:
+            assert code == 0
+            assert err == f"detectability: skipped 1 bad line(s) in {hp}\n"
 
     def test_lenient_skips_with_note(self, capsys, corpus_files, tmp_path):
         hp, mp = corpus_files
@@ -934,19 +1151,24 @@ class TestFlagSurface:
         "mode, study", [("train-ablate", "auroc_vs_prefix_length"), ("pairwise", "pairwise_auroc")]
     )
     def test_corpus_flag_defaults_are_the_library_defaults(self, mode, study):
-        # the parser spells each default out rather than reading the library's,
-        # which would load textlab (and scipy) for every command
+        # the flag table spells each default out rather than reading the
+        # library's, which would load textlab (and scipy) for every command;
+        # so a library field renamed, added or given a new default fails here
         from detectability import textlab
 
         args = build_parser().parse_args(["corpus", mode, "--human", "h", "--machine", "m"])
         params = inspect.signature(getattr(textlab, study)).parameters
-        for option in ("seed", "train_frac", "space", "min_df"):
-            assert getattr(args, option) == params[option].default, option
+        options = {
+            name: p.default for name, p in params.items()
+            if p.kind is p.KEYWORD_ONLY and name != "config"
+        }
+        library = options | dataclasses.asdict(textlab.TrainConfig())
+        assert sorted(_TRAINING_FLAGS) == sorted(library)
+        for field, (flag, kind, default, _) in _TRAINING_FLAGS.items():
+            assert (type(default), default) == (kind, library[field]), field
+            assert getattr(args, flag[2:].replace("-", "_")) == default, flag
         if mode == "pairwise":
             assert [int(k) for k in args.k_values.split(",")] == list(params["k_values"].default)
-        assert dataclasses.asdict(textlab.TrainConfig()) == {
-            "learning_rate": args.lr, "epochs": args.epochs, "l2": args.l2
-        }
 
     def test_k_above_a_test_class_size_names_the_first_class(self, capsys, corpus_files):
         # 40 documents a side leave 12 a side in the test split; human comes first

@@ -332,6 +332,8 @@ class TestBestAurocByOrder:
             best_auroc_by_order(h, m, [])
         with pytest.raises(ValueError):
             best_auroc_by_order(h, m, [1, 1])
+        with pytest.raises(ValueError, match="^orders must be a list of integers, got 2$"):
+            best_auroc_by_order([], [], 2)
 
 
 def json_error(text):
@@ -405,12 +407,18 @@ class TestLoadJsonl:
                 "malformed JSON at column 2: Expecting property name enclosed in double quotes",
             ),
             ("[1, 2]", "record must be a JSON object"),
+            (
+                '\ufeff{"id": "b", "text": "y", "label": "human"}',
+                "malformed JSON at column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+            ),
             ('{"id": "b", "text": "y"}', "missing field 'label'"),
             (
                 '{"id": "b", "text": "y", "label": ["human"]}',
                 "field 'label' must be 'human' or 'machine'",
             ),
             ('{"id": "a", "text": "y", "label": "human"}', "duplicate id 'a'"),
+            ('{"id": "b", "text": "y", "label": "human", "label": "human"}', 'duplicate key "label"'),
+            ('{"id": "b", "text": "y", "label": "human", "m": {"k": 1, "k": 2}}', 'duplicate key "k"'),
             pytest.param(
                 HUGE_INT_LINE, "unreadable JSON: " + json_error(HUGE_INT_LINE), id="huge-int"
             ),
@@ -459,11 +467,12 @@ class TestLoadJsonl:
             Document(id="a", text="x", label="bot")
 
     def test_extra_fields_tolerated(self, tmp_path):
+        # keys beyond id, text and label are metadata: kept out of the document, not refused
         path = self.write(
-            tmp_path, ['{"id": "a", "text": "x", "label": "human", "source": "w"}']
+            tmp_path, ['{"id": "a", "text": "x", "label": "human", "source": "w", "lable": 1}']
         )
         docs, _ = load_jsonl(path)
-        assert docs[0].text == "x"
+        assert docs == [Document(id="a", text="x", label=Label.HUMAN)]
 
     def test_error_message_carries_path_context(self, tmp_path):
         path = self.write(tmp_path, ["{bad"])

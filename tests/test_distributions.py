@@ -1,6 +1,7 @@
 """Exact distribution machinery: TV, Chernoff, products, brute force."""
 
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -127,6 +128,15 @@ class TestCategorical:
             Categorical([np.nan, 1.0])
         with pytest.raises(ValueError, match="^probs must be finite$"):
             Categorical(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize(
+        "probs, shown",
+        [({"a": 0.5, "b": 0.5}, '{"a": 0.5, "b": 0.5}'), ("ab", '"ab"'), (0.5, "0.5"), (None, "null")],
+        ids=["mapping", "string", "number", "null"],
+    )
+    def test_rejects_what_is_not_a_list_by_name(self, probs, shown):
+        with pytest.raises(ValueError, match=f"^probs must be a list of numbers, got {re.escape(shown)}$"):
+            Categorical(probs)
 
     def test_support_size_and_readonly(self):
         c = Categorical([0.25] * 4)

@@ -582,6 +582,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(BERN_6, BERN_5, **args)
 
+    # a number once raised TypeError, a mapping ran its keys and a string its characters
+    @pytest.mark.parametrize(
+        "n_values, shown", [(5, "5"), ({1: 2}, '{"1": 2}'), ("12", '"12"')],
+        ids=["number", "mapping", "string"],
+    )
+    def test_n_values_must_be_a_list(self, n_values, shown):
+        with pytest.raises(ValueError, match=f"^n_values must be a list of integers, got {shown}$"):
+            ExperimentConfig(BERN_6, BERN_5, n_values, 10)
+
     @pytest.mark.parametrize("blocks", [None, [(10, 0.5)], [(3, 0.2), (2, 0.9), (1, 0.0)]])
     def test_n_is_capped_at_int64_with_or_without_dependence(self, blocks):
         # the pattern is counted, not listed, so its number of blocks sets no cap
