@@ -56,8 +56,7 @@ class DependenceSpec:
         for i, b in enumerate(blocks, start=1):
             where = f"block {i} of {len(blocks)}"
             if not isinstance(b, (list, tuple)) or len(b) != 2:
-                shown = json.dumps(b, default=repr)
-                raise ValueError(f"{where} must be a (size, rho) pair, got {shown}")
+                raise ValueError(f"{where} must be a (size, rho) pair, got {_shown(b)}")
             _check_real(f"{where}: size", b[0])  # a number, and alpha's (c - 1) * rho fits a float
             c = _check_int(f"{where}: size", b[0])
             norm.append((c, _check_real(f"{where}: rho", b[1], 0, 1, "[]")))
@@ -106,11 +105,23 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _shown(value: Any) -> str:
+    """A rejected value as JSON spells it, or its ``repr`` where JSON cannot."""
+    try:
+        return json.dumps(value, default=repr)
+    except (TypeError, ValueError):  # a key JSON cannot name, or a cycle
+        return repr(value)
+
+
 def _check_list(name: str, values: Any, what: str) -> list:
     """``values`` as a list of ``what``; a mapping, set, string or non-iterable raises."""
-    if isinstance(values, (str, bytes, Mapping, Set)) or not isinstance(values, Iterable):
-        raise ValueError(f"{name} must be a list of {what}, got {json.dumps(values, default=repr)}")
-    return list(values)
+    try:
+        if isinstance(values, (str, bytes, Mapping, Set)):
+            raise TypeError
+        items = iter(values)
+    except TypeError:  # iter() refuses a 0-d array, which is an Iterable all the same
+        raise ValueError(f"{name} must be a list of {what}, got {_shown(values)}") from None
+    return list(items)
 
 
 def _check_real(
@@ -124,7 +135,7 @@ def _check_real(
     """
     # int and float first: they pass without the slower abstract-class check
     if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
-        raise ValueError(f"{name} must be a number, got {json.dumps(x, default=repr)}")
+        raise ValueError(f"{name} must be a number, got {_shown(x)}")
     try:
         f = float(x)
     except OverflowError:  # an int past the float range
@@ -150,7 +161,7 @@ def _check_int(name: str, n: int, low: int = 1, high: int | None = None) -> int:
             raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} must be {what}, got {json.dumps(n, default=repr)}") from None
+        raise ValueError(f"{name} must be {what}, got {_shown(n)}") from None
     if n < low or (high is not None and n > high):
         raise ValueError(f"{name} must be {what}, got {n}")
     return n

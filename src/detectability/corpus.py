@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count, islice
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -278,9 +278,9 @@ def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
         raise CorpusParseError(f"unreadable JSON: {exc}", line=line_no) from None
     if not isinstance(obj, dict):
         raise CorpusParseError("record must be a JSON object", line=line_no)
-    for fieldname in ("id", "text", "label"):
-        if fieldname not in obj:
-            raise CorpusParseError(f"missing field '{fieldname}'", line=line_no)
+    for field in fields(Document):
+        if field.name not in obj:
+            raise CorpusParseError(f"missing field '{field.name}'", line=line_no)
     label = obj["label"] if isinstance(obj["label"], str) else None  # a list cannot hash
     try:
         doc = Document(id=obj["id"], text=obj["text"], label=_LABELS.get(label))

@@ -80,25 +80,6 @@ def _doc_rows(lens: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return np.repeat(rows, lens)
 
 
-def _distinct_pairs(rows: np.ndarray, ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``(row, id)`` pairs of the tokens, and how many tokens each has.
-
-    A pair comes as its key ``row * width + id``, which sorts like the pair,
-    and the keys ascend.  A token whose row or id is -1 is left out.
-    """
-    kept = (rows >= 0) & (ids >= 0)
-    keys = rows[kept]
-    keys *= width
-    keys += ids[kept]
-    keys.sort()
-    # each run of equal keys is one pair, and its length the count
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return keys[starts], np.diff(starts, append=keys.size)
-
-
 def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) -> sp.csr_matrix:
     """Term counts of ``n_rows`` documents: entry ``(r, i)`` counts id ``i`` in row ``r``.
 
@@ -106,22 +87,28 @@ def _count_matrix(rows: np.ndarray, ids: np.ndarray, n_rows: int, width: int) ->
     ``width``; a token whose row or id is -1 is left out.  The matrix is built
     in canonical form, each row's columns sorted and distinct.
     """
-    keys, counts = _distinct_pairs(rows, ids, width)
-    row, column = np.divmod(keys, width)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix((counts.astype(np.float64), column, indptr), shape=(n_rows, width))
+    kept = (rows >= 0) & (ids >= 0)
+    keys = rows[kept]
+    keys *= width
+    keys += ids[kept]
+    del kept
+    keys.sort()  # the key row * width + id sorts like the pair (row, id)
+    # each run of equal keys is one entry, and its length the count
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.diff(starts, append=keys.size).astype(np.float64)
+    keys = keys[starts]
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * width)
+    keys %= width
+    return sp.csr_matrix((counts, keys, indptr), shape=(n_rows, width))
 
 
-def _vocab_columns(
-    rows: np.ndarray, ids: np.ndarray, width: int, min_df: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ids among ``width`` in at least ``min_df`` rows, and their row counts.
-
-    ``rows`` and ``ids`` are as :func:`_count_matrix` takes them.
-    """
-    keys, _ = _distinct_pairs(rows, ids, width)
-    df = np.bincount(keys % width, minlength=width)
+def _frequent_columns(counts: sp.csr_matrix, min_df: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of canonical ``counts`` with entries in ``min_df`` rows or more, and how many."""
+    df = np.bincount(counts.indices, minlength=counts.shape[1])
     columns = np.flatnonzero(df >= min_df)
     return columns, df[columns]
 
@@ -161,9 +148,8 @@ def build_vocab(docs: Sequence[Document], min_df: int = 2) -> Vocabulary:
     """Vocabulary of tokens appearing in at least ``min_df`` documents."""
     min_df = _check_int("min_df", min_df)
     tokens, ids, lens = _encode(docs)
-    columns, doc_freq = _vocab_columns(
-        _doc_rows(lens, np.arange(lens.size)), ids, len(tokens), min_df
-    )
+    counts = _count_matrix(_doc_rows(lens, np.arange(lens.size)), ids, lens.size, len(tokens))
+    columns, doc_freq = _frequent_columns(counts, min_df)
     return Vocabulary(
         tokens=tuple(tokens[i] for i in columns), doc_freq=doc_freq, n_docs=lens.size
     )
@@ -444,15 +430,17 @@ def _heldout_fit(
     train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed, space)
     train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
-    train_rows = _doc_rows(lens, train)
-    columns, doc_freq = _vocab_columns(train_rows, ids, len(tokens), min_df)
-    # each token's vocabulary column, -1 outside it, takes the place of its id
+    counts = _count_matrix(_doc_rows(lens, train), ids, train.size, len(tokens))
+    columns, doc_freq = _frequent_columns(counts, min_df)
+    # each id's vocabulary column, -1 outside it
     column = np.full(len(tokens), -1, dtype=np.int64)
     column[columns] = np.arange(columns.size)
-    column = column[ids]
-    del ids
-    counts = _count_matrix(train_rows, column, train.size, columns.size)
-    del train_rows  # training needs the room
+    at = column[counts.indices]  # the map rises, so each row stays sorted
+    kept = at >= 0
+    indptr = np.append(0, np.cumsum(kept))[counts.indptr]
+    counts = sp.csr_matrix((counts.data[kept], at[kept], indptr), shape=(train.size, columns.size))
+    column = column[ids]  # each token's column takes the place of its id
+    del ids, at, kept  # training needs the room
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
     model, losses = train_logreg(_weigh(counts, doc_freq, train.size, space), y[train], config)
     test_rows = _doc_rows(lens, test)

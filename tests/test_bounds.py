@@ -26,7 +26,7 @@ from detectability import (
     tv_tensor_chernoff,
     tv_tensor_lower,
 )
-from detectability.bounds import _check_int, _check_ints
+from detectability.bounds import _check_int, _check_ints, _check_real
 
 # Oracles computed by hand / with mpmath before the implementations existed.
 # iid: ceil(ln(2 / (1 - eps)) / delta^2)
@@ -370,6 +370,33 @@ class TestIntegerValidators:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value).startswith(message)
+
+    # JSON cannot name a tuple key, and a 0-d array is an Iterable that
+    # cannot be iterated: each is still refused by name, shown by its repr.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: Categorical({(1, 2): 0.5}),
+                "probs must be a list of numbers, got {(1, 2): 0.5}",
+            ),
+            (lambda: _check_int("n", {(1,): 2}), "n must be a positive integer, got {(1,): 2}"),
+            (lambda: _check_real("x", {(1,): 2}), "x must be a number, got {(1,): 2}"),
+            (
+                lambda: DependenceSpec([{(1,): 2}]),
+                "block 1 of 1 must be a (size, rho) pair, got {(1,): 2}",
+            ),
+            (
+                lambda: _check_ints("n_values", np.array(3)),
+                'n_values must be a list of integers, got "array(3)"',
+            ),
+        ],
+        ids=["categorical", "int", "real", "block", "0-d-array"],
+    )
+    def test_values_json_cannot_show_raise_value_error(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     # None of these may truncate a float or take a bool as an integer.
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ training modes, ``train-ablate`` and ``pairwise``, import; of scipy they load
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -42,6 +43,10 @@ NO_CALLER = {
     "min_error_bruteforce": "acceptance criterion 2 and demos/01 use it",
     "product_tv_exact": "traced in BENCHMARK.json; acceptance criterion 3's oracle; "
     "run_experiment sums through its sweep form",
+}
+# Public methods and properties that no code under src/ calls, and why each stays.
+NO_CALLER_MEMBERS = {
+    ("Categorical", "bernoulli"): "demos 01 and 03, the README and the tests build pairs with it",
 }
 
 
@@ -112,6 +117,37 @@ def test_every_public_name_has_a_caller():
     }
     assert set(NO_CALLER) <= public
     assert sorted(public - used - set(NO_CALLER)) == []
+
+
+def public_members():
+    """``(class, name)`` of each public method and property of a class in an ``__all__``."""
+    members = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"detectability.{module}")
+        for name in mod.__all__:
+            cls = getattr(mod, name)
+            if isinstance(cls, type):
+                members.update(
+                    (name, attr)
+                    for attr, value in vars(cls).items()
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(value) or isinstance(value, (property, classmethod)))
+                )
+    return members
+
+
+def test_every_public_member_has_a_caller():
+    # a method or property counts as used when code under src/ loads it as
+    # an attribute; a bare name of the same spelling does not call it
+    used = {
+        node.attr
+        for tree in src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = public_members()
+    assert set(NO_CALLER_MEMBERS) <= members
+    assert sorted(m for m in members - set(NO_CALLER_MEMBERS) if m[1] not in used) == []
 
 
 def test_every_private_function_has_a_caller():

@@ -1,6 +1,7 @@
 """Feature extraction, logistic training, prefix and pairwise studies."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -857,3 +858,31 @@ class TestPairwiseStudy:
             pairwise_auroc(h, m, k_values=(2, 2))
         with pytest.raises(ValueError):
             pairwise_auroc(h, m, k_values=(4, 2))
+
+
+class TestStudyMemory:
+    # 200 + 200 documents of 250 tokens over 5,000 words, so that nearly every
+    # (document, word) pair is its own entry: one count of the training
+    # documents, read for the vocabulary and cut to it, peaks at about 41-44
+    # bytes a token; sorting the training keys once for the document
+    # frequencies and again for the matrix took 50
+    @pytest.mark.parametrize(
+        "study, values",
+        [(auroc_vs_prefix_length, [10, 50, 200]), (pairwise_auroc, [1, 2, 4])],
+        ids=["prefix", "pairwise"],
+    )
+    def test_peak_memory_per_token_is_bounded(self, study, values):
+        rng = np.random.default_rng(11)
+        words = np.array([f"word{i}" for i in range(5000)])
+        h, m = (
+            [doc(" ".join(rng.choice(words, 250)), lab, f"{lab.value}{i}") for i in range(200)]
+            for lab in (Label.HUMAN, Label.MACHINE)
+        )
+        tracemalloc.start()
+        try:
+            rows = study(h, m, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        assert peak / 100_000 < 47
