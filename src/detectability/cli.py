@@ -201,7 +201,6 @@ _TRAINING_FLAGS = {
     "train_frac": ("--train-frac", float, 0.7, None),
     "space": ("--space", str, "tfidf", "feature space (default: tfidf)"),
     "min_df": ("--min-df", int, 2, None),
-    "learning_rate": ("--lr", float, 0.1, "first step size"),
     "epochs": ("--epochs", int, 500, "cap on training iterations"),
     "l2": ("--l2", float, 1e-4, None),
 }

@@ -250,6 +250,7 @@ def best_auroc_by_order(
 
 
 _LABELS = {lab.value: lab for lab in Label}
+_FIELDS = tuple(field.name for field in fields(Document))
 # One decoder for every line: ``json.loads`` with a hook builds one per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
@@ -278,9 +279,9 @@ def _parse_line(line: str, line_no: int, seen_ids: set[str]) -> Document:
         raise CorpusParseError(f"unreadable JSON: {exc}", line=line_no) from None
     if not isinstance(obj, dict):
         raise CorpusParseError("record must be a JSON object", line=line_no)
-    for field in fields(Document):
-        if field.name not in obj:
-            raise CorpusParseError(f"missing field '{field.name}'", line=line_no)
+    for name in _FIELDS:
+        if name not in obj:
+            raise CorpusParseError(f"missing field '{name}'", line=line_no)
     label = obj["label"] if isinstance(obj["label"], str) else None  # a list cannot hash
     try:
         doc = Document(id=obj["id"], text=obj["text"], label=_LABELS.get(label))

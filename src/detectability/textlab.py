@@ -43,6 +43,8 @@ FEATURE_SPACES = ("counts", "tfidf")
 
 # L-BFGS keeps this many curvature pairs.
 _MEMORY = 10
+# The first gradient step; later ones scale by curvature, so any reaches the optimum.
+_FIRST_STEP = 0.1
 # Training stops once the largest gradient entry is this fraction of its start.
 _RTOL = 1e-6
 # Armijo rule: a step must lower the loss by this fraction of its first-order
@@ -178,20 +180,16 @@ def featurize(
 class TrainConfig:
     """Hyperparameters for :func:`train_logreg`.
 
-    ``learning_rate`` is the size of the first step, a plain gradient step;
-    later steps take their scale from the curvature seen so far.  ``epochs``
-    caps the number of iterations, and training usually stops well before it,
-    at the optimum.  Full-batch training from zero weights has nothing to
-    shuffle, so it takes no seed: the same data and hyperparameters give the
-    same model.
+    ``epochs`` caps the number of iterations, and training usually stops well
+    before it, at the optimum.  Full-batch training from zero weights has
+    nothing to shuffle, so it takes no seed: the same data and hyperparameters
+    give the same model.
     """
 
-    learning_rate: float = 0.1
     epochs: int = 500
     l2: float = 1e-4
 
     def __post_init__(self):
-        _check_real("learning_rate", self.learning_rate, 0, math.inf, "()")
         _check_int("epochs", self.epochs)
         _check_real("l2", self.l2, 0, math.inf, "[)")
 
@@ -240,15 +238,15 @@ def _lbfgs_direction(
 
     ``H`` starts from ``scale * I`` and takes the pairs oldest first.
     """
-    q = grad.copy()
+    q, product = grad.copy(), np.empty_like(grad)
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * (s @ q))
-        q -= alphas[-1] * y
+        q -= np.multiply(alphas[-1], y, out=product)
     q *= scale
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return -q
+        q += np.multiply(alpha - rho * (y @ q), s, out=product)
+    return np.negative(q, out=q)
 
 
 def train_logreg(
@@ -263,16 +261,16 @@ def train_logreg(
     deterministic.  Each iteration steps along the limited-memory BFGS
     direction (Liu & Nocedal 1989) over the last few curvature pairs,
     trying the full step first and halving it until the loss falls by the
-    Armijo rule.  Before any pair exists the inverse Hessian is
-    ``learning_rate * I``, so one iteration is one gradient step of that size
-    whenever the step lowers the loss enough.
+    Armijo rule.  Before any pair exists the inverse Hessian is ``0.1 * I``,
+    so the first iteration is a gradient step of 0.1, halved by the Armijo
+    rule until the loss falls enough.
 
     Training stops once the gradient's largest entry is at most a fixed
     fraction (1e-6) of its value at zero weights, once no step can lower the
     loss at float precision, or after ``epochs`` iterations; ``len(losses) - 1
     == epochs`` shows the last, no stop rule met (some small dense count
     matrices reach it).  A trial step whose loss is NaN or infinite raises
-    ``RuntimeError`` naming the iteration -- lower the learning rate.
+    ``RuntimeError`` naming the iteration and the two losses.
 
     The gradient's logistic ``1 / (1 + exp(-z))`` is computed with the C
     library's ``exp``, one call per sample, so it equals scipy's logistic
@@ -322,7 +320,7 @@ def train_logreg(
     tol = _RTOL * np.abs(grad).max()
     losses = [loss]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
-    scale = cfg.learning_rate
+    scale = _FIRST_STEP
     while len(losses) <= cfg.epochs and np.abs(grad).max() > tol:
         direction = _lbfgs_direction(grad, pairs, scale)
         slope = float(grad @ direction)
@@ -334,7 +332,7 @@ def train_logreg(
             if not math.isfinite(trial_loss):
                 raise RuntimeError(
                     f"training loss is not finite at epoch {len(losses)} "
-                    f"({loss!r} -> {trial_loss!r}); reduce learning_rate"
+                    f"({loss!r} -> {trial_loss!r}): features too large for the first step"
                 )
             if trial_loss <= loss + _ARMIJO * step * slope:
                 break

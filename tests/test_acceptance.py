@@ -38,6 +38,7 @@ from detectability import (
     tv_distance,
     tv_tensor_lower,
 )
+from detectability import textlab
 from detectability.cli import main
 from detectability.textlab import _logreg_loss
 
@@ -258,10 +259,12 @@ def test_criterion_09_prefix_and_pooling_trends():
         assert pw[1].test_auroc >= pw[0].test_auroc - 0.02
 
 
-def test_criterion_10_numerical_hygiene():
+def test_criterion_10_numerical_hygiene(monkeypatch):
     with criterion(
         10, "analytic gradient matches finite differences; AUROC methods agree", 60.0
     ):
+        lr = 0.25
+        monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
         rng = np.random.default_rng(1010)
         for _ in range(50):
             n, d = int(rng.integers(2, 9)), int(rng.integers(1, 6))
@@ -269,8 +272,7 @@ def test_criterion_10_numerical_hygiene():
             y = (rng.random(n) < 0.5).astype(int)
             y[:2] = [0, 1]
             l2 = float(rng.uniform(0.0, 0.3))
-            lr = 0.25
-            model, _ = train_logreg(x, y, TrainConfig(learning_rate=lr, epochs=1, l2=l2))
+            model, _ = train_logreg(x, y, TrainConfig(epochs=1, l2=l2))
             w1 = np.concatenate([model.weights, [model.bias]])
             grad_impl = -w1 / lr
 

@@ -1007,8 +1007,10 @@ class TestFlagSurface:
         [("tv-by-order", flag, value) for flag, value in [
             ("--seed", "0"), ("--lengths", "5"), ("--k-values", "1"),
             ("--train-frac", "0.7"), ("--space", "tfidf"), ("--min-df", "2"),
-            ("--lr", "0.1"), ("--epochs", "500"), ("--l2", "0.0001"),
+            ("--epochs", "500"), ("--l2", "0.0001"),
         ]]
+        # the first step is fixed, so no mode takes a step size
+        + [(mode, "--lr", "0.1") for mode in ("tv-by-order", "train-ablate", "pairwise")]
         + [
             ("train-ablate", "--orders", "1"),
             ("train-ablate", "--k-values", "1"),
@@ -1034,8 +1036,9 @@ class TestFlagSurface:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--lr", "0", "must lie in (0, inf), got 0.0"),
             ("--l2", "-1", "must lie in [0, inf), got -1.0"),
+            ("--l2", "nan", "must lie in [0, inf), got nan"),
+            ("--l2", "inf", "must lie in [0, inf), got inf"),
             ("--epochs", "0", "must be a positive integer, got 0"),
             ("--train-frac", "0", "must lie in (0, 1), got 0.0"),
             ("--train-frac", "1", "must lie in (0, 1), got 1.0"),
@@ -1057,7 +1060,7 @@ class TestFlagSurface:
 
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--l2", "nan", "l2"), ("--l2", "inf", "l2"), ("--lr", "inf", "learning_rate")],
+        [("--l2", "nan", "l2"), ("--l2", "inf", "l2")],
     )
     def test_non_finite_training_settings_name_the_field(
         self, capsys, corpus_files, flag, value, field
@@ -1075,16 +1078,16 @@ class TestFlagSurface:
     @pytest.mark.parametrize(
         "mode, flag", [("train-ablate", "--lengths"), ("pairwise", "--k-values")]
     )
-    def test_bad_learning_rate_is_reported_before_a_bad_list(
+    def test_bad_l2_is_reported_before_a_bad_list(
         self, capsys, corpus_files, mode, flag
     ):
         hp, mp = corpus_files
         code, out, err = run(
             capsys, "corpus", mode, "--human", hp, "--machine", mp,
-            "--lr", "-5", flag, "3,1",
+            "--l2", "-1", flag, "3,1",
         )
         assert code == 2
-        assert "--lr must lie in (0, inf), got -5.0" in err
+        assert "--l2 must lie in [0, inf), got -1.0" in err
         assert out == ""
 
     @pytest.mark.parametrize("mode", ["train-ablate", "pairwise"])
@@ -1127,14 +1130,14 @@ class TestFlagSurface:
                 "train-ablate",
                 '# detectability version=0.1.0 config={"command":"corpus train-ablate",'
                 '"epochs":500,"format":"csv","human":"{human}","l2":0.0001,'
-                '"learning_rate":0.1,"lengths":[5,10,20,50,100],"machine":"{machine}",'
+                '"lengths":[5,10,20,50,100],"machine":"{machine}",'
                 '"min_df":2,"seed":0,"space":"tfidf","strict":true,"train_frac":0.7}',
             ),
             (
                 "pairwise",
                 '# detectability version=0.1.0 config={"command":"corpus pairwise",'
                 '"epochs":500,"format":"csv","human":"{human}","k_values":[1,2],'
-                '"l2":0.0001,"learning_rate":0.1,"machine":"{machine}","min_df":2,'
+                '"l2":0.0001,"machine":"{machine}","min_df":2,'
                 '"seed":0,"space":"tfidf","strict":true,"train_frac":0.7}',
             ),
         ],

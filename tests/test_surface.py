@@ -190,6 +190,18 @@ def test_no_source_file_names_scipy_special():
     assert named == []
 
 
+def test_no_source_file_names_a_learning_rate():
+    # L-BFGS reaches the same model from any first step, so the step is a
+    # private constant (textlab._FIRST_STEP), not a setting
+    src = ROOT / "src"
+    named = [
+        str(p.relative_to(src))
+        for p in src.rglob("*.py")
+        if any(word in p.read_text(encoding="utf-8") for word in ("learning_rate", "--lr"))
+    ]
+    assert named == []
+
+
 def fresh_python(code, *args):
     """Standard output of ``code`` run with ``args`` in a new interpreter."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])

@@ -418,25 +418,27 @@ class TestTrainLogreg:
         best = newton_optimum_loss(x, y)
         assert losses[-1] - best <= 8 * np.finfo(float).eps * best
 
-    def test_separable_pair_classifies_correctly(self):
+    def test_separable_pair_classifies_correctly(self, monkeypatch):
+        monkeypatch.setattr(textlab, "_FIRST_STEP", 1.0)
         x = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         y = np.array([0, 1])
-        model, losses = train_logreg(x, y, TrainConfig(learning_rate=1.0, epochs=200))
+        model, losses = train_logreg(x, y, TrainConfig(epochs=200))
         z = model.decision_function(x)
         assert z[0] < 0 < z[1]
         assert losses[0] == pytest.approx(math.log(2), abs=1e-12)
         assert losses[-1] < losses[0]
 
-    def test_losses_never_increase(self):
+    def test_losses_never_increase(self, monkeypatch):
+        monkeypatch.setattr(textlab, "_FIRST_STEP", 0.5)
         rng = np.random.default_rng(30)
         x = sp.csr_matrix(rng.normal(size=(40, 7)))
         y = (rng.random(40) < 0.5).astype(int)
         y[0], y[1] = 0, 1  # both classes present
-        _, losses = train_logreg(x, y, TrainConfig(learning_rate=0.5, epochs=300))
+        _, losses = train_logreg(x, y, TrainConfig(epochs=300))
         assert 2 <= len(losses) <= 301
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
-    def test_large_first_step_backtracks_to_the_same_model(self):
+    def test_large_first_step_backtracks_to_the_same_model(self, monkeypatch):
         # a first step of 500 overshoots; halving it keeps every loss below
         # the last, and training ends at the model a step of 0.1 reaches
         rng = np.random.default_rng(31)
@@ -445,7 +447,8 @@ class TestTrainLogreg:
         y[0], y[1] = 0, 1
         models = []
         for lr in (500.0, 0.1):
-            model, losses = train_logreg(x, y, TrainConfig(learning_rate=lr))
+            monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
+            model, losses = train_logreg(x, y)
             assert all(b <= a for a, b in zip(losses, losses[1:]))
             assert meets_gradient_stop(x, y, model)
             models.append(np.append(model.weights, model.bias))
@@ -471,9 +474,11 @@ class TestTrainLogreg:
         with pytest.raises(ValueError, match="^features must be finite$"):
             train_logreg(x, [0, 1])
 
-    def test_first_step_matches_analytic_gradient(self):
+    def test_first_step_matches_analytic_gradient(self, monkeypatch):
         # after one epoch from w = 0, the update is -lr * grad; compare
         # against central finite differences of the documented objective
+        lr = 0.25
+        monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
         rng = np.random.default_rng(32)
         for _ in range(50):
             n, d = int(rng.integers(2, 9)), int(rng.integers(1, 6))
@@ -481,10 +486,7 @@ class TestTrainLogreg:
             y = (rng.random(n) < 0.5).astype(int)
             y[: 2] = [0, 1]
             l2 = float(rng.uniform(0, 0.3))
-            lr = 0.25
-            model, _ = train_logreg(
-                x, y, TrainConfig(learning_rate=lr, epochs=1, l2=l2)
-            )
+            model, _ = train_logreg(x, y, TrainConfig(epochs=1, l2=l2))
             w1 = np.concatenate([model.weights, [model.bias]])
             grad_impl = -w1 / lr
 
@@ -501,8 +503,9 @@ class TestTrainLogreg:
             np.testing.assert_allclose(grad_impl, grad_fd, atol=1e-6)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        # no step-size setting: L-BFGS reaches the same model from any first step
+        with pytest.raises(TypeError, match="learning_rate"):
+            TrainConfig(learning_rate=0.1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
@@ -512,8 +515,8 @@ class TestTrainLogreg:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("learning_rate", True, "must be a number, got true"),
-            ("learning_rate", "0.1", 'must be a number, got "0.1"'),
+            ("epochs", True, "must be a positive integer, got true"),
+            ("epochs", "500", 'must be a positive integer, got "500"'),
             ("l2", False, "must be a number, got false"),
             ("l2", None, "must be a number, got null"),
         ],
@@ -522,11 +525,10 @@ class TestTrainLogreg:
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("field", ["l2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, field, value):
-        ends = r"\(0, inf\)" if field == "learning_rate" else r"\[0, inf\)"
-        with pytest.raises(ValueError, match=f"^{field} must lie in {ends}, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, inf\), got {value}$"):
             TrainConfig(**{field: value})
 
     def test_nan_loss_raises(self):
@@ -534,7 +536,8 @@ class TestTrainLogreg:
         # "increased by more than the slack" comparison catches
         x = np.array([[1e308], [1.0], [2.0], [-1e308]])
         with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError, match=r"epoch 1 \(0\.69\d+ -> nan\)"):
+            message = r"epoch 1 \(0\.69\d+ -> nan\): features too large for the first step"
+            with pytest.raises(RuntimeError, match=message):
                 train_logreg(x, np.array([1, 0, 1, 0]))
 
 
@@ -553,11 +556,12 @@ class TestTrainPin:
             ("counts", 0.01, 0.018895838772801085, 22.469539535360244),
         ],
     )
-    def test_final_loss_and_bias(self, space, lr, loss, bias):
+    def test_final_loss_and_bias(self, monkeypatch, space, lr, loss, bias):
+        monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
         h, m = drifted_corpora(seed=41, n_docs=40, doc_len=30)
         docs = h + m
         x = featurize(docs, build_vocab(docs, min_df=2), space=space)
-        model, losses = train_logreg(x, [0] * 40 + [1] * 40, TrainConfig(learning_rate=lr))
+        model, losses = train_logreg(x, [0] * 40 + [1] * 40)
         assert float(losses[-1]) == loss
         assert model.bias == bias
 
@@ -579,9 +583,10 @@ class TestTrainPin:
             ),
         ],
     )
-    def test_study_aurocs(self, space, lr, prefix, pooled):
+    def test_study_aurocs(self, monkeypatch, space, lr, prefix, pooled):
+        monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
         h, m = drifted_corpora(seed=41, n_docs=40, doc_len=30)
-        options = dict(seed=9, space=space, config=TrainConfig(learning_rate=lr))
+        options = dict(seed=9, space=space)
         rows = auroc_vs_prefix_length(h, m, [2, 5, 30], **options)
         assert [r.test_auroc for r in rows] == prefix
         # every row of both studies carries the one model's last bits
@@ -791,10 +796,11 @@ class TestPairwiseStudy:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("space", ["tfidf", "counts"])
-    def test_k1_row_is_the_full_length_prefix_row(self, space):
+    def test_k1_row_is_the_full_length_prefix_row(self, monkeypatch, space):
+        monkeypatch.setattr(textlab, "_FIRST_STEP", 0.01)
         h, m = drifted_corpora(seed=38, n_docs=40)
         longest = max(len(tokenize(d.text)) for d in h + m)
-        cfg = TrainConfig(learning_rate=0.01, epochs=100)
+        cfg = TrainConfig(epochs=100)
         (row,) = pairwise_auroc(h, m, k_values=(1,), seed=6, space=space, config=cfg)
         for length in (longest, 10 * longest):
             (ref,) = auroc_vs_prefix_length(
