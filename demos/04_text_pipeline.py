@@ -12,6 +12,7 @@ import numpy as np
 from detectability import (
     Document,
     Label,
+    TrainConfig,
     auroc_vs_prefix_length,
     best_auroc_by_order,
     pairwise_auroc,
@@ -47,13 +48,15 @@ for row in best_auroc_by_order(human_docs, machine_docs, [1, 2, 3]):
     )
 print()
 
+# both studies split the documents and pool the tuples on this seed
+config = TrainConfig(seed=1)
 print("test AUROC of a trained classifier vs observed prefix length:")
-for row in auroc_vs_prefix_length(human_docs, machine_docs, [4, 8, 16, 32, 64], seed=1):
+for row in auroc_vs_prefix_length(human_docs, machine_docs, [4, 8, 16, 32, 64], config):
     print(f"  first {row.length:>3} tokens -> AUROC {row.test_auroc:.4f}")
 print()
 
 print("pooling k same-source documents per decision:")
-for row in pairwise_auroc(human_docs, machine_docs, k_values=(1, 2, 4), seed=1):
+for row in pairwise_auroc(human_docs, machine_docs, (1, 2, 4), config):
     print(f"  k = {row.k} -> test AUROC {row.test_auroc:.4f}")
 print()
 print("longer observation, in tokens or in pooled documents, buys back")

@@ -192,32 +192,29 @@ _CORPUS_MODES = {
     "pairwise": (lambda pkg: pkg.textlab.pairwise_auroc, "--k-values", "1,2", True),
 }
 
-# Each library field a training flag sets: the flag, its type, default and
-# help.  A field is a keyword of both trained studies or of ``TrainConfig``,
-# and an error names the flag.  The defaults are the library's, spelt out so
-# that building the parser loads no textlab (tier-1 checks that they agree).
+# Each ``TrainConfig`` field, in field order: the flag that sets it, its parse
+# type and help.  The flags hold no default, so a field no flag sets takes the
+# library's and building the parser loads no textlab; an error names the flag.
 _TRAINING_FLAGS = {
-    "seed": ("--seed", int, 0, "train/test split and pooling seed"),
-    "train_frac": ("--train-frac", float, 0.7, None),
-    "space": ("--space", str, "tfidf", "feature space (default: tfidf)"),
-    "min_df": ("--min-df", int, 2, None),
-    "epochs": ("--epochs", int, 500, "cap on training iterations"),
-    "l2": ("--l2", float, 1e-4, None),
+    "seed": ("--seed", int, "train/test split and pooling seed"),
+    "train_frac": ("--train-frac", float, None),
+    "space": ("--space", str, "feature space"),
+    "min_df": ("--min-df", int, None),
+    "epochs": ("--epochs", int, "cap on training iterations"),
+    "l2": ("--l2", float, None),
 }
-
-
-def _dest(flag: str) -> str:
-    """The attribute argparse stores ``flag`` under."""
-    return flag[2:].replace("-", "_")
 
 
 def _cmd_tv(args: argparse.Namespace) -> tuple[list[dict], dict]:
     from .bounds import auroc_upper
-    from .distributions import chernoff_information, tv_distance
+    from .distributions import DimensionError, chernoff_information, tv_distance
 
     p = _categorical(_load_json_file(args.dist_p), args.dist_p)
     q = _categorical(_load_json_file(args.dist_q), args.dist_q)
-    tv = tv_distance(p, q)
+    try:
+        tv = tv_distance(p, q)
+    except DimensionError as exc:  # a fault of the two files together
+        raise UsageError(f"{args.dist_p}, {args.dist_q}: {exc}") from None
     row = {
         "tv": tv,
         "chernoff_information": chernoff_information(p, q),
@@ -309,30 +306,27 @@ def _load_corpus(path: str, strict: bool):
 
 def _cmd_corpus(args: argparse.Namespace) -> tuple[list[dict], dict]:
     study, flag, _, trained = _CORPUS_MODES[args.mode]
-    values, options = {}, {}
-    if trained:
-        from .textlab import TrainConfig, _check_study_options
-
-        values = {f: getattr(args, _dest(spec[0])) for f, spec in _TRAINING_FLAGS.items()}
-        train = {f.name: values[f.name] for f in fields(TrainConfig)}
-        options = {f: v for f, v in values.items() if f not in train}
-        # by the library's own checks, before loading and so ahead of a bad list
-        try:
-            _check_study_options(**options)
-            options["config"] = TrainConfig(**train)
-        except ValueError as exc:
-            field, rest = str(exc).split(" ", 1)
-            raise UsageError(f"{_TRAINING_FLAGS[field][0]} {rest}") from None
-    human = _load_corpus(args.human, args.strict)
-    machine = _load_corpus(args.machine, args.strict)
     config = {
         "command": f"corpus {args.mode}",
         "human": args.human,
         "machine": args.machine,
         "strict": args.strict,
-        **values,
     }
-    dest = _dest(flag)
+    options = {}
+    if trained:
+        from .textlab import TrainConfig
+
+        given = {f: v for f, v in vars(args).items() if f in _TRAINING_FLAGS}
+        # by the library's own checks, before loading and so ahead of a bad list
+        try:
+            options["config"] = TrainConfig(**given)
+        except ValueError as exc:
+            field, rest = str(exc).split(" ", 1)
+            raise UsageError(f"{_TRAINING_FLAGS[field][0]} {rest}") from None
+        config.update(asdict(options["config"]))
+    human = _load_corpus(args.human, args.strict)
+    machine = _load_corpus(args.machine, args.strict)
+    dest = flag[2:].replace("-", "_")
     config[dest] = _parse_int_list(getattr(args, dest), flag)
     rows = study(sys.modules[__package__])(human, machine, config[dest], **options)
     return _table(rows), config
@@ -399,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_mode.add_argument("--machine", required=True, help="JSONL corpus file")
         p_mode.add_argument(flag, default=default, help="comma-separated integers")
         if trained:
-            for option, kind, value, text in _TRAINING_FLAGS.values():
-                p_mode.add_argument(option, type=kind, default=value, help=text)
+            for option, kind, text in _TRAINING_FLAGS.values():
+                p_mode.add_argument(option, type=kind, default=argparse.SUPPRESS, help=text)
         p_mode.add_argument(
             "--lenient",
             dest="strict",

@@ -176,22 +176,36 @@ def featurize(
     return _weigh(counts, vocab.doc_freq, vocab.n_docs, space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Hyperparameters for :func:`train_logreg`.
+    """Settings of a trained study: its split, features and :func:`train_logreg`.
 
-    ``epochs`` caps the number of iterations, and training usually stops well
-    before it, at the optimum.  Full-batch training from zero weights has
-    nothing to shuffle, so it takes no seed: the same data and hyperparameters
-    give the same model.
+    ``seed`` draws the stratified train/test split and the pooled tuples,
+    ``train_frac`` is the split's training share of each class, ``space`` the
+    feature space (:func:`featurize`) and ``min_df`` the vocabulary's
+    document-frequency floor.  :func:`train_logreg` reads only ``epochs``,
+    the cap on its iterations (training usually stops well before it, at the
+    optimum), and ``l2``.  Full-batch training from zero weights has nothing
+    to shuffle: the same data and settings give the same model.
     """
 
+    seed: int = 0
+    train_frac: float = 0.7
+    space: str = "tfidf"
+    min_df: int = 2
     epochs: int = 500
     l2: float = 1e-4
 
     def __post_init__(self):
-        _check_int("epochs", self.epochs)
-        _check_real("l2", self.l2, 0, math.inf, "[)")
+        _check_space(self.space)  # first: it has nothing to convert
+        for name, value in (
+            ("seed", _check_int("seed", self.seed, low=0)),
+            ("train_frac", _check_real("train_frac", self.train_frac, 0, 1, "()")),
+            ("min_df", _check_int("min_df", self.min_df)),
+            ("epochs", _check_int("epochs", self.epochs)),
+            ("l2", _check_real("l2", self.l2, 0, math.inf, "[)")),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,40 +410,26 @@ def _stratified_split(
     return np.concatenate(train), np.concatenate(test)
 
 
-def _check_study_options(
-    train_frac: float, min_df: int, seed: int, space: str
-) -> tuple[float, int, int]:
-    """The split fraction, document-frequency floor and seed the two studies take.
-
-    The feature space is checked first, and has nothing to convert.
-    """
-    _check_space(space)
-    seed = _check_int("seed", seed, low=0)
-    return _check_real("train_frac", train_frac, 0, 1, "()"), _check_int("min_df", min_df), seed
-
-
 def _auroc(scores: np.ndarray, y: np.ndarray) -> float:
     return roc_from_scores(scores[y == 1.0], scores[y == 0.0]).auroc
 
 
 def _heldout_fit(
-    human_docs: Sequence[Document], machine_docs: Sequence[Document],
-    train_frac: float, seed: int, space: str, min_df: int, config: TrainConfig | None,
+    human_docs: Sequence[Document], machine_docs: Sequence[Document], cfg: TrainConfig
 ):
     """The study's one model, fit on the whole training documents, and its test split.
 
     Returns ``(test_labels, epochs, final_loss, test_scores)``, labels 0 for
     human and 1 for machine.  The vocabulary is the tokens in at least
-    ``min_df`` training documents.  ``test_scores(length)`` gives the model's
+    ``cfg.min_df`` training documents.  ``test_scores(length)`` gives the model's
     decision values on the test documents cut to their first ``length``
     tokens, counted on that vocabulary and weighed with the training idf; by
     default ``length`` is the longest document's, which cuts none.
     """
-    train_frac, min_df, seed = _check_study_options(train_frac, min_df, seed, space)
-    train, test = _stratified_split(len(human_docs), len(machine_docs), train_frac, seed)
+    train, test = _stratified_split(len(human_docs), len(machine_docs), cfg.train_frac, cfg.seed)
     tokens, ids, lens = _encode([*human_docs, *machine_docs])
     counts = _count_matrix(_doc_rows(lens, train), ids, train.size, len(tokens))
-    columns, doc_freq = _frequent_columns(counts, min_df)
+    columns, doc_freq = _frequent_columns(counts, cfg.min_df)
     # each id's vocabulary column, -1 outside it
     column = np.full(len(tokens), -1, dtype=np.int64)
     column[columns] = np.arange(columns.size)
@@ -440,7 +440,7 @@ def _heldout_fit(
     column = column[ids]  # each token's column takes the place of its id
     del ids, at, kept  # training needs the room
     y = np.repeat([0.0, 1.0], [len(human_docs), len(machine_docs)])
-    model, losses = train_logreg(_weigh(counts, doc_freq, train.size, space), y[train], config)
+    model, losses = train_logreg(_weigh(counts, doc_freq, train.size, cfg.space), y[train], cfg)
     test_rows = _doc_rows(lens, test)
 
     def test_scores(length: int = lens.max()) -> np.ndarray:
@@ -449,7 +449,7 @@ def _heldout_fit(
             offset = np.arange(column.size) - np.repeat(np.cumsum(lens) - lens, lens)
             rows = np.where(offset < length, test_rows, -1)
         counts = _count_matrix(rows, column, test.size, columns.size)
-        return model.decision_function(_weigh(counts, doc_freq, train.size, space))
+        return model.decision_function(_weigh(counts, doc_freq, train.size, cfg.space))
 
     return y[test], losses.size - 1, float(losses[-1]), test_scores
 
@@ -458,11 +458,6 @@ def auroc_vs_prefix_length(
     human_docs: Sequence[Document],
     machine_docs: Sequence[Document],
     lengths: Sequence[int],
-    *,
-    train_frac: float = 0.7,
-    seed: int = 0,
-    space: str = "tfidf",
-    min_df: int = 2,
     config: TrainConfig | None = None,
 ) -> list[PrefixRow]:
     """Detection accuracy as a function of how much of each test document is seen.
@@ -474,12 +469,11 @@ def auroc_vs_prefix_length(
     the test AUROC recorded.  So length varies only what the detector sees at
     test time, and every row shares the one model's ``epochs`` and
     ``final_loss``.  A length that cuts no document gives the k = 1 row of
-    :func:`pairwise_auroc` with the same options.
+    :func:`pairwise_auroc` with the same config.
     """
     lengths = _check_ints("lengths", lengths)
-    y, epochs, final_loss, test_scores = _heldout_fit(
-        human_docs, machine_docs, train_frac, seed, space, min_df, config
-    )
+    cfg = config if config is not None else TrainConfig()
+    y, epochs, final_loss, test_scores = _heldout_fit(human_docs, machine_docs, cfg)
     return [PrefixRow(n, _auroc(test_scores(n), y), epochs, final_loss) for n in lengths]
 
 
@@ -530,18 +524,13 @@ def pairwise_augment(
 def pairwise_auroc(
     human_docs: Sequence[Document],
     machine_docs: Sequence[Document],
-    k_values: Sequence[int] = (1, 2),
-    *,
-    train_frac: float = 0.7,
-    seed: int = 0,
-    space: str = "tfidf",
-    min_df: int = 2,
+    k_values: Sequence[int],
     config: TrainConfig | None = None,
 ) -> list[PairwiseRow]:
     """Detection accuracy when each decision pools k same-class documents.
 
     One model is trained on the split's whole training documents, the model
-    every :func:`auroc_vs_prefix_length` row with the same options shares,
+    every :func:`auroc_vs_prefix_length` row with the same config shares,
     and scores every whole test document once.  For each ``k_values[j]``
     the test documents are pooled into the tuples :func:`_pool_indices`
     draws on seed ``2j + 1`` of the study's augment stream, by role (human
@@ -551,15 +540,14 @@ def pairwise_auroc(
     row is the unpooled test AUROC.
     """
     ks = _check_ints("k_values", k_values)
-    y, epochs, final_loss, test_scores = _heldout_fit(
-        human_docs, machine_docs, train_frac, seed, space, min_df, config
-    )
+    cfg = config if config is not None else TrainConfig()
+    y, epochs, final_loss, test_scores = _heldout_fit(human_docs, machine_docs, cfg)
     scores = test_scores()
     # the model was trained on roles, so the tuples pool by role too
     roles = [Label.MACHINE if label else Label.HUMAN for label in y]
     # the tuples for k_values[j] are drawn from seed 2j + 1 of this stream;
     # the even seeds go unused, which keeps each k's tuples fixed
-    aug_seeds = np.random.SeedSequence(entropy=(seed, _AUGMENT_SALT)).generate_state(
+    aug_seeds = np.random.SeedSequence(entropy=(cfg.seed, _AUGMENT_SALT)).generate_state(
         2 * len(ks)
     )
     rows = []

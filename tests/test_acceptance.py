@@ -249,13 +249,13 @@ def test_criterion_09_prefix_and_pooling_trends():
         m_docs = unigram_docs(rng, pm, Label.MACHINE, 300, 64, "m")
 
         lengths = [2, 4, 8, 16, 32, 64]
-        rows = auroc_vs_prefix_length(h_docs, m_docs, lengths, seed=5)
+        rows = auroc_vs_prefix_length(h_docs, m_docs, lengths, config=TrainConfig(seed=5))
         aucs = [r.test_auroc for r in rows]
         rho = spearmanr(lengths, aucs).statistic
         assert rho > 0.9
         assert aucs[-1] > aucs[0]
 
-        pw = pairwise_auroc(h_docs, m_docs, k_values=(1, 2), seed=5)
+        pw = pairwise_auroc(h_docs, m_docs, k_values=(1, 2), config=TrainConfig(seed=5))
         assert pw[1].test_auroc >= pw[0].test_auroc - 0.02
 
 

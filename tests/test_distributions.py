@@ -150,6 +150,8 @@ class TestCategorical:
     def test_equality_and_hash(self):
         assert Categorical([0.5, 0.5]) == Categorical(np.full(2, 1 / 2))
         assert hash(Categorical([0.5, 0.5])) == hash(Categorical(np.full(2, 1 / 2)))
+        # only a Categorical compares equal: the same masses as a list do not
+        assert (Categorical([1.0]) == [1.0]) is False
 
 
 class TestTvDistance:

@@ -82,6 +82,9 @@ def test_every_exported_name_exists(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+    # a name no module exports: the lazy namespace searches them all first
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'$"):
+        mod.no_such_name
 
 
 def src_trees():

@@ -146,15 +146,14 @@ class TestAgainstTokenListReference:
         docs = human + machine
         train_docs, test_docs = [docs[i] for i in train], [docs[i] for i in test]
         vocab, _ = vocab_reference(train_docs, min_df)
+        cfg = TrainConfig(train_frac=0.5, seed=0, space="counts", min_df=min_df)
         capture = FeatureCapture()
         with mock.patch.object(textlab, "train_logreg", capture):
             if not vocab:
                 with pytest.raises(ValueError, match="empty vocabulary"):
-                    textlab._heldout_fit(human, machine, 0.5, 0, "counts", min_df, None)
+                    textlab._heldout_fit(human, machine, cfg)
                 return
-            *_, test_scores = textlab._heldout_fit(
-                human, machine, 0.5, 0, "counts", min_df, None
-            )
+            *_, test_scores = textlab._heldout_fit(human, machine, cfg)
             test_scores(length)
             test_scores()
         # a cut text may hold no token, which a Document refuses
@@ -506,6 +505,9 @@ class TestTrainLogreg:
         # no step-size setting: L-BFGS reaches the same model from any first step
         with pytest.raises(TypeError, match="learning_rate"):
             TrainConfig(learning_rate=0.1)
+        # keyword-only: an old positional (epochs, l2) cannot land on the seed
+        with pytest.raises(TypeError, match="positional"):
+            TrainConfig(500, 1e-4)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
@@ -586,12 +588,12 @@ class TestTrainPin:
     def test_study_aurocs(self, monkeypatch, space, lr, prefix, pooled):
         monkeypatch.setattr(textlab, "_FIRST_STEP", lr)
         h, m = drifted_corpora(seed=41, n_docs=40, doc_len=30)
-        options = dict(seed=9, space=space)
-        rows = auroc_vs_prefix_length(h, m, [2, 5, 30], **options)
+        config = TrainConfig(seed=9, space=space)
+        rows = auroc_vs_prefix_length(h, m, [2, 5, 30], config=config)
         assert [r.test_auroc for r in rows] == prefix
         # every row of both studies carries the one model's last bits
         assert {(r.epochs, r.final_loss) for r in rows} == {self.STUDY_FIT[space]}
-        rows = pairwise_auroc(h, m, [1, 2], **options)
+        rows = pairwise_auroc(h, m, [1, 2], config=config)
         assert [r.test_auroc for r in rows] == pooled
         assert {(r.epochs, r.final_loss) for r in rows} == {self.STUDY_FIT[space]}
 
@@ -671,7 +673,7 @@ def drifted_corpora(seed=34, n_docs=60, doc_len=40):
 class TestPrefixStudy:
     def test_auroc_climbs_with_prefix_length(self):
         h, m = drifted_corpora()
-        rows = auroc_vs_prefix_length(h, m, [2, 8, 40], seed=3)
+        rows = auroc_vs_prefix_length(h, m, [2, 8, 40], config=TrainConfig(seed=3))
         assert [r.length for r in rows] == [2, 8, 40]
         aucs = [r.test_auroc for r in rows]
         assert all(0.0 <= a <= 1.0 for a in aucs)
@@ -690,7 +692,7 @@ class TestPrefixStudy:
 
         # every document has 20 tokens: 19 cuts each one, 20 and 40 cut none
         assert {len(tokenize(d.text)) for d in h + m} == {20}
-        rows = auroc_vs_prefix_length(h, m, [3, 8, 19, 20, 40], seed=5)
+        rows = auroc_vs_prefix_length(h, m, [3, 8, 19, 20, 40], config=TrainConfig(seed=5))
         docs = h + m
         train, test = _stratified_split(len(h), len(m), 0.7, 5)
         train_docs = [docs[i] for i in train]
@@ -713,14 +715,14 @@ class TestPrefixStudy:
 
         monkeypatch.setattr(textlab, "train_logreg", counting)
         h, m = drifted_corpora(n_docs=30, doc_len=20)
-        rows = auroc_vs_prefix_length(h, m, [3, 8, 40], seed=5)
+        rows = auroc_vs_prefix_length(h, m, [3, 8, 40], config=TrainConfig(seed=5))
         assert [r.length for r in rows] == [3, 8, 40]
         assert len(calls) == 1
 
     def test_deterministic(self):
         h, m = drifted_corpora()
-        a = auroc_vs_prefix_length(h, m, [4, 16], seed=3)
-        b = auroc_vs_prefix_length(h, m, [4, 16], seed=3)
+        a = auroc_vs_prefix_length(h, m, [4, 16], config=TrainConfig(seed=3))
+        b = auroc_vs_prefix_length(h, m, [4, 16], config=TrainConfig(seed=3))
         assert a == b
 
     def test_lengths_validation(self):
@@ -749,11 +751,13 @@ class TestStudyOptions:
     def test_seed_must_be_a_nonnegative_integer(self, study, seed, shown):
         h, m = drifted_corpora(n_docs=8)
         with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {shown}$"):
-            study(h, m, seed=seed)
+            study(h, m, config=TrainConfig(seed=seed))
 
     def test_numpy_seed_is_the_int_seed(self, study):
         h, m = drifted_corpora(n_docs=20)
-        assert study(h, m, seed=np.int64(3)) == study(h, m, seed=3)
+        assert study(h, m, config=TrainConfig(seed=np.int64(3))) == study(
+            h, m, config=TrainConfig(seed=3)
+        )
 
     def test_space_is_checked_before_the_split(self, study):
         # one document a side cannot split: the bad space is reported first
@@ -761,7 +765,7 @@ class TestStudyOptions:
         with pytest.raises(
             ValueError, match=r"^space must be one of \('counts', 'tfidf'\), got 'hashing'$"
         ):
-            study(h[:1], m, space="hashing")
+            study(h[:1], m, config=TrainConfig(space="hashing"))
 
     def test_one_document_on_a_side_cannot_split(self, study):
         h, m = drifted_corpora(n_docs=8)
@@ -772,14 +776,14 @@ class TestStudyOptions:
 class TestPairwiseStudy:
     def test_grouping_helps_and_rows_are_labeled(self):
         h, m = drifted_corpora(seed=35, n_docs=80)
-        rows = pairwise_auroc(h, m, k_values=(1, 4), seed=4)
+        rows = pairwise_auroc(h, m, k_values=(1, 4), config=TrainConfig(seed=4))
         assert [r.k for r in rows] == [1, 4]
         assert rows[1].test_auroc >= rows[0].test_auroc - 0.05
 
     def test_deterministic(self):
         h, m = drifted_corpora(seed=36)
-        a = pairwise_auroc(h, m, k_values=(1, 2), seed=4)
-        b = pairwise_auroc(h, m, k_values=(1, 2), seed=4)
+        a = pairwise_auroc(h, m, k_values=(1, 2), config=TrainConfig(seed=4))
+        b = pairwise_auroc(h, m, k_values=(1, 2), config=TrainConfig(seed=4))
         assert a == b
 
     def test_trains_one_model_for_all_k(self, monkeypatch):
@@ -791,7 +795,7 @@ class TestPairwiseStudy:
 
         monkeypatch.setattr(textlab, "train_logreg", counting)
         h, m = drifted_corpora(seed=37)
-        rows = pairwise_auroc(h, m, k_values=(1, 2, 4, 8), seed=2)
+        rows = pairwise_auroc(h, m, k_values=(1, 2, 4, 8), config=TrainConfig(seed=2))
         assert [r.k for r in rows] == [1, 2, 4, 8]
         assert len(calls) == 1
 
@@ -800,12 +804,10 @@ class TestPairwiseStudy:
         monkeypatch.setattr(textlab, "_FIRST_STEP", 0.01)
         h, m = drifted_corpora(seed=38, n_docs=40)
         longest = max(len(tokenize(d.text)) for d in h + m)
-        cfg = TrainConfig(epochs=100)
-        (row,) = pairwise_auroc(h, m, k_values=(1,), seed=6, space=space, config=cfg)
+        cfg = TrainConfig(seed=6, space=space, epochs=100)
+        (row,) = pairwise_auroc(h, m, k_values=(1,), config=cfg)
         for length in (longest, 10 * longest):
-            (ref,) = auroc_vs_prefix_length(
-                h, m, [length], seed=6, space=space, config=cfg
-            )
+            (ref,) = auroc_vs_prefix_length(h, m, [length], config=cfg)
             assert row.test_auroc == ref.test_auroc
 
     @pytest.mark.parametrize("space", ["tfidf", "counts"])
@@ -816,9 +818,10 @@ class TestPairwiseStudy:
         # document scores as the k = 1 row
         h, m = drifted_corpora(seed=41, n_docs=120, doc_len=40)
         longest = max(len(tokenize(d.text)) for d in h + m)
-        (row,) = pairwise_auroc(h, m, k_values=(1,), seed=0, space=space)
+        cfg = TrainConfig(seed=0, space=space)
+        (row,) = pairwise_auroc(h, m, k_values=(1,), config=cfg)
         assert row.epochs < TrainConfig().epochs
-        refs = auroc_vs_prefix_length(h, m, [5, longest, 3 * longest], seed=0, space=space)
+        refs = auroc_vs_prefix_length(h, m, [5, longest, 3 * longest], config=cfg)
         for ref in refs:
             assert row.epochs == ref.epochs
             assert row.final_loss == ref.final_loss
@@ -830,7 +833,7 @@ class TestPairwiseStudy:
         # document scored once, a tuple scored by its members' sum
         h, m = drifted_corpora(seed=39, n_docs=50)
         ks, seed = (1, 2, 3, 5), 7
-        rows = pairwise_auroc(h, m, k_values=ks, seed=seed)
+        rows = pairwise_auroc(h, m, k_values=ks, config=TrainConfig(seed=seed))
         docs = h + m
         train, test = _stratified_split(len(h), len(m), 0.7, seed)
         train_docs = [docs[i] for i in train]
@@ -853,8 +856,8 @@ class TestPairwiseStudy:
     def test_tuples_pool_by_role_not_by_document_label(self):
         h, m = drifted_corpora(seed=40, n_docs=30)
         relabeled = [Document(id=d.id, text=d.text, label=Label.MACHINE) for d in h]
-        rows = pairwise_auroc(h, m, k_values=(1, 2, 4), seed=8)
-        assert pairwise_auroc(relabeled, m, k_values=(1, 2, 4), seed=8) == rows
+        rows = pairwise_auroc(h, m, k_values=(1, 2, 4), config=TrainConfig(seed=8))
+        assert pairwise_auroc(relabeled, m, k_values=(1, 2, 4), config=TrainConfig(seed=8)) == rows
 
     def test_k_values_validation(self):
         h, m = drifted_corpora(n_docs=8)
